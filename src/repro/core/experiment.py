@@ -55,6 +55,10 @@ class ExperimentSpec:
     granularity:
         Endpoint granularity; AUTO switches to node mode above
         :data:`RANK_ENDPOINT_LIMIT` ranks.
+
+    There is no switch for the analytic collective short-circuit
+    (:mod:`repro.mpi.fastpath`): it is exact, so every run may take it
+    and each collective decides for itself.
     """
 
     name: str
@@ -74,11 +78,6 @@ class ExperimentSpec:
     docker_host_network: bool = False
     #: Optional leaf-switch topology (None = flat, NIC-limited fabric).
     switch_topology: Optional[SwitchTopology] = None
-    #: Opt into the analytic collective short-circuit
-    #: (:mod:`repro.mpi.fastpath`).  Off by default: enabling it is a
-    #: statement that the workload's collectives are contention-free and
-    #: entered in lockstep — the fast path raises otherwise.
-    collective_fastpath: bool = False
     #: Optional deterministic fault-injection plan
     #: (:mod:`repro.faults`).  ``None`` — the default — runs on a
     #: perfect machine, byte-identical to a build without the fault

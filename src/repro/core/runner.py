@@ -116,10 +116,13 @@ class ExperimentRunner:
             n_endpoints = spec.total_ranks
             endpoint_is_node = False
         rankmap = RankMap(n_ranks=n_endpoints, n_nodes=spec.n_nodes)
+        # The exact collective short-circuit is on unless a fault plan is
+        # armed: a fault can change a link or a rank mid-collective.
+        fastpath = injector is None
         comm = SimComm(
             env, cluster, rankmap, perf,
             tracer=obs.records if obs is not None else None,
-            collective_fastpath=spec.collective_fastpath,
+            collective_fastpath=fastpath,
         )
 
         def main():
@@ -183,7 +186,7 @@ class ExperimentRunner:
                 job_comm = SimComm(
                     env, cluster, rankmap, perf,
                     tracer=obs.records if obs is not None else None,
-                    collective_fastpath=spec.collective_fastpath,
+                    collective_fastpath=fastpath,
                 )
             outcome["job"] = result
             outcome["deploy"] = deploy_report

@@ -9,6 +9,13 @@ them.  Determinism: two events scheduled for the same time fire in
 scheduling order (FIFO), which makes every simulation in this package
 reproducible — the wheel's pop discipline is property-tested against a
 binary-heap reference model in ``tests/des/test_wheel.py``.
+
+*End-of-instant callbacks* (:meth:`Environment.at_end_of_instant`) run
+once the current instant has nothing left to dispatch — its now-ring is
+empty — and before the clock advances.  They let a component take one
+decision that depends on everything that happened at ``now`` (the
+collective fast path uses them to see whether every participant joined
+in the same instant).
 """
 
 from __future__ import annotations
@@ -24,12 +31,11 @@ class SimulationError(RuntimeError):
     """Raised for engine-level errors (e.g. unhandled failed events)."""
 
 
-#: Benchmark knob: when True, :meth:`Environment.run` drains the queue by
+#: Bisection knob: when True, :meth:`Environment.run` drains the queue by
 #: calling :meth:`Environment.step` per event — the pre-optimisation loop
 #: shape (method call, property-based error check, no single-callback
 #: fast path) — instead of the inlined :meth:`Environment._drain`.
 #: Semantics are identical; only the interpreter overhead differs.
-#: ``benchmarks/bench_des_hotpath.py`` turns this on for its legacy arm.
 _LEGACY_STEP_LOOP = False
 
 
@@ -181,12 +187,14 @@ class Environment:
         #: wheel entry already due at ``now`` (scheduled while ``now``
         #: was smaller) — see :meth:`step`.
         self._ring = deque()
+        #: End-of-instant callbacks (see :meth:`at_end_of_instant`), FIFO.
+        self._eoi = deque()
         self._active = True
         self._step_hook: Optional[Callable[[Event, float], None]] = None
         #: Events executed by this environment since creation.  Counted
-        #: unconditionally (a plain integer increment per step) so the
-        #: hot-path benchmark and the ``des.events_executed`` metric can
-        #: read it without installing a step hook.
+        #: unconditionally (a plain integer increment per step) so
+        #: benchmarks and the ``des.events_executed`` metric can read it
+        #: without installing a step hook.
         self.events_executed = 0
 
     # -- instrumentation -----------------------------------------------------
@@ -234,6 +242,18 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
+    def at_end_of_instant(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the current instant is exhausted.
+
+        A callback runs when no event is left to dispatch at ``now`` and
+        before the clock advances — on every run path (:meth:`run`
+        unbounded or bounded, and :meth:`step`).  Callbacks run one at a
+        time in registration order; whatever one schedules at ``now``
+        (events, or further callbacks) is dispatched before the next
+        callback runs, so each one observes a fully settled instant.
+        """
+        self._eoi.append(callback)
+
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0.0:
             # Symmetric with _schedule_at's past-time check: a negative
@@ -265,7 +285,7 @@ class Environment:
         when = self._wheel.peek_time()
         if when <= self._now:
             return when
-        if self._ring:
+        if self._ring or self._eoi:
             return self._now
         return when
 
@@ -275,7 +295,9 @@ class Environment:
         Pop discipline: wheel entries already due at ``now`` fire first
         (they were scheduled before the clock reached them, so they
         precede every ring entry in scheduling order), then the now-ring
-        FIFO, then the clock advances to the earliest wheel entry.
+        FIFO, then one end-of-instant callback (a step of its own, not
+        counted in :attr:`events_executed`), then the clock advances to
+        the earliest wheel entry.
         """
         wheel = self._wheel
         when = wheel.peek_time()
@@ -283,6 +305,9 @@ class Environment:
             _, event = wheel.pop()
         elif self._ring:
             event = self._ring.popleft()
+        elif self._eoi:
+            self._eoi.popleft()()
+            return
         elif when != float("inf"):
             when, event = wheel.pop()
             self._now = when
@@ -314,14 +339,17 @@ class Environment:
     def _step_legacy(self) -> None:
         """The seed's per-event step body: plain callback loop and
         property-based error check, no single-callback fast path.  Kept
-        (behind :func:`set_legacy_step_loop`) so the hot-path benchmark's
-        baseline arm reproduces the pre-optimisation loop faithfully."""
+        (behind :func:`set_legacy_step_loop`) so the pre-optimisation
+        loop can still be reproduced for bisection."""
         wheel = self._wheel
         when = wheel.peek_time()
         if when <= self._now:
             _, event = wheel.pop()
         elif self._ring:
             event = self._ring.popleft()
+        elif self._eoi:
+            self._eoi.popleft()()
+            return
         else:
             when, event = wheel.pop()
             self._now = when
@@ -359,16 +387,15 @@ class Environment:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
         if stop_event is None and stop_time == float("inf"):
             if _LEGACY_STEP_LOOP:
-                while self._wheel or self._ring:
+                while self._wheel or self._ring or self._eoi:
                     self._step_legacy()
                 return None
             self._drain()
             return None
-        # Bounded runs honour the legacy toggle too: the benchmark's
-        # baseline arm must take the seed's step body on every path, not
-        # just the unbounded drain.
+        # Bounded runs honour the legacy toggle too: it must select the
+        # seed's step body on every path, not just the unbounded drain.
         step = self._step_legacy if _LEGACY_STEP_LOOP else self.step
-        while self._wheel or self._ring:
+        while self._wheel or self._ring or self._eoi:
             if stop_event is not None and stop_event.processed:
                 if not stop_event.ok:
                     stop_event.defuse()
@@ -401,6 +428,7 @@ class Environment:
         """
         wheel = self._wheel
         ring = self._ring
+        eoi = self._eoi
         ring_pop = ring.popleft
         ring_append = ring.append
         wheel_pop_batch = wheel.pop_batch
@@ -413,6 +441,11 @@ class Environment:
             while True:
                 if ring:
                     event = ring_pop()
+                elif eoi:
+                    # The instant is exhausted: run one end-of-instant
+                    # callback, then dispatch whatever it scheduled.
+                    eoi.popleft()()
+                    continue
                 elif wheel._size:
                     # Ring empty: advance the clock and promote the whole
                     # earliest-timestamp group out of the wheel in one

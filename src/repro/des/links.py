@@ -24,13 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS_BYTES = 1e-6
 
-#: Benchmark knob: when True, links schedule their wake-ups the way the
+#: Bisection knob: when True, links schedule their wake-ups the way the
 #: seed did — a fresh ``Timeout`` plus a generation-capturing closure per
 #: reschedule — instead of reusing pooled :class:`_Wake` events.  The
 #: schedule (times and heap positions) is identical either way; only the
-#: allocation behaviour differs.  ``benchmarks/bench_des_hotpath.py``
-#: turns this on for its legacy arm so the baseline reproduces the
-#: seed's full hot path.
+#: allocation behaviour differs.
 _LEGACY_WAKES = False
 
 

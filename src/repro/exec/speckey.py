@@ -91,6 +91,11 @@ def canonical_spec_payload(spec: ExperimentSpec) -> dict:
         if f.name != "name"
         and not (f.name == "fault_plan" and spec.fault_plan is None)
     }
+    # Retired field: the collective short-circuit used to be an opt-in
+    # spec field that defaulted to off.  It is now always allowed and
+    # changes no result, so every key keeps the old default's entry —
+    # existing cache entries stay valid and no key moves.
+    fields["collective_fastpath"] = False
     return {"key_version": KEY_VERSION, "spec": fields}
 
 

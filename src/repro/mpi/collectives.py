@@ -15,6 +15,12 @@ choices:
 
 Callers must pass the same ``op`` identifier on every rank of one
 collective call so the round tags match.
+
+On a communicator with a fast path (:mod:`repro.mpi.fastpath`) the
+lockstep algorithms — ring allgather/allreduce, power-of-two
+recursive-doubling allreduce, reduce-scatter and recursive-doubling
+allgather — first join the fast path's per-collective decision; a
+declined collective falls through to its message schedule below.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.mpi.datatypes import collective_tag
+from repro.mpi.fastpath import DECLINED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import SimComm
@@ -51,13 +58,6 @@ def bcast(comm: "SimComm", rank: int, op: int, nbytes: float, root: int = 0):
     p = comm.size
     if p == 1:
         return
-    fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        # Binomial trees are contention-free for any size and any entry
-        # times (each rank receives exactly once; a parent's sends are
-        # serialised): closed-form schedule, bit-identical times.
-        yield fp.tree_bcast(rank, op, nbytes, root)
-        return
     vrank = (rank - root) % p
 
     # Receive from the parent (strip the lowest set bit of vrank).
@@ -86,13 +86,6 @@ def reduce(comm: "SimComm", rank: int, op: int, nbytes: float, root: int = 0):
     p = comm.size
     if p == 1:
         return
-    fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable() and not (p & (p - 1)):
-        # Power-of-two tree entered in lockstep: children deliver
-        # back-to-back, no pipe ever carries two flows — closed form
-        # (raises if the ranks did not enter together).
-        yield fp.tree_reduce(rank, op, nbytes, root)
-        return
     vrank = (rank - root) % p
     m = 1
     while m < p:
@@ -119,18 +112,11 @@ def allreduce(comm: "SimComm", rank: int, op: int, nbytes: float):
     rem = p - pof2
 
     fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        if rem == 0:
-            # Power-of-two recursive doubling entered in lockstep:
-            # closed-form schedule (see repro.mpi.fastpath), bit-identical
-            # completion times; raises if the ranks did not enter together.
-            yield fp.lockstep_rounds(rank, op, pof2.bit_length() - 1, nbytes)
-            return
-        if rem == pof2 >> 1:
-            # p = 3·2^k: the one non-power-of-two family whose fold
-            # schedule stays contention-free (a single symmetric
-            # co-admission episode in the straddling final round).
-            yield fp.lockstep_fold(rank, op, nbytes)
+    if fp is not None and rem == 0:
+        ev = fp.join(
+            "allreduce", rank, op, (nbytes,) * (pof2.bit_length() - 1)
+        )
+        if ev is not None and (yield ev) is not DECLINED:
             return
 
     # Fold the excess ranks into the power-of-two set.
@@ -168,11 +154,10 @@ def allreduce_ring(comm: "SimComm", rank: int, op: int, nbytes: float):
         return
     chunk = nbytes / p
     fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        # Structurally contention-free ring: closed-form schedule
-        # (see repro.mpi.fastpath), bit-identical completion times.
-        yield fp.ring_rounds(rank, op, 2 * (p - 1), chunk)
-        return
+    if fp is not None:
+        ev = fp.join("allreduce_ring", rank, op, (chunk,) * (2 * (p - 1)))
+        if ev is not None and (yield ev) is not DECLINED:
+            return
     right = (rank + 1) % p
     left = (rank - 1) % p
     for r in range(2 * (p - 1)):
@@ -194,16 +179,15 @@ def reduce_scatter(comm: "SimComm", rank: int, op: int, nbytes: float):
     if p & (p - 1):
         raise ValueError("reduce_scatter requires a power-of-two size")
     fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        # Lockstep pairwise exchanges with per-round halving sizes:
-        # closed-form schedule, bit-identical completion times.
+    if fp is not None:
         sizes = []
         chunk = nbytes / 2.0
         for _ in range(p.bit_length() - 1):
             sizes.append(chunk)
             chunk /= 2.0
-        yield fp.lockstep_schedule(rank, op, tuple(sizes))
-        return
+        ev = fp.join("reduce_scatter", rank, op, tuple(sizes))
+        if ev is not None and (yield ev) is not DECLINED:
+            return
     mask = p >> 1
     chunk = nbytes / 2.0
     round_id = 0
@@ -231,18 +215,17 @@ def allgather_recursive_doubling(
     if p & (p - 1):
         raise ValueError("allgather_recursive_doubling requires a power of two")
     fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        # Lockstep pairwise exchanges with per-round doubling sizes:
-        # closed-form schedule, bit-identical completion times.  Through
-        # this and the reduce_scatter hook, Rabenseifner's allreduce
-        # short-circuits as its two component phases.
+    if fp is not None:
+        # With the reduce_scatter hook, Rabenseifner's allreduce decides
+        # as its two component phases.
         sizes = []
         chunk = nbytes / p
         for _ in range(p.bit_length() - 1):
             sizes.append(chunk)
             chunk *= 2.0
-        yield fp.lockstep_schedule(rank, op, tuple(sizes))
-        return
+        ev = fp.join("allgather_rd", rank, op, tuple(sizes))
+        if ev is not None and (yield ev) is not DECLINED:
+            return
     mask = 1
     chunk = nbytes / p
     round_id = 0
@@ -280,11 +263,10 @@ def allgather(comm: "SimComm", rank: int, op: int, nbytes_per_rank: float):
     if p == 1:
         return
     fp = getattr(comm, "fastpath", None)
-    if fp is not None and fp.usable():
-        # Structurally contention-free ring: closed-form schedule
-        # (see repro.mpi.fastpath), bit-identical completion times.
-        yield fp.ring_rounds(rank, op, p - 1, nbytes_per_rank)
-        return
+    if fp is not None:
+        ev = fp.join("allgather", rank, op, (nbytes_per_rank,) * (p - 1))
+        if ev is not None and (yield ev) is not DECLINED:
+            return
     right = (rank + 1) % p
     left = (rank - 1) % p
     for r in range(p - 1):

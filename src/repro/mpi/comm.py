@@ -28,9 +28,9 @@ of same-timestamp events — while removing the allocations:
   :class:`_Join2` instead of a results-dict condition event.
 
 The legacy Store + generator path is kept selectable
-(``legacy_delivery=True`` or :func:`set_default_delivery`) so the
-benchmark suite and the matching property tests can compare the two
-implementations inside one build.
+(``legacy_delivery=True`` or :func:`set_default_delivery`) so bisection
+and the matching property tests can compare the two implementations
+inside one build.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ __all__ = [
 
 #: Process-wide default for new communicators: ``False`` selects the
 #: indexed/callback hot path, ``True`` the original Store + generator
-#: implementation.  Flipped by the hot-path benchmark to measure both
-#: inside one process; per-communicator ``legacy_delivery`` overrides it.
+#: implementation (kept for bisection and the matching property tests);
+#: per-communicator ``legacy_delivery`` overrides it.
 _DEFAULT_LEGACY_DELIVERY = False
 
 
@@ -403,6 +403,7 @@ class _Delivery:
             timer = self._timer
             timer.callbacks = self._cbs_deposit
             self.env._ring.append(timer)
+            comm._in_flight -= 1
             comm._queues[msg.dst].deliver(msg)
             self.msg = None
             return
@@ -411,6 +412,7 @@ class _Delivery:
         self.done = None
         # Deposit first, complete the send second: the receiver's event is
         # scheduled before the sender's, matching the Store-based order.
+        comm._in_flight -= 1
         comm._queues[msg.dst].deliver(msg)
         comm._pool.append(self)
         # Fire the send-done event inline rather than round-tripping it
@@ -457,9 +459,12 @@ class SimComm:
         ``False`` the indexed/callback hot path; ``None`` (default)
         follows :func:`set_default_delivery`.
     collective_fastpath:
-        Opt in to the analytic collective short-circuit
-        (:class:`repro.mpi.fastpath.CollectiveFastPath`).  Off by
-        default; see ``docs/perf.md`` for the eligibility rule.
+        Allow the exact analytic collective short-circuit
+        (:class:`repro.mpi.fastpath.CollectiveFastPath`) when the static
+        gates hold; each collective then decides for itself whether to
+        use it.  ``False`` forces every collective onto its message
+        schedule (the runner passes ``False`` when a fault plan is
+        armed).  See ``docs/perf.md``.
     """
 
     def __init__(
@@ -470,7 +475,7 @@ class SimComm:
         perf: MpiPerf,
         tracer=None,
         legacy_delivery: Optional[bool] = None,
-        collective_fastpath: bool = False,
+        collective_fastpath: bool = True,
     ) -> None:
         if rankmap.n_nodes > len(cluster.nodes):
             raise ValueError(
@@ -511,10 +516,6 @@ class SimComm:
         self._trace_deliver = (
             tracer is not None and tracer.wants("mpi.deliver")
         )
-        #: Opt-in analytic collective short-circuit (None when disabled).
-        self.fastpath = (
-            CollectiveFastPath(self) if collective_fastpath else None
-        )
         # Traffic accounting for reports/ablations.
         self.messages_sent = 0
         self.bytes_sent = 0.0
@@ -522,6 +523,16 @@ class SimComm:
         #: Sends where src == dst (counted in messages_sent/bytes_sent,
         #: never in internode_messages; they take the shm path).
         self.self_messages = 0
+        #: Messages sent but not yet deposited at their destination
+        #: (latency stage included) — the fast path's quiescence check.
+        self._in_flight = 0
+        #: Analytic collective short-circuit; None when disabled or when
+        #: a static gate fails.
+        self.fastpath = (
+            CollectiveFastPath(self)
+            if collective_fastpath and CollectiveFastPath.eligible(self)
+            else None
+        )
 
     @property
     def size(self) -> int:
@@ -556,6 +567,7 @@ class SimComm:
         same_node = src == dst or nodes[src] == nodes[dst]
         self.messages_sent += 1
         self.bytes_sent += nbytes
+        self._in_flight += 1
         if src == dst:
             self.self_messages += 1
         elif not same_node:
@@ -667,6 +679,7 @@ class SimComm:
                 self.env.now, "mpi.deliver", f"{src}->{dst}",
                 tag=msg.tag, nbytes=nbytes,
             )
+        self._in_flight -= 1
         yield self._queues[dst].put(msg)
 
     def _bridge_hop(self, node_id: int):
@@ -704,12 +717,9 @@ class GroupComm:
         self.parent = parent
         self.members = members
         self._to_group = {g: i for i, g in enumerate(members)}
-        #: Group-local analytic collective short-circuit (same opt-in as
-        #: the parent's; eligibility is evaluated against the *member*
-        #: nodes, so a group can be eligible even when the parent is not).
-        self.fastpath = (
-            CollectiveFastPath(self) if parent.fastpath is not None else None
-        )
+        #: Never short-circuited: the quiescence check cannot see sends
+        #: from non-members to the members' NICs.
+        self.fastpath = None
 
     @property
     def env(self):

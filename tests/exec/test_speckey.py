@@ -70,7 +70,6 @@ PERTURBATIONS = {
     "switch_topology": (
         {}, {"switch_topology": SwitchTopology(nodes_per_switch=2)},
     ),
-    "collective_fastpath": ({}, {"collective_fastpath": True}),
     "fault_plan": (
         {}, {"fault_plan": FaultPlan(seed=7, link_degrade_rate=0.1)},
     ),
@@ -121,12 +120,30 @@ def test_payload_covers_all_fields_but_name():
     spec = make_spec()
     payload = canonical_spec_payload(spec)["spec"]
     # `fault_plan` is omitted while unset so pre-fault cache keys stay
-    # valid; every other simulation field must be covered.
+    # valid; every other simulation field must be covered, plus the
+    # retired `collective_fastpath` entry at its old default.
     expected = (
         {f.name for f in dataclasses.fields(ExperimentSpec)}
         - {"name", "fault_plan"}
-    )
+    ) | {"collective_fastpath"}
     assert set(payload) == expected
+    assert payload["collective_fastpath"] is False
+
+
+def test_retired_fastpath_field_keeps_keys_byte_identical():
+    """Retiring ``ExperimentSpec.collective_fastpath`` moved no key:
+    these literals are the keys the same specs had while the field
+    existed (default ``False``), so existing cache entries still hit."""
+    assert not hasattr(make_spec(), "collective_fastpath")
+    assert spec_key(make_spec()) == (
+        "43ab1d81d46bc53f132e436a3cc6671e4aaa54bf8d16498b4481c0b2c10e2c09"
+    )
+    stencil = make_spec(
+        workload="stencil", workmodel=StencilWorkModel(n_cells=500_000)
+    )
+    assert spec_key(stencil) == (
+        "129e7a85455785cc96640793b4184dd8bf2122adf782aa626374ffcc999b4b33"
+    )
 
 
 def test_workload_name_is_part_of_the_payload():

@@ -1,9 +1,12 @@
 """Collective fast-path parity: closed form vs the simulated schedule.
 
-The analytic short-circuit may only be enabled because these tests prove
-it *bit-identical*: for every eligible shape the per-rank completion
-times of the closed form equal the message-by-message simulation
-exactly (``==`` on floats, no tolerance), including staggered entries.
+The analytic short-circuit is on by default because these tests prove it
+*bit-identical*: for every kept kind the per-rank completion times of the
+closed form equal the message-by-message simulation exactly (``==`` on
+floats, no tolerance), and so do the traffic counters.  Every shape the
+fast path must not model — staggered entries, busy NICs, messages still
+in flight, trees, non-power-of-two allreduce, sub-communicators — is
+checked to decline (or never join) and to match the message schedule.
 """
 
 import pytest
@@ -17,27 +20,34 @@ from repro.hardware.network import NetworkPath
 from repro.hardware.topology import NON_BLOCKING
 from repro.mpi import collectives
 from repro.mpi.comm import SimComm
+from repro.mpi.fastpath import DECLINED
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
 
 PARITY_SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 16]
 
 
-def _build(p, fastpath, path=NetworkPath.HOST_NATIVE, stagger=0.0,
-           tracer=None, spec=catalog.MARENOSTRUM4, n_nodes=None):
+def _build(p, fastpath=True, path=NetworkPath.HOST_NATIVE, tracer=None,
+           spec=catalog.MARENOSTRUM4, n_ranks=None):
     env = Environment()
-    cluster = Cluster(env, spec, num_nodes=n_nodes or p)
+    cluster = Cluster(env, spec, num_nodes=p)
     cluster.wire_network(path)
-    rankmap = RankMap(n_ranks=p, n_nodes=n_nodes or p)
+    rankmap = RankMap(n_ranks=n_ranks or p, n_nodes=p)
     perf = MpiPerf.for_fabric(spec.fabric, path)
     comm = SimComm(env, cluster, rankmap, perf, tracer=tracer,
                    collective_fastpath=fastpath)
     return env, comm
 
 
-def _run(p, fn, fastpath, stagger=0.0, tracer=None, **kwargs):
-    """Run one collective on all ranks; returns per-rank finish times."""
+def _run(p, fn, fastpath, stagger=0.0, tracer=None, before=None,
+         **kwargs):
+    """Run one collective on all ranks; returns per-rank finish times.
+
+    ``before(env, comm)`` runs first, at t=0, to start outside traffic.
+    """
     env, comm = _build(p, fastpath, tracer=tracer)
+    if before is not None:
+        before(env, comm)
     finish = [None] * p
 
     def body(rank):
@@ -52,6 +62,27 @@ def _run(p, fn, fastpath, stagger=0.0, tracer=None, **kwargs):
     return finish, comm
 
 
+def _counts(fast_comm):
+    fp = fast_comm.fastpath
+    return fp.collectives_short_circuited, fp.collectives_declined
+
+
+def _same_traffic(fast_comm, real_comm):
+    assert fast_comm.messages_sent == real_comm.messages_sent
+    assert fast_comm.internode_messages == real_comm.internode_messages
+    assert fast_comm.bytes_sent == real_comm.bytes_sent  # exact
+
+
+def _parity(p, fn, **kwargs):
+    """(fast comm) after asserting times and traffic equal the message
+    schedule's."""
+    real, real_comm = _run(p, fn, fastpath=False, **kwargs)
+    fast, fast_comm = _run(p, fn, fastpath=True, **kwargs)
+    assert fast == real  # exact float equality, every rank
+    _same_traffic(fast_comm, real_comm)
+    return fast_comm
+
+
 @pytest.mark.parametrize("p", PARITY_SIZES)
 @pytest.mark.parametrize(
     "fn,kwargs",
@@ -62,160 +93,135 @@ def _run(p, fn, fastpath, stagger=0.0, tracer=None, **kwargs):
     ids=["allgather", "allreduce_ring"],
 )
 def test_closed_form_is_bit_identical(p, fn, kwargs):
-    real, real_comm = _run(p, fn, fastpath=False, **kwargs)
-    fast, fast_comm = _run(p, fn, fastpath=True, **kwargs)
-    assert fast == real  # exact float equality, every rank
-    assert fast_comm.fastpath.collectives_short_circuited == 1
-    # Traffic accounting: message counts exact, bytes within one ulp
-    # (closed form accumulates them in one multiply-add).
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
-    assert fast_comm.bytes_sent == pytest.approx(
-        real_comm.bytes_sent, rel=1e-12
-    )
+    fast_comm = _parity(p, fn, **kwargs)
+    assert _counts(fast_comm) == (1, 0)
+    assert fast_comm.fastpath.messages_modelled == fast_comm.messages_sent
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 8, 16])
 def test_closed_form_staggered_entries(p):
-    """Ranks entering at different times: the recurrence still matches."""
-    real, _ = _run(
-        p, collectives.allgather, fastpath=False,
-        stagger=3.7e-5, nbytes_per_rank=25_000,
-    )
-    fast, _ = _run(
-        p, collectives.allgather, fastpath=True,
-        stagger=3.7e-5, nbytes_per_rank=25_000,
-    )
-    assert fast == real
+    """Ranks entering at different instants: the first instant's
+    decision declines, everyone runs the message ring, times match."""
+    fast_comm = _parity(p, collectives.allgather, stagger=3.7e-5,
+                        nbytes_per_rank=25_000)
+    assert _counts(fast_comm) == (0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 8])
 def test_collective_trace_records_identical(p):
-    """``mpi.collective`` records (the category both paths emit) match."""
+    """``mpi.collective`` records (the category both paths emit) match,
+    and a tracer that wants only them leaves the fast path on."""
 
     def records(fastpath):
         tracer = Tracer(categories=("mpi.collective",))
-        _run(p, collectives.allreduce_ring, fastpath=fastpath,
-             tracer=tracer, nbytes=64_000)
+        _, comm = _run(p, collectives.allreduce_ring, fastpath=fastpath,
+                       tracer=tracer, nbytes=64_000)
+        assert (comm.fastpath is not None) == fastpath
         return [(r.time, r.label, dict(r.data)) for r in tracer.records]
 
     assert records(True) == records(False)
+
+
+@pytest.mark.parametrize("category", ["mpi.send", "mpi.deliver"])
+def test_message_tracer_disables_fast_path(category):
+    """A traced run records every message, so it never short-circuits."""
+    _, comm = _build(4, tracer=Tracer(categories=(category,)))
+    assert comm.fastpath is None
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16])
 def test_lockstep_allreduce_bit_identical(p):
     """Recursive-doubling allreduce, all ranks entering together: the
     lockstep closed form equals the simulated schedule exactly."""
-    real, real_comm = _run(p, collectives.allreduce, fastpath=False,
-                           nbytes=120_000)
-    fast, fast_comm = _run(p, collectives.allreduce, fastpath=True,
-                           nbytes=120_000)
-    assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 1
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
-    assert fast_comm.bytes_sent == pytest.approx(
-        real_comm.bytes_sent, rel=1e-12
-    )
+    fast_comm = _parity(p, collectives.allreduce, nbytes=120_000)
+    assert _counts(fast_comm) == (1, 0)
 
 
 @pytest.mark.parametrize("p", [5, 7, 9, 11])
 def test_lockstep_skips_general_non_power_of_two(p):
-    """Sizes that are neither 2^k nor 3·2^k keep the simulated pre/post
-    folding — their fold schedules put partially-overlapping flows on
-    one pipe, so the fast path must not engage."""
-    real, _ = _run(p, collectives.allreduce, fastpath=False, nbytes=50_000)
-    fast, fast_comm = _run(p, collectives.allreduce, fastpath=True,
-                           nbytes=50_000)
-    assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 0
+    """Non-power-of-two allreduce never joins the fast path."""
+    fast_comm = _parity(p, collectives.allreduce, nbytes=50_000)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 6, 12])
 def test_fold_allreduce_bit_identical(p):
-    """p = 3·2^k allreduce in lockstep: the fold closed form (one
-    symmetric co-admission episode in the straddling final round) equals
-    the simulated pre/fold/post schedule exactly."""
-    real, real_comm = _run(p, collectives.allreduce, fastpath=False,
-                           nbytes=50_000)
-    fast, fast_comm = _run(p, collectives.allreduce, fastpath=True,
-                           nbytes=50_000)
-    assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 1
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
-    assert fast_comm.bytes_sent == pytest.approx(
-        real_comm.bytes_sent, rel=1e-12
-    )
+    """p = 3·2^k allreduce: the fold finishes paired ranks one hop late,
+    so there is no closed form — it runs as messages."""
+    fast_comm = _parity(p, collectives.allreduce, nbytes=50_000)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 6])
 @pytest.mark.parametrize("nbytes", [2_000, 120_000])
 def test_fold_allreduce_sizes_also_exact(p, nbytes):
-    """The fold schedule stays exact across the eager/rendezvous latency
-    regimes (the co-admission term degenerates with the wire time)."""
-    real, _ = _run(p, collectives.allreduce, fastpath=False, nbytes=nbytes)
-    fast, _ = _run(p, collectives.allreduce, fastpath=True, nbytes=nbytes)
-    assert fast == real
+    fast_comm = _parity(p, collectives.allreduce, nbytes=nbytes)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 8, 12])
 @pytest.mark.parametrize("root", [0, 1])
 def test_tree_bcast_bit_identical(p, root):
-    """Binomial broadcast: closed form equals the simulated tree exactly
-    for any size (no power-of-two restriction)."""
+    """Binomial broadcast finishes ranks at different times: it never
+    joins the fast path and matches the simulated tree."""
     if root >= p:
         pytest.skip("root outside communicator")
-    real, real_comm = _run(p, collectives.bcast, fastpath=False,
-                           nbytes=75_000, root=root)
-    fast, fast_comm = _run(p, collectives.bcast, fastpath=True,
-                           nbytes=75_000, root=root)
-    assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 1
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
-    assert fast_comm.bytes_sent == pytest.approx(
-        real_comm.bytes_sent, rel=1e-12
-    )
+    fast_comm = _parity(p, collectives.bcast, nbytes=75_000, root=root)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 6, 8])
 def test_tree_bcast_staggered_entries(p):
-    """Broadcast tolerates arbitrary entry times: early messages wait in
-    the unexpected queue, late parents delay only their own subtree."""
-    real, _ = _run(p, collectives.bcast, fastpath=False,
-                   stagger=4.3e-5, nbytes=30_000)
-    fast, _ = _run(p, collectives.bcast, fastpath=True,
-                   stagger=4.3e-5, nbytes=30_000)
-    assert fast == real
+    fast_comm = _parity(p, collectives.bcast, stagger=4.3e-5,
+                        nbytes=30_000)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16])
 @pytest.mark.parametrize("root", [0, 3])
 def test_tree_reduce_bit_identical(p, root):
-    """Binomial reduction on power-of-two sizes in lockstep: children
-    deliver back-to-back and the closed form is exact."""
     if root >= p:
         pytest.skip("root outside communicator")
-    real, real_comm = _run(p, collectives.reduce, fastpath=False,
-                           nbytes=60_000, root=root)
-    fast, fast_comm = _run(p, collectives.reduce, fastpath=True,
-                           nbytes=60_000, root=root)
-    assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 1
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
+    fast_comm = _parity(p, collectives.reduce, nbytes=60_000, root=root)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 6])
 def test_tree_reduce_skips_non_power_of_two(p):
-    """Non-power-of-two reductions keep the message path (partial
-    fan-ins overlap flows on the root's receive pipe)."""
-    real, _ = _run(p, collectives.reduce, fastpath=False, nbytes=60_000)
-    fast, fast_comm = _run(p, collectives.reduce, fastpath=True,
-                           nbytes=60_000)
+    fast_comm = _parity(p, collectives.reduce, nbytes=60_000)
+    assert _counts(fast_comm) == (0, 0)
+
+
+def test_early_finisher_reduce_matches_messages():
+    """Regression: a leaf that has finished its part of the reduce sends
+    again to the root while the root is still collecting.  The removed
+    tree-reduce closed form put the root's finish at 0.328 ms instead of
+    the simulated 0.488 ms, silently."""
+    p, nbytes = 4, 2e6
+
+    def run(fastpath):
+        env, comm = _build(p, fastpath)
+        reduced = [None] * p
+
+        def body(rank):
+            yield from collectives.reduce(comm, rank, op=1, nbytes=nbytes)
+            reduced[rank] = env.now
+            if rank == 3:  # a leaf: done with the reduce at once
+                yield comm.isend(rank, 0, tag=7, nbytes=nbytes)
+            elif rank == 0:
+                yield comm.recv(rank, 3, tag=7)
+
+        for r in range(p):
+            env.process(body(r))
+        env.run()
+        return reduced, comm
+
+    real, real_comm = run(False)
+    fast, fast_comm = run(True)
     assert fast == real
-    assert fast_comm.fastpath.collectives_short_circuited == 0
+    assert real[0] == pytest.approx(0.488e-3, rel=0.01)
+    _same_traffic(fast_comm, real_comm)
+    assert _counts(fast_comm) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16])
@@ -232,144 +238,159 @@ def test_lockstep_schedule_bit_identical(p, fn, nbytes):
     """Recursive halving/doubling collectives (and Rabenseifner's
     allreduce built from them) in lockstep: the per-round-size closed
     form equals the simulated schedule exactly."""
-    real, real_comm = _run(p, fn, fastpath=False, nbytes=nbytes)
-    fast, fast_comm = _run(p, fn, fastpath=True, nbytes=nbytes)
-    assert fast == real
-    expected = 2 if fn is collectives.allreduce_rabenseifner and p > 1 else 1
-    assert fast_comm.fastpath.collectives_short_circuited == expected
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
-    assert fast_comm.bytes_sent == pytest.approx(
-        real_comm.bytes_sent, rel=1e-12
-    )
+    fast_comm = _parity(p, fn, nbytes=nbytes)
+    expected = 2 if fn is collectives.allreduce_rabenseifner else 1
+    assert _counts(fast_comm) == (expected, 0)
 
 
-def test_lockstep_staggered_entries_raise():
-    """Staggered entries can overlap flows across rounds, so the
-    lockstep closed form refuses them instead of being silently wrong."""
-    env, comm = _build(4, fastpath=True)
+def test_lockstep_staggered_entries_decline():
+    """Staggered entries can overlap flows across rounds: the collective
+    declines at the first instant and every rank runs the messages."""
+    for nbytes in (10_000, 300_000 / 7):
+        fast_comm = _parity(4, collectives.allreduce, stagger=1e-5,
+                            nbytes=nbytes)
+        assert _counts(fast_comm) == (0, 1)
 
-    def body(rank):
-        yield env.timeout(rank * 1e-5)
-        yield from collectives.allreduce(comm, rank, op=1, nbytes=10_000)
 
-    for r in range(4):
-        env.process(body(r))
-    with pytest.raises(SimulationError, match="entered at different times"):
-        env.run()
+def test_busy_nic_declines():
+    """Another communicator's traffic on a participating NIC at the
+    decision instant (invisible to this communicator's undelivered
+    count) declines the closed form; times equal the contended
+    schedule."""
+
+    def noisy(env, comm):
+        # A long point-to-point transfer overlapping the collective.
+        other = SimComm(env, comm.cluster, comm.rankmap, comm.perf,
+                        collective_fastpath=False)
+        other.isend(0, 1, tag=99, nbytes=50_000_000)
+
+    def coll(comm, rank, op, **kwargs):
+        yield comm.env.timeout(1e-4)  # enter while the p2p flow is active
+        assert comm.cluster.nodes[0].nic_tx.active_flows == 1
+        yield from collectives.allgather(comm, rank, op, **kwargs)
+
+    fast_comm = _parity(3, coll, before=noisy, nbytes_per_rank=1000)
+    assert _counts(fast_comm) == (0, 1)
+
+
+def test_uneven_nic_rates_decline():
+    """One slower NIC breaks the single-rate closed form: decline."""
+
+    def degrade(env, comm):
+        comm.cluster.nodes[2].nic_rx.set_bandwidth_factor(0.5)
+
+    fast_comm = _parity(4, collectives.allreduce, before=degrade,
+                        nbytes=120_000)
+    assert _counts(fast_comm) == (0, 1)
+
+
+def test_isend_in_latency_stage_declines():
+    """Regression: a message still in its latency stage occupies no NIC
+    yet, so only the communicator's undelivered count can see it.  The
+    collective must decline rather than model an idle network."""
+
+    def before(env, comm):
+        comm.isend(0, 1, tag=99, nbytes=4_000_000)  # posted, not awaited
+
+    fast_comm = _parity(4, collectives.allreduce, before=before,
+                        nbytes=120_000)
+    assert _counts(fast_comm) == (0, 1)
+    # The overlap is real: without the p2p message the schedule differs.
+    quiet, _ = _run(4, collectives.allreduce, fastpath=False,
+                    nbytes=120_000)
+    loud, _ = _run(4, collectives.allreduce, fastpath=False,
+                   before=before, nbytes=120_000)
+    assert loud != quiet
+
+
+def test_late_joiners_go_straight_to_messages():
+    """After a decline, ranks joining at later instants never wait on the
+    fast path (no event), and the session is dropped once all joined."""
+    env, comm = _build(4)
+    fp = comm.fastpath
+    first = fp.join("allreduce", 0, 5, (16.0, 16.0))
+    assert first is not None
+    env.run()  # the decision: only one of four joined
+    assert first.value is DECLINED and fp.collectives_declined == 1
+    for rank in (1, 2, 3):
+        assert fp.join("allreduce", rank, 5, (16.0, 16.0)) is None
+    assert fp._sessions == {}
+
+
+def test_join_mismatch_is_an_invariant_error():
+    env, comm = _build(4)
+    fp = comm.fastpath
+    fp.join("allreduce", 0, 5, (16.0, 16.0))
+    with pytest.raises(SimulationError, match="joined as"):
+        fp.join("allgather", 1, 5, (16.0, 16.0))
+    with pytest.raises(SimulationError, match="twice"):
+        fp.join("allreduce", 0, 5, (16.0, 16.0))
 
 
 @pytest.mark.parametrize("p", [4, 8])
 def test_group_comm_fastpath_bit_identical(p):
-    """A GroupComm whose members sit on distinct nodes is eligible even
-    though the parent packs several ranks per node, and its closed-form
-    schedule matches the simulated one exactly."""
+    """A GroupComm never short-circuits — it cannot see sends from
+    non-members to its members' NICs — even when its members sit on
+    distinct nodes; its collectives match the message schedule."""
     spec = catalog.MARENOSTRUM4
 
     def run(fastpath):
         env = Environment()
         cluster = Cluster(env, spec, num_nodes=p)
         cluster.wire_network(NetworkPath.HOST_NATIVE)
-        # Two ranks per node: parent ineligible, group (one member per
-        # node) eligible.
         comm = SimComm(
             env, cluster, RankMap(n_ranks=2 * p, n_nodes=p),
             MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE),
             collective_fastpath=fastpath,
         )
         group = comm.group(range(0, 2 * p, 2))
-        if fastpath:
-            assert not comm.fastpath.usable()
-            assert group.fastpath.usable()
+        assert comm.fastpath is None and group.fastpath is None
         finish = [None] * p
-        done = [None] * p
 
         def body(rank):
             yield from collectives.allreduce(group, rank, op=1, nbytes=80_000)
             finish[rank] = env.now
-            done[rank] = True
 
         for r in range(p):
             env.process(body(r))
         env.run()
-        assert all(done)
-        return finish, comm, group
+        assert all(t is not None for t in finish)
+        return finish, comm
 
-    real, real_comm, _ = run(False)
-    fast, fast_comm, fast_group = run(True)
+    real, real_comm = run(False)
+    fast, fast_comm = run(True)
     assert fast == real
-    assert fast_group.fastpath.collectives_short_circuited == 1
-    # Group traffic is accounted on the parent communicator.
-    assert fast_comm.messages_sent == real_comm.messages_sent
-    assert fast_comm.internode_messages == real_comm.internode_messages
+    _same_traffic(fast_comm, real_comm)
 
 
 def test_group_comm_sharing_nodes_ineligible():
-    env = Environment()
-    spec = catalog.MARENOSTRUM4
-    cluster = Cluster(env, spec, num_nodes=2)
-    cluster.wire_network(NetworkPath.HOST_NATIVE)
-    comm = SimComm(
-        env, cluster, RankMap(n_ranks=4, n_nodes=2),
-        MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE),
-        collective_fastpath=True,
-    )
+    env, comm = _build(2, n_ranks=4)
     group = comm.group([0, 1])  # both members on node 0
-    assert not group.fastpath.usable()
+    assert group.fastpath is None
 
 
 def test_group_comm_fastpath_off_with_parent():
-    env, comm = _build(4, fastpath=False)
+    """Even under an eligible WORLD communicator, groups go without."""
+    env, comm = _build(4)
+    assert comm.fastpath is not None
     assert comm.group([0, 1]).fastpath is None
 
 
 def test_rendezvous_sizes_also_exact():
     """Payloads over the rendezvous threshold change the latency model;
     the closed form uses the same ``message_latency`` and stays exact."""
-    real, _ = _run(4, collectives.allgather, fastpath=False,
-                   nbytes_per_rank=200_000)
-    fast, _ = _run(4, collectives.allgather, fastpath=True,
-                   nbytes_per_rank=200_000)
-    assert fast == real
-
-
-def test_busy_nic_raises():
-    """Outside traffic on a participating NIC at resolve time is an
-    error, not a silently wrong schedule."""
-    env, comm = _build(3, fastpath=True)
-
-    def noisy(rank):
-        # A long point-to-point transfer overlapping the collective.
-        yield comm.isend(rank, (rank + 1) % 3, tag=99, nbytes=50_000_000)
-
-    def coll(rank):
-        yield env.timeout(1e-4)  # enter while the p2p flows are active
-        yield from collectives.allgather(comm, rank, op=1,
-                                         nbytes_per_rank=1000)
-
-    env.process(noisy(0))
-    for r in range(3):
-        env.process(coll(r))
-    with pytest.raises(SimulationError, match="busy at collective entry"):
-        env.run()
+    fast_comm = _parity(4, collectives.allgather, nbytes_per_rank=200_000)
+    assert _counts(fast_comm) == (1, 0)
 
 
 def test_ineligible_bridge_path():
-    env, comm = _build(4, fastpath=True, path=NetworkPath.BRIDGE_NAT)
-    assert not comm.fastpath.usable()
+    env, comm = _build(4, path=NetworkPath.BRIDGE_NAT)
+    assert comm.fastpath is None
 
 
 def test_ineligible_multiple_ranks_per_node():
-    env = Environment()
-    spec = catalog.MARENOSTRUM4
-    cluster = Cluster(env, spec, num_nodes=2)
-    cluster.wire_network(NetworkPath.HOST_NATIVE)
-    comm = SimComm(
-        env, cluster, RankMap(n_ranks=4, n_nodes=2),
-        MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE),
-        collective_fastpath=True,
-    )
-    assert not comm.fastpath.usable()
+    env, comm = _build(2, n_ranks=4)
+    assert comm.fastpath is None
 
 
 def test_ineligible_switch_topology():
@@ -380,16 +401,22 @@ def test_ineligible_switch_topology():
     comm = SimComm(
         env, cluster, RankMap(n_ranks=4, n_nodes=4),
         MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE),
-        collective_fastpath=True,
     )
-    assert not comm.fastpath.usable()
+    assert comm.fastpath is None
 
 
 def test_ineligible_single_rank():
-    env, comm = _build(1, fastpath=True)
-    assert not comm.fastpath.usable()
-
-
-def test_off_by_default():
-    env, comm = _build(4, fastpath=False)
+    env, comm = _build(1)
     assert comm.fastpath is None
+
+
+def test_on_by_default():
+    env = Environment()
+    spec = catalog.MARENOSTRUM4
+    cluster = Cluster(env, spec, num_nodes=4)
+    cluster.wire_network(NetworkPath.HOST_NATIVE)
+    rankmap = RankMap(n_ranks=4, n_nodes=4)
+    perf = MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE)
+    assert SimComm(env, cluster, rankmap, perf).fastpath is not None
+    assert SimComm(env, cluster, rankmap, perf,
+                   collective_fastpath=False).fastpath is None
