@@ -6,7 +6,7 @@ the identical job over the three modelled paths on the same hardware and
 shows the induced ordering: host-native < TCP fallback < bridge+NAT.
 """
 
-from repro.alya.app import ComputeContext, SimulatedAlya
+from repro.alya.app import ComputeContext
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.core.figures import ascii_table
 from repro.des import Environment
@@ -17,6 +17,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
+from repro.workloads import AlyaWorkload, PhasedApp
 
 
 def run_path(path: NetworkPath) -> float:
@@ -32,7 +33,7 @@ def run_path(path: NetworkPath) -> float:
     ctx = ComputeContext(
         core_peak_flops=spec.node.core_flops(), sustained_fraction=0.045
     )
-    app = SimulatedAlya(work, ctx, sim_steps=2)
+    app = PhasedApp(AlyaWorkload(), work, ctx, sim_steps=2)
     job = MpiJob(comm, app.rank_body)
     holder = {}
 

@@ -8,7 +8,7 @@ cluster, and confirms it cannot change the paper's runtime ordering
 (Docker's per-message serialization hurts either way).
 """
 
-from repro.alya.app import ComputeContext, SimulatedAlya
+from repro.alya.app import ComputeContext
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.core.figures import ascii_table
 from repro.des import Environment
@@ -19,6 +19,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
+from repro.workloads import AlyaWorkload, PhasedApp
 
 
 def run(overlap: bool, path: NetworkPath) -> float:
@@ -36,7 +37,9 @@ def run(overlap: bool, path: NetworkPath) -> float:
     ctx = ComputeContext(
         core_peak_flops=spec.node.core_flops(), sustained_fraction=0.06
     )
-    app = SimulatedAlya(work, ctx, sim_steps=2, overlap_halo=overlap)
+    app = PhasedApp(
+        AlyaWorkload(overlap_halo=overlap), work, ctx, sim_steps=2
+    )
     job = MpiJob(comm, app.rank_body)
     holder = {}
 

@@ -8,7 +8,7 @@ ablation quantifies the cost of ignoring locality — the reason the
 studies model SLURM's default block layout.
 """
 
-from repro.alya.app import ComputeContext, SimulatedAlya
+from repro.alya.app import ComputeContext
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.core.figures import ascii_table
 from repro.des import Environment
@@ -19,6 +19,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import Placement, RankMap
+from repro.workloads import AlyaWorkload, PhasedApp
 
 
 def run_placement(placement: Placement) -> tuple[float, int]:
@@ -39,7 +40,9 @@ def run_placement(placement: Placement) -> tuple[float, int]:
     ctx = ComputeContext(
         core_peak_flops=spec.node.core_flops(), sustained_fraction=0.06
     )
-    app = SimulatedAlya(work, ctx, sim_steps=1, topology="chain")
+    app = PhasedApp(
+        AlyaWorkload(), work, ctx, sim_steps=1, topology="chain"
+    )
     job = MpiJob(comm, app.rank_body)
     holder = {}
 

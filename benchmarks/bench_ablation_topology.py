@@ -13,7 +13,7 @@ justify that choice:
 
 from typing import Optional
 
-from repro.alya.app import ComputeContext, SimulatedAlya
+from repro.alya.app import ComputeContext
 from repro.core.calibration import mn4_fsi_workmodel, sustained_fraction
 from repro.core.figures import ascii_table
 from repro.des import Environment
@@ -26,6 +26,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob, run_spmd
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
+from repro.workloads import AlyaWorkload, PhasedApp
 
 #: A small-island variant so the 2-switch effects appear at bench scale.
 ISLANDS = SwitchTopology(nodes_per_switch=8, oversubscription=2.0)
@@ -50,7 +51,7 @@ def run_fsi(n_nodes: int, topology: Optional[SwitchTopology]) -> float:
         endpoint_is_node=True,
         ranks_per_node=spec.node.cores,
     )
-    app = SimulatedAlya(mn4_fsi_workmodel(), ctx, sim_steps=2)
+    app = PhasedApp(AlyaWorkload(), mn4_fsi_workmodel(), ctx, sim_steps=2)
     job = MpiJob(comm, app.rank_body)
     holder = {}
 

@@ -20,7 +20,7 @@ from repro.alya.navier_stokes import ChannelFlowSolver, SolverStats
 from repro.alya.solid import ElasticWall
 from repro.alya.fsi import FsiCoupledSolver
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
-from repro.alya.app import ComputeContext, SimulatedAlya, TwoCodeFsiAlya
+from repro.alya.app import ComputeContext, TwoCodeFsiAlya
 
 __all__ = [
     "AlyaWorkModel",
@@ -31,7 +31,6 @@ __all__ = [
     "ElasticWall",
     "FsiCoupledSolver",
     "PartitionInfo",
-    "SimulatedAlya",
     "SolverStats",
     "StructuredMesh",
     "TwoCodeFsiAlya",

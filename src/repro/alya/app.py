@@ -1,40 +1,27 @@
-"""The simulated Alya application: work model → DES rank program.
+"""Alya's compute context and the two-code FSI program.
 
-:class:`SimulatedAlya` turns an :class:`~repro.alya.workmodel.AlyaWorkModel`
-into the SPMD generator each simulated endpoint executes:
-
-per time step —
-  1. the step's compute as one delay (predictor + CG arithmetic, threaded
-     through the OpenMP model, inflated by the runtime's CPU overhead);
-  2. the predictor halo exchange with the endpoint's grid neighbours;
-  3. ``cg_iters`` pressure-solver iterations, each a one-field halo
-     exchange plus a 16-byte allreduce (the dot products);
-  4. for FSI: gather of the wet-interface loads to the fluid root, the
-     solid code's step there, and the broadcast of displacements back.
-
-Endpoints can be MPI ranks (small jobs — Lenox) or whole nodes
-(hierarchical mode for the 256-node runs); in node mode the intra-node
-stage of each collective is folded in analytically.
+:class:`ComputeContext` is how fast one simulated endpoint computes; the
+runner builds one per job and every workload's phase program prices its
+arithmetic through it.  Single-code Alya (CFD and folded FSI) is a phase
+program, :class:`repro.workloads.alya.AlyaWorkload`, lowered by the
+shared :class:`~repro.workloads.base.PhasedApp`.  :class:`TwoCodeFsiAlya`
+keeps its own hand-written rank body: its fluid and solid codes run over
+sub-communicators, which the phase IR does not model.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.des.events import JoinAll
-from repro.hardware.network import SHM_LATENCY
 from repro.mpi import collectives
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import collective_tag
-from repro.mpi.perf import SHM_SW_OVERHEAD
 from repro.openmp.model import OpenMPModel
 
 #: Op-id stride reserved for one simulated time step.
 _OPS_PER_STEP = 2048
-_OP_HALO_MAIN = 0
-_OP_HALO_CG = 10  # + iteration
 _OP_ALLREDUCE = 700  # + iteration
 _OP_FSI_GATHER = 1900
 _OP_FSI_BCAST = 1901
@@ -86,281 +73,22 @@ class ComputeContext:
         return self.core_peak_flops * self.sustained_fraction
 
 
-@dataclass
-class PhaseTimes:
-    """Where one endpoint's wall time went, in seconds."""
-
-    compute: float = 0.0
-    halo: float = 0.0
-    collective: float = 0.0
-    coupling: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.compute + self.halo + self.collective + self.coupling
-
-    def fractions(self) -> dict[str, float]:
-        """Normalised shares per phase (empty dict if nothing measured)."""
-        t = self.total
-        if t <= 0:
-            return {}
-        return {
-            "compute": self.compute / t,
-            "halo": self.halo / t,
-            "collective": self.collective / t,
-            "coupling": self.coupling / t,
-        }
-
-
-class SimulatedAlya:
-    """Executable model of one Alya job on the simulated cluster."""
-
-    def __init__(
-        self,
-        work: AlyaWorkModel,
-        ctx: ComputeContext,
-        sim_steps: int = 3,
-        topology: str = "grid",
-        overlap_halo: bool = False,
-        obs=None,
-        faults=None,
-    ) -> None:
-        if sim_steps < 1:
-            raise ValueError("sim_steps must be >= 1")
-        if topology not in ("grid", "chain"):
-            raise ValueError("topology must be 'grid' or 'chain'")
-        self.work = work
-        self.ctx = ctx
-        self.sim_steps = sim_steps
-        #: Optional :class:`repro.obs.span.Observability`: per-step solver
-        #: phase spans on each endpoint's ``ep-{n}`` track.
-        self.obs = obs
-        #: Optional :class:`repro.faults.injector.FaultInjector`: each
-        #: step's compute is scaled by the endpoint node's straggler
-        #: factor at step start.  ``None`` is the exact nominal path.
-        self.faults = faults
-        #: Overlap the predictor halo with the step's compute
-        #: (non-blocking exchange posted before the arithmetic, waited
-        #: after) — the classic latency-hiding optimisation, exposed for
-        #: the overlap ablation.
-        self.overlap_halo = overlap_halo
-        #: "grid" models a 3-D-ish decomposition (node x slot process
-        #: grid); "chain" models the 1-D axial slab partition of an
-        #: elongated vessel (each rank talks to at most 2 neighbours).
-        self.topology = topology
-
-    # -- cost helpers -------------------------------------------------------------
-    def true_ranks(self, n_endpoints: int) -> int:
-        """Actual MPI ranks the endpoints represent."""
-        if self.ctx.endpoint_is_node:
-            return n_endpoints * self.ctx.ranks_per_node
-        return n_endpoints
-
-    def compute_seconds_per_step(self, n_endpoints: int) -> float:
-        """Wall seconds of one step's arithmetic on the slowest endpoint."""
-        parts = self.true_ranks(n_endpoints)
-        serial = self.work.step_flops_per_part(parts) / self.ctx.sustained_core_flops
-        threaded = self.ctx.omp.threaded_time(serial, self.ctx.threads_per_rank)
-        return threaded * self.ctx.cpu_overhead
-
-    def solid_seconds_per_step(self, n_endpoints: int) -> float:
-        """FSI: the solid code's step time.
-
-        The paper's FSI case runs *two* parallel code instances; the solid
-        is itself distributed over the allocation, so its step time
-        strong-scales like the fluid's.  The residual serialisation of the
-        coupling is the root-level gather/solid/broadcast sequence.
-        """
-        if self.work.case is not CaseKind.FSI:
-            return 0.0
-        serial = self.work.solid_flops_per_step / self.ctx.sustained_core_flops
-        parallel = serial / self.true_ranks(n_endpoints)
-        return parallel * self.ctx.cpu_overhead
-
-    def _halo_parts(self, n_endpoints: int) -> int:
-        """Partition count whose surfaces cross the network.
-
-        In node mode only node-boundary surfaces travel inter-node, so
-        halos scale with the *node* partition; in rank mode with the rank
-        partition.
-        """
-        return n_endpoints
-
-    def intra_collective_penalty(self) -> float:
-        """Analytic intra-node stage of a collective (node mode only)."""
-        if not self.ctx.endpoint_is_node or self.ctx.ranks_per_node <= 1:
-            return 0.0
-        rounds = math.ceil(math.log2(self.ctx.ranks_per_node))
-        return rounds * (2 * SHM_SW_OVERHEAD + SHM_LATENCY)
-
-    # -- neighbour layout -----------------------------------------------------------
-    def neighbors(self, comm: SimComm, ep: int) -> list[tuple[int, int]]:
-        """Grid neighbours of ``ep`` as ``(neighbor, axis)`` pairs.
-
-        Endpoints form a (nodes × per-node) process grid: axis 0 connects
-        consecutive endpoints on one node (shared memory), axis 1 connects
-        the same slot on adjacent nodes (fabric).  In node mode the grid
-        degenerates to a chain of nodes.
-        """
-        rm = comm.rankmap
-        if self.topology == "chain":
-            out: list[tuple[int, int]] = []
-            if ep > 0:
-                out.append((ep - 1, 0))
-            if ep < rm.n_ranks - 1:
-                out.append((ep + 1, 0))
-            return out
-        per_node = 1 if self.ctx.endpoint_is_node else rm.ranks_per_node
-        node, j = divmod(ep, per_node) if per_node > 1 else (ep, 0)
-        if self.ctx.endpoint_is_node:
-            node, j = ep, 0
-        out: list[tuple[int, int]] = []
-        if per_node > 1:
-            if j > 0:
-                out.append((ep - 1, 0))
-            if j < per_node - 1 and ep + 1 < rm.n_ranks:
-                out.append((ep + 1, 0))
-        n_nodes = rm.n_nodes
-        if node > 0:
-            out.append((ep - per_node, 1))
-        if node < n_nodes - 1 and ep + per_node < rm.n_ranks:
-            out.append((ep + per_node, 1))
-        return out
-
-    def _post_halo(self, comm: SimComm, ep: int, op: int, nbytes: float):
-        """Post all non-blocking halo sends/receives; returns the events."""
-        events = []
-        for nb, axis in self.neighbors(comm, ep):
-            send_round = axis * 2 + (0 if nb < ep else 1)
-            recv_round = axis * 2 + (0 if ep < nb else 1)
-            events.append(
-                comm.isend(ep, nb, collective_tag(op, send_round), nbytes)
-            )
-            events.append(comm.recv(ep, nb, collective_tag(op, recv_round)))
-        return events
-
-    def _halo_exchange(self, comm: SimComm, ep: int, op: int, nbytes: float):
-        """Concurrent sendrecv with every neighbour (generator)."""
-        events = self._post_halo(comm, ep, op, nbytes)
-        if events:
-            yield JoinAll(comm.env, events)
-
-    # -- the SPMD program --------------------------------------------------------------
-    def rank_body(self, comm: SimComm, ep: int):
-        """Generator executed by endpoint ``ep``."""
-        env = comm.env
-        work = self.work
-        n = comm.size
-        comp = self.compute_seconds_per_step(n)
-        solid = self.solid_seconds_per_step(n)
-        halo_parts = self._halo_parts(n)
-        halo_main = work.halo_bytes_main(halo_parts)
-        halo_cg = work.halo_bytes_cg(halo_parts)
-        intra_pen = self.intra_collective_penalty()
-        iface = work.interface_bytes() if work.case is CaseKind.FSI else 0.0
-        phases = PhaseTimes()
-        obs = self.obs
-        faults = self.faults
-        ep_node = comm.rankmap.node_of(ep) if faults is not None else 0
-        track = f"ep-{ep}"
-
-        def mark(name: str, t0: float) -> None:
-            if obs is not None and env.now > t0:
-                obs.add_span(name, "solver", t0, env.now, track=track,
-                             step=step)
-
-        for step in range(self.sim_steps):
-            base = step * _OPS_PER_STEP
-            step_t0 = env.now
-            # A straggling node computes slower; the multiplier is 1.0
-            # (and `comp_step is comp`) whenever no injector is armed.
-            comp_step = (
-                comp if faults is None
-                else comp * faults.cpu_factor(ep_node, env.now)
-            )
-            if self.overlap_halo:
-                # Post the predictor halo, compute behind it, wait after.
-                pending = self._post_halo(
-                    comm, ep, base + _OP_HALO_MAIN, halo_main
-                )
-                t = env.now
-                yield env.timeout(comp_step)
-                phases.compute += env.now - t
-                mark("compute", t)
-                t = env.now
-                if pending:
-                    yield JoinAll(env, pending)
-                phases.halo += env.now - t
-                mark("halo", t)
-            else:
-                # 1. Arithmetic of the whole step.
-                t = env.now
-                yield env.timeout(comp_step)
-                phases.compute += env.now - t
-                mark("compute", t)
-                # 2. Predictor halo.
-                t = env.now
-                yield from self._halo_exchange(
-                    comm, ep, base + _OP_HALO_MAIN, halo_main
-                )
-                phases.halo += env.now - t
-                mark("halo", t)
-            # 3. Pressure solver: halo + dot-product allreduce per iteration.
-            cg_t0 = env.now
-            for it in range(work.cg_iters_per_step):
-                t = env.now
-                yield from self._halo_exchange(
-                    comm, ep, base + _OP_HALO_CG + 2 * it, halo_cg
-                )
-                phases.halo += env.now - t
-                t = env.now
-                if intra_pen:
-                    yield env.timeout(intra_pen)
-                yield from collectives.allreduce(
-                    comm, ep, op=base + _OP_ALLREDUCE + it, nbytes=16.0
-                )
-                phases.collective += env.now - t
-            mark("cg_solve", cg_t0)
-            # 4. FSI coupling through the code roots.
-            if work.case is CaseKind.FSI:
-                t = env.now
-                yield from collectives.gather(
-                    comm,
-                    ep,
-                    op=base + _OP_FSI_GATHER,
-                    nbytes_per_rank=max(iface / n, 1.0),
-                    root=0,
-                )
-                if ep == 0:
-                    yield env.timeout(solid)
-                yield from collectives.bcast(
-                    comm, ep, op=base + _OP_FSI_BCAST, nbytes=iface, root=0
-                )
-                phases.coupling += env.now - t
-                mark("coupling", t)
-            mark("step", step_t0)
-        return phases
-
-    def body(self):
-        """The SPMD entry point for :class:`~repro.mpi.launcher.MpiJob`."""
-        return self.rank_body
-
-
 class TwoCodeFsiAlya:
     """The FSI case as the paper describes it: *two* code instances.
 
     The allocation's endpoints split into a fluid group and a (much
     smaller) solid group running concurrently as separate SPMD programs
     over sub-communicators; each coupling step exchanges interface loads
-    and displacements between the two roots.  Compared with
-    :class:`SimulatedAlya`'s folded FSI model, the coupling here is a
-    true inter-code rendezvous: a slow solid stalls the fluid and vice
-    versa.
+    and displacements between the two roots.  Compared with the folded
+    FSI model of :class:`~repro.workloads.alya.AlyaWorkload`, the
+    coupling here is a true inter-code rendezvous: a slow solid stalls
+    the fluid and vice versa.
 
     Parameters
     ----------
     work / ctx / sim_steps:
-        As for :class:`SimulatedAlya` (``work.case`` must be FSI).
+        The FSI work model (``work.case`` must be FSI), the compute
+        context and the simulated step count.
     solid_fraction:
         Share of endpoints given to the solid code (≥ 1 endpoint).
     """

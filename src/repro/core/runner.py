@@ -219,10 +219,9 @@ class ExperimentRunner:
             r for r in job_result.rank_results if hasattr(r, "fractions")
         ]
         if phase_results:
-            # Accumulate whatever buckets the workload reports (Alya's
-            # PhaseTimes always yields compute/halo/collective/coupling
-            # in that order, so its aggregate is unchanged; phase
-            # programs may add others, e.g. "io").
+            # Accumulate whatever buckets the workload reports, in the
+            # order it reports them (Alya declares compute/halo/
+            # collective/coupling up front; others may add e.g. "io").
             totals: dict[str, float] = {}
             for pt in phase_results:
                 for k, v in pt.fractions().items():

@@ -31,20 +31,6 @@ class SimulationError(RuntimeError):
     """Raised for engine-level errors (e.g. unhandled failed events)."""
 
 
-#: Bisection knob: when True, :meth:`Environment.run` drains the queue by
-#: calling :meth:`Environment.step` per event — the pre-optimisation loop
-#: shape (method call, property-based error check, no single-callback
-#: fast path) — instead of the inlined :meth:`Environment._drain`.
-#: Semantics are identical; only the interpreter overhead differs.
-_LEGACY_STEP_LOOP = False
-
-
-def set_legacy_step_loop(legacy: bool) -> None:
-    """Toggle the seed-style step loop (see :data:`_LEGACY_STEP_LOOP`)."""
-    global _LEGACY_STEP_LOOP
-    _LEGACY_STEP_LOOP = bool(legacy)
-
-
 class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
@@ -336,37 +322,6 @@ class Environment:
                 raise value
             raise SimulationError(f"unhandled failed event with value {value!r}")
 
-    def _step_legacy(self) -> None:
-        """The seed's per-event step body: plain callback loop and
-        property-based error check, no single-callback fast path.  Kept
-        (behind :func:`set_legacy_step_loop`) so the pre-optimisation
-        loop can still be reproduced for bisection."""
-        wheel = self._wheel
-        when = wheel.peek_time()
-        if when <= self._now:
-            _, event = wheel.pop()
-        elif self._ring:
-            event = self._ring.popleft()
-        elif self._eoi:
-            self._eoi.popleft()()
-            return
-        else:
-            when, event = wheel.pop()
-            self._now = when
-        self.events_executed += 1
-        if self._step_hook is not None:
-            self._step_hook(event, self._now)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(event)
-        if not event.ok and not event.defused:
-            value = event.value
-            if isinstance(value, BaseException):
-                raise value
-            raise SimulationError(f"unhandled failed event with value {value!r}")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -386,15 +341,8 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
         if stop_event is None and stop_time == float("inf"):
-            if _LEGACY_STEP_LOOP:
-                while self._wheel or self._ring or self._eoi:
-                    self._step_legacy()
-                return None
             self._drain()
             return None
-        # Bounded runs honour the legacy toggle too: it must select the
-        # seed's step body on every path, not just the unbounded drain.
-        step = self._step_legacy if _LEGACY_STEP_LOOP else self.step
         while self._wheel or self._ring or self._eoi:
             if stop_event is not None and stop_event.processed:
                 if not stop_event.ok:
@@ -404,7 +352,7 @@ class Environment:
             if self.peek() > stop_time:
                 self._now = stop_time
                 return None
-            step()
+            self.step()
         if stop_event is not None:
             if stop_event.processed:
                 if not stop_event.ok:

@@ -24,20 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS_BYTES = 1e-6
 
-#: Bisection knob: when True, links schedule their wake-ups the way the
-#: seed did — a fresh ``Timeout`` plus a generation-capturing closure per
-#: reschedule — instead of reusing pooled :class:`_Wake` events.  The
-#: schedule (times and heap positions) is identical either way; only the
-#: allocation behaviour differs.
-_LEGACY_WAKES = False
-
-
-def set_legacy_wakes(legacy: bool) -> None:
-    """Toggle seed-style allocating wake-ups (see :data:`_LEGACY_WAKES`)."""
-    global _LEGACY_WAKES
-    _LEGACY_WAKES = bool(legacy)
-
-
 class _Gate(Event):
     """A pooled latency gate for :meth:`FairShareLink.transfer_cb`.
 
@@ -260,15 +246,6 @@ class FairShareLink:
             # bump above already invalidated any in-flight wake; the
             # next set_bandwidth_factor() or _admit() reschedules.
             return
-        if _LEGACY_WAKES:
-            # Seed-faithful baseline: rescan for the minimum (the cache
-            # holds the same value bit for bit) and allocate the wake.
-            gen = self._wake_gen
-            min_remaining = min(rem)
-            dt = max(0.0, min_remaining / rate)
-            wake = self.env.timeout(dt)
-            wake.callbacks.append(lambda _ev: self._on_wake_gen(gen))
-            return
         dt = self._min_remaining / rate
         if dt < 0.0:
             dt = 0.0
@@ -293,10 +270,6 @@ class FairShareLink:
     def _on_wake_ev(self, wake: _Wake) -> None:
         self._wake_pool.append(wake)
         if wake.gen == self._wake_gen:
-            self._wake_fire()
-
-    def _on_wake_gen(self, gen: int) -> None:
-        if gen == self._wake_gen:
             self._wake_fire()
 
     def _wake_fire(self) -> None:

@@ -2,8 +2,7 @@
 
 Importing this package registers the built-in workloads::
 
-    alya     the paper's production CFD/FSI simulation (byte-identical
-             to the pre-registry code path)
+    alya     the paper's production CFD/FSI simulation
     stencil  halo-exchange stencil (latency-bound nearest-neighbour p2p)
     graph    round-structured graph analytics (shrinking collectives)
 
@@ -14,11 +13,13 @@ Third-party workloads subclass :class:`~repro.workloads.base.Workload`
 
 from repro.workloads.alya import AlyaWorkload
 from repro.workloads.base import (
+    BlockPhase,
     CollectivePhase,
     ComputePhase,
     HaloPhase,
     IOPhase,
     OPS_PER_STEP,
+    OverlapPhase,
     PhaseBreakdown,
     PhasedApp,
     PhasedWorkload,
@@ -41,6 +42,7 @@ register(GraphWorkload())
 
 __all__ = [
     "AlyaWorkload",
+    "BlockPhase",
     "CollectivePhase",
     "ComputePhase",
     "GraphWorkModel",
@@ -49,6 +51,7 @@ __all__ = [
     "HaloStencilWorkload",
     "IOPhase",
     "OPS_PER_STEP",
+    "OverlapPhase",
     "PhaseBreakdown",
     "PhasedApp",
     "PhasedWorkload",

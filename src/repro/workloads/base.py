@@ -1,23 +1,21 @@
 """The workload interface: phase programs that lower to the DES.
 
-A *workload* is an application model the simulator can run in place of
-Alya: it owns a work-model dataclass (the per-step cost description that
-rides on :class:`~repro.core.experiment.ExperimentSpec`), and it knows
-how to turn that model into the SPMD generator each simulated endpoint
-executes.  Two lowering styles coexist:
+A *workload* is an application model the simulator can run: it owns a
+work-model dataclass (the per-step cost description that rides on
+:class:`~repro.core.experiment.ExperimentSpec`), and it knows how to
+turn that model into the SPMD generator each simulated endpoint
+executes.  There is one lowering:
 
 - :class:`Workload` is the minimal contract — ``build_app`` returns any
-  object with a ``rank_body(comm, ep)`` generator.  The Alya port uses
-  it directly so :class:`~repro.alya.app.SimulatedAlya`'s hand-written
-  lowering (and its byte-identical golden traces) stay untouched.
-- :class:`PhasedWorkload` is the declarative style new workloads should
-  use: per-step the workload emits a tuple of *phases* —
-  :class:`ComputePhase`, :class:`HaloPhase`, :class:`CollectivePhase`,
-  :class:`IOPhase` — and the shared :class:`PhasedApp` compiles them to
-  DES events exactly the way ``SimulatedAlya`` lowers its own steps
-  (compute as straggler-scaled timeouts, halos as non-blocking
-  neighbour sendrecv joined with
-  :class:`~repro.des.events.JoinAll`, collectives through
+  object with a ``rank_body(comm, ep)`` generator.
+- :class:`PhasedWorkload` is how every built-in workload (Alya
+  included) implements it: per step the workload emits a tuple of
+  *phases* — :class:`ComputePhase`, :class:`HaloPhase`,
+  :class:`CollectivePhase`, :class:`IOPhase`, and the two composites
+  :class:`BlockPhase` and :class:`OverlapPhase` — and the shared
+  :class:`PhasedApp` compiles them to DES events (compute as
+  straggler-scaled timeouts, halos as non-blocking neighbour sendrecv
+  joined with :class:`~repro.des.events.JoinAll`, collectives through
   :mod:`repro.mpi.collectives`, IO as shared-filesystem transfers).
 
 Determinism contract (every workload must honour it — the executor
@@ -26,13 +24,14 @@ cache, the golden-trace suite and the serving digests all assume it):
 - ``phases()`` must be a pure function of ``(work, ctx, n_endpoints,
   step)`` — no RNG, no wall clock, no dict/set iteration whose order
   can leak into phase order or op ids;
-- op ids must be distinct per phase within one step (the step's op
-  window is :data:`OPS_PER_STEP` wide; collective round tags live at
-  ``op * 1024 + round``, so consecutive integer offsets are safe for
-  up to 1024 internal rounds);
+- op ids must be distinct per phase within one step, blocks and
+  overlaps included (the step's op window is :data:`OPS_PER_STEP`
+  wide; collective round tags live at ``op * 1024 + round``, so
+  consecutive integer offsets are safe for up to 1024 internal rounds);
 - observability markers are emitted by the lowering, named after each
-  phase, on the endpoint's ``ep-{n}`` track — a workload never touches
-  ``obs`` directly.
+  top-level phase (a block marks once, under its own name), on the
+  endpoint's ``ep-{n}`` track — a workload never touches ``obs``
+  directly.
 """
 
 from __future__ import annotations
@@ -47,18 +46,15 @@ from repro.mpi import collectives
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import collective_tag
 
-#: Op-id stride reserved for one simulated time step (matches
-#: :mod:`repro.alya.app` so phase programs and the Alya lowering share
-#: the same tag arithmetic).
+#: Op-id stride reserved for one simulated time step.
 OPS_PER_STEP = 2048
 
 
 def compute_seconds(flops: float, ctx) -> float:
     """Wall seconds of ``flops`` of arithmetic under ``ctx``.
 
-    The same pipeline ``SimulatedAlya`` applies: sustained (not peak)
-    core flop rate, the OpenMP threading model, and the container
-    runtime's CPU overhead multiplier.
+    Sustained (not peak) core flop rate, the OpenMP threading model, and
+    the container runtime's CPU overhead multiplier.
     """
     if flops < 0:
         raise ValueError("flops must be >= 0")
@@ -72,8 +68,7 @@ def grid_neighbors(
 ) -> "list[tuple[int, int]]":
     """Neighbours of endpoint ``ep`` as ``(neighbor, axis)`` pairs.
 
-    The same layout :meth:`repro.alya.app.SimulatedAlya.neighbors`
-    models: a (nodes x per-node-slot) process grid where axis 0 links
+    A (nodes x per-node-slot) process grid where axis 0 links
     consecutive endpoints on one node (shared memory) and axis 1 links
     the same slot on adjacent nodes (fabric); ``"chain"`` is the 1-D
     slab partition (at most two neighbours).  In node mode the grid
@@ -113,15 +108,21 @@ class ComputePhase:
     """Arithmetic: ``seconds`` of wall time on the endpoint.
 
     The lowering scales it by the endpoint node's straggler factor when
-    a fault injector is armed (exactly like the Alya compute phase).
+    a fault injector is armed.  With ``root`` set, only that endpoint
+    computes and the others pass straight through: a serial stage such
+    as Alya's solid step, which runs at its nominal time (never
+    straggler-scaled).
     """
 
     name: str
     seconds: float
+    root: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.seconds < 0:
             raise ValueError("compute seconds must be >= 0")
+        if self.root is not None and self.root < 0:
+            raise ValueError("compute root must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,9 @@ class CollectivePhase:
 
     ``nbytes`` is the payload per rank for ``allgather``/``gather`` and
     the full payload for ``allreduce``/``bcast`` — the same conventions
-    as :mod:`repro.mpi.collectives`.
+    as :mod:`repro.mpi.collectives`.  ``pre_delay`` seconds of analytic
+    cost (e.g. a folded intra-node stage) run first, inside the phase's
+    measured interval.
     """
 
     name: str
@@ -162,6 +165,7 @@ class CollectivePhase:
     nbytes: float
     op: int
     root: int = 0
+    pre_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in COLLECTIVE_KINDS:
@@ -171,6 +175,8 @@ class CollectivePhase:
             )
         if self.nbytes < 0:
             raise ValueError("collective nbytes must be >= 0")
+        if self.pre_delay < 0:
+            raise ValueError("collective pre_delay must be >= 0")
         if not 0 <= self.op < OPS_PER_STEP:
             raise ValueError(f"op offset must be in [0, {OPS_PER_STEP})")
 
@@ -193,7 +199,61 @@ class IOPhase:
             raise ValueError("IO nbytes must be >= 0")
 
 
-Phase = object  # union of the four phase dataclasses (duck-typed)
+@dataclass(frozen=True)
+class BlockPhase:
+    """A run of ``phases`` that marks one span, named ``name``.
+
+    The inner phases mark no spans of their own.  With ``bucket`` unset
+    each inner phase bills its own bucket, one add per phase; with
+    ``bucket`` set the whole block bills that bucket in one add over its
+    interval (the inner phases bill nothing).
+    """
+
+    name: str
+    phases: tuple
+    bucket: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phases", tuple(self.phases))
+        if self.bucket is not None and not self.bucket:
+            raise ValueError("block bucket must be a non-empty name")
+
+
+@dataclass(frozen=True)
+class OverlapPhase:
+    """``halo`` hidden behind ``compute``.
+
+    The halo's sends and receives are posted, the compute runs (billed
+    and marked as itself), then the wait for the halo is billed and
+    marked as the halo.
+    """
+
+    halo: HaloPhase
+    compute: ComputePhase
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.halo, HaloPhase):
+            raise TypeError("overlap halo must be a HaloPhase")
+        if not isinstance(self.compute, ComputePhase):
+            raise TypeError("overlap compute must be a ComputePhase")
+
+
+Phase = object  # union of the phase dataclasses (duck-typed)
+
+
+def _phase_ops(phases) -> "list[int]":
+    """Op offsets of ``phases`` in program order, blocks and overlaps
+    included."""
+    ops = []
+    for p in phases:
+        kind = type(p)
+        if kind is BlockPhase:
+            ops.extend(_phase_ops(p.phases))
+        elif kind is OverlapPhase:
+            ops.append(p.halo.op)
+        elif kind is HaloPhase or kind is CollectivePhase:
+            ops.append(p.op)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +264,8 @@ Phase = object  # union of the four phase dataclasses (duck-typed)
 @dataclass
 class PhaseBreakdown:
     """Per-bucket wall seconds of one endpoint (compute / halo /
-    collective / io), compatible with the runner's phase aggregation
-    (same ``fractions()`` contract as
-    :class:`~repro.alya.app.PhaseTimes`)."""
+    collective / io / ...), in first-billed order unless seeded — the
+    runner aggregates ``fractions()`` across endpoints."""
 
     seconds: dict = field(default_factory=dict)
 
@@ -262,6 +321,10 @@ class Workload(abc.ABC):
     #: documents an honest (low) floor rather than faking linearity.
     strong_efficiency_floor: ClassVar[float] = 0.05
     weak_growth_ceiling: ClassVar[float] = 25.0
+    #: Breakdown buckets every endpoint reports, in this order, even
+    #: when nothing is billed to them (seeded at 0.0).  Empty: buckets
+    #: appear in first-billed order.
+    buckets: ClassVar[tuple] = ()
 
     def validate_spec(self, spec) -> None:
         """Reject specs whose work model this workload cannot run."""
@@ -328,11 +391,12 @@ class PhasedWorkload(Workload):
 class PhasedApp:
     """Compiles a :class:`PhasedWorkload`'s phase program to the DES.
 
-    Mirrors :class:`~repro.alya.app.SimulatedAlya`'s lowering one
-    construct at a time: compute becomes a (straggler-scaled) timeout,
-    halos become joined non-blocking neighbour exchanges, collectives
-    dispatch to :mod:`repro.mpi.collectives`, IO becomes a bandwidth
-    delay; each phase marks an obs span named after itself.
+    Compute becomes a (straggler-scaled) timeout, halos become joined
+    non-blocking neighbour exchanges, collectives dispatch to
+    :mod:`repro.mpi.collectives`, IO becomes a bandwidth delay; blocks
+    and overlaps compose those.  Each top-level phase marks an obs span
+    named after itself and bills its interval to the endpoint's
+    :class:`PhaseBreakdown`.
     """
 
     def __init__(
@@ -372,9 +436,7 @@ class PhasedApp:
             prog = tuple(
                 self.workload.phases(self.work, self.ctx, n_endpoints, step)
             )
-            ops = [
-                p.op for p in prog if isinstance(p, (HaloPhase, CollectivePhase))
-            ]
+            ops = _phase_ops(prog)
             if len(ops) != len(set(ops)):
                 raise ValueError(
                     f"workload {self.workload.name!r} emitted duplicate op "
@@ -397,69 +459,114 @@ class PhasedApp:
             events.append(comm.recv(ep, nb, collective_tag(op, recv_round)))
         return events
 
+    def _compute_delay(self, phase: ComputePhase, ep_node: int,
+                       now: float) -> float:
+        """Wall seconds of ``phase`` on node ``ep_node`` starting at
+        ``now``: nominal, times the node's straggler factor when an
+        injector is armed and the phase is not root-only."""
+        dt = phase.seconds
+        if self.faults is not None and phase.root is None:
+            dt *= self.faults.cpu_factor(ep_node, now)
+        return dt
+
+    def _lower(self, comm: SimComm, ep: int, ep_node: int, phases,
+               base: int, breakdown, mark):
+        """Run ``phases`` on endpoint ``ep`` (generator).
+
+        Each phase bills its interval to ``breakdown`` and marks a span
+        through ``mark``; either is skipped when ``None`` (the inside of
+        a block).
+        """
+        env = comm.env
+        for phase in phases:
+            t = env.now
+            kind = type(phase)
+            bucket = _BUCKET.get(kind)
+            if kind is HaloPhase:
+                pending = self._halo(comm, ep, base + phase.op, phase.nbytes)
+                if pending:
+                    yield JoinAll(env, pending)
+            elif kind is CollectivePhase:
+                if phase.pre_delay:
+                    yield env.timeout(phase.pre_delay)
+                op = base + phase.op
+                if phase.kind == "allreduce":
+                    yield from collectives.allreduce(
+                        comm, ep, op=op, nbytes=phase.nbytes
+                    )
+                elif phase.kind == "allgather":
+                    yield from collectives.allgather(
+                        comm, ep, op=op, nbytes_per_rank=phase.nbytes
+                    )
+                elif phase.kind == "gather":
+                    yield from collectives.gather(
+                        comm, ep, op=op, nbytes_per_rank=phase.nbytes,
+                        root=phase.root,
+                    )
+                else:  # bcast
+                    yield from collectives.bcast(
+                        comm, ep, op=op, nbytes=phase.nbytes,
+                        root=phase.root,
+                    )
+            elif kind is ComputePhase:
+                if phase.root is None or phase.root == ep:
+                    dt = self._compute_delay(phase, ep_node, t)
+                    if dt > 0:
+                        yield env.timeout(dt)
+            elif kind is IOPhase:
+                dt = phase.nbytes / self.io_bandwidth
+                if dt > 0:
+                    yield env.timeout(dt)
+            elif kind is BlockPhase:
+                bucket = phase.bucket
+                yield from self._lower(
+                    comm, ep, ep_node, phase.phases, base,
+                    breakdown if bucket is None else None, None,
+                )
+            elif kind is OverlapPhase:
+                pending = self._halo(
+                    comm, ep, base + phase.halo.op, phase.halo.nbytes
+                )
+                yield from self._lower(
+                    comm, ep, ep_node, (phase.compute,), base,
+                    breakdown, mark,
+                )
+                # The wait behind the compute bills and marks as the halo.
+                t = env.now
+                if pending:
+                    yield JoinAll(env, pending)
+                phase = phase.halo
+                bucket = "halo"
+            else:
+                raise TypeError(
+                    f"workload {self.workload.name!r} emitted an "
+                    f"unknown phase {phase!r}"
+                )
+            if breakdown is not None and bucket is not None:
+                breakdown.add(bucket, env.now - t)
+            if mark is not None:
+                mark(phase.name, t)
+
     def rank_body(self, comm: SimComm, ep: int):
         """Generator executed by endpoint ``ep``."""
         env = comm.env
-        breakdown = PhaseBreakdown()
+        breakdown = PhaseBreakdown(dict.fromkeys(self.workload.buckets, 0.0))
         obs = self.obs
-        faults = self.faults
-        ep_node = comm.rankmap.node_of(ep) if faults is not None else 0
+        ep_node = comm.rankmap.node_of(ep) if self.faults is not None else 0
         track = f"ep-{ep}"
 
-        def mark(name: str, t0: float, step: int) -> None:
+        def mark(name: str, t0: float) -> None:
             if obs is not None and env.now > t0:
                 obs.add_span(name, "solver", t0, env.now, track=track,
                              step=step)
 
         for step in range(self.sim_steps):
-            base = step * OPS_PER_STEP
             step_t0 = env.now
-            for phase in self._phases_for(comm.size, step):
-                t = env.now
-                if isinstance(phase, ComputePhase):
-                    dt = phase.seconds
-                    if faults is not None:
-                        dt *= faults.cpu_factor(ep_node, env.now)
-                    if dt > 0:
-                        yield env.timeout(dt)
-                elif isinstance(phase, HaloPhase):
-                    pending = self._halo(
-                        comm, ep, base + phase.op, phase.nbytes
-                    )
-                    if pending:
-                        yield JoinAll(env, pending)
-                elif isinstance(phase, CollectivePhase):
-                    op = base + phase.op
-                    if phase.kind == "allreduce":
-                        yield from collectives.allreduce(
-                            comm, ep, op=op, nbytes=phase.nbytes
-                        )
-                    elif phase.kind == "allgather":
-                        yield from collectives.allgather(
-                            comm, ep, op=op, nbytes_per_rank=phase.nbytes
-                        )
-                    elif phase.kind == "gather":
-                        yield from collectives.gather(
-                            comm, ep, op=op, nbytes_per_rank=phase.nbytes,
-                            root=phase.root,
-                        )
-                    else:  # bcast
-                        yield from collectives.bcast(
-                            comm, ep, op=op, nbytes=phase.nbytes,
-                            root=phase.root,
-                        )
-                elif isinstance(phase, IOPhase):
-                    dt = phase.nbytes / self.io_bandwidth
-                    if dt > 0:
-                        yield env.timeout(dt)
-                else:
-                    raise TypeError(
-                        f"workload {self.workload.name!r} emitted an "
-                        f"unknown phase {phase!r}"
-                    )
-                breakdown.add(_BUCKET[type(phase)], env.now - t)
-                mark(phase.name, t, step)
-            mark("step", step_t0, step)
+            yield from self._lower(
+                comm, ep, ep_node, self._phases_for(comm.size, step),
+                step * OPS_PER_STEP, breakdown, mark,
+            )
+            mark("step", step_t0)
         return breakdown
 
     def body(self):

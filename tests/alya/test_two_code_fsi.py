@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alya.app import ComputeContext, SimulatedAlya, TwoCodeFsiAlya
+from repro.alya.app import ComputeContext, TwoCodeFsiAlya
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.des import Environment
 from repro.hardware import catalog
@@ -12,6 +12,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
+from repro.workloads import AlyaWorkload, PhasedApp
 
 
 def fsi_model(**overrides):
@@ -87,7 +88,7 @@ def test_two_code_comparable_to_folded_model():
     solid's flops concentrate on its small group instead of amortising
     over the whole allocation, and the coupling is a true rendezvous."""
     work = fsi_model()
-    folded = SimulatedAlya(work, ctx(), sim_steps=2)
+    folded = PhasedApp(AlyaWorkload(), work, ctx(), sim_steps=2)
     two_code = TwoCodeFsiAlya(work, ctx(), sim_steps=2)
     t_folded = run_app(folded).elapsed_seconds
     t_two = run_app(two_code).elapsed_seconds

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.alya.app import ComputeContext, SimulatedAlya
+from repro.alya.app import ComputeContext
 from repro.alya.geometry import ArteryGeometry
 from repro.alya.mesh import StructuredMesh
 from repro.alya.navier_stokes import ChannelFlowSolver
@@ -18,10 +18,25 @@ from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
 from repro.openmp.model import OpenMPModel
+from repro.workloads import (
+    AlyaWorkload, CollectivePhase, PhasedApp, grid_neighbors,
+)
+from repro.workloads.alya import intra_collective_penalty
 
 
 def cfd_model(n_cells=1_000_000):
     return AlyaWorkModel(case=CaseKind.CFD, n_cells=n_cells)
+
+
+def alya_app(work, ctx, sim_steps=3):
+    return PhasedApp(AlyaWorkload(), work, ctx, sim_steps=sim_steps)
+
+
+def step_compute(ctx, n_endpoints):
+    """Seconds of the CFD step's compute phase on ``n_endpoints``."""
+    compute = AlyaWorkload().phases(cfd_model(), ctx, n_endpoints, 0)[0]
+    assert compute.name == "compute"
+    return compute.seconds
 
 
 def fsi_model(n_cells=1_000_000):
@@ -122,17 +137,15 @@ def test_workmodel_validation():
 def test_compute_context_threading_reduces_time():
     ctx1 = ComputeContext(core_peak_flops=50e9, threads_per_rank=1)
     ctx8 = ComputeContext(core_peak_flops=50e9, threads_per_rank=8)
-    app1 = SimulatedAlya(cfd_model(), ctx1)
-    app8 = SimulatedAlya(cfd_model(), ctx8)
-    assert app8.compute_seconds_per_step(4) < app1.compute_seconds_per_step(4)
+    assert step_compute(ctx8, 4) < step_compute(ctx1, 4)
 
 
 def test_cpu_overhead_multiplies():
     base = ComputeContext(core_peak_flops=50e9)
     dock = ComputeContext(core_peak_flops=50e9, cpu_overhead=1.005)
-    t0 = SimulatedAlya(cfd_model(), base).compute_seconds_per_step(4)
-    t1 = SimulatedAlya(cfd_model(), dock).compute_seconds_per_step(4)
-    assert t1 == pytest.approx(t0 * 1.005)
+    assert step_compute(dock, 4) == pytest.approx(
+        step_compute(base, 4) * 1.005
+    )
 
 
 def test_node_mode_accounts_true_ranks():
@@ -140,15 +153,19 @@ def test_node_mode_accounts_true_ranks():
     node_ctx = ComputeContext(
         core_peak_flops=50e9, endpoint_is_node=True, ranks_per_node=8
     )
-    app_r = SimulatedAlya(cfd_model(), rank_ctx)
-    app_n = SimulatedAlya(cfd_model(), node_ctx)
     # 4 node-endpoints with 8 ranks each == 32 rank-endpoints.
-    assert app_n.compute_seconds_per_step(4) == pytest.approx(
-        app_r.compute_seconds_per_step(32)
+    assert step_compute(node_ctx, 4) == pytest.approx(
+        step_compute(rank_ctx, 32)
     )
-    assert app_n.true_ranks(4) == 32
-    assert app_n.intra_collective_penalty() > 0
-    assert app_r.intra_collective_penalty() == 0
+    assert intra_collective_penalty(node_ctx) > 0
+    assert intra_collective_penalty(rank_ctx) == 0
+    # The intra-node stage rides on every CG allreduce in node mode.
+    cg = AlyaWorkload().phases(cfd_model(), node_ctx, 4, 0)[2]
+    allreduces = [p for p in cg.phases if isinstance(p, CollectivePhase)]
+    assert len(allreduces) == cfd_model().cg_iters_per_step
+    assert {p.pre_delay for p in allreduces} == {
+        intra_collective_penalty(node_ctx)
+    }
 
 
 def test_compute_context_validation():
@@ -159,7 +176,7 @@ def test_compute_context_validation():
     with pytest.raises(ValueError):
         ComputeContext(core_peak_flops=1e9, cpu_overhead=0.9)
     with pytest.raises(ValueError):
-        SimulatedAlya(cfd_model(), ComputeContext(core_peak_flops=1e9), sim_steps=0)
+        alya_app(cfd_model(), ComputeContext(core_peak_flops=1e9), sim_steps=0)
 
 
 # ------------------------------ simulated app ----------------------------------
@@ -185,7 +202,7 @@ def run_app(app, n_ranks, n_nodes, path=NetworkPath.HOST_NATIVE,
 
 def test_cfd_app_runs_and_scales():
     ctx = ComputeContext(core_peak_flops=50e9)
-    app = SimulatedAlya(cfd_model(), ctx, sim_steps=2)
+    app = alya_app(cfd_model(), ctx, sim_steps=2)
     res8 = run_app(app, 8, 2)
     res16 = run_app(app, 16, 4)
     assert res8.elapsed_seconds > 0
@@ -196,8 +213,8 @@ def test_cfd_app_runs_and_scales():
 
 def test_fsi_app_has_coupling_traffic():
     ctx = ComputeContext(core_peak_flops=50e9)
-    cfd = SimulatedAlya(cfd_model(), ctx, sim_steps=1)
-    fsi = SimulatedAlya(fsi_model(), ctx, sim_steps=1)
+    cfd = alya_app(cfd_model(), ctx, sim_steps=1)
+    fsi = alya_app(fsi_model(), ctx, sim_steps=1)
     res_cfd = run_app(cfd, 8, 2)
     res_fsi = run_app(fsi, 8, 2)
     # FSI adds gather + bcast messages on top of the CFD pattern.
@@ -206,24 +223,18 @@ def test_fsi_app_has_coupling_traffic():
 
 
 def test_neighbors_grid_structure():
-    ctx = ComputeContext(core_peak_flops=50e9)
-    app = SimulatedAlya(cfd_model(), ctx)
-    env = Environment()
-    cluster = Cluster(env, catalog.MARENOSTRUM4, num_nodes=2)
-    cluster.wire_network(NetworkPath.HOST_NATIVE)
-    perf = MpiPerf.for_fabric(catalog.MARENOSTRUM4.fabric, NetworkPath.HOST_NATIVE)
-    comm = SimComm(env, cluster, RankMap(8, 2), perf)
+    rankmap = RankMap(8, 2)
     # Rank 0: node 0 slot 0 -> intra right (1), inter down (4).
-    nbrs = dict(app.neighbors(comm, 0))
+    nbrs = dict(grid_neighbors(rankmap, 0, endpoint_is_node=False))
     assert nbrs == {1: 0, 4: 1}
     # Rank 5: node 1 slot 1 -> intra 4 and 6, inter up 1.
-    nbrs5 = app.neighbors(comm, 5)
+    nbrs5 = grid_neighbors(rankmap, 5, endpoint_is_node=False)
     assert (4, 0) in nbrs5 and (6, 0) in nbrs5 and (1, 1) in nbrs5
 
 
 def test_tcp_fallback_slows_app():
     ctx = ComputeContext(core_peak_flops=50e9)
-    app = SimulatedAlya(cfd_model(), ctx, sim_steps=1)
+    app = alya_app(cfd_model(), ctx, sim_steps=1)
     t_native = run_app(app, 16, 4, NetworkPath.HOST_NATIVE).elapsed_seconds
     t_fallback = run_app(app, 16, 4, NetworkPath.TCP_FALLBACK).elapsed_seconds
     assert t_fallback > t_native

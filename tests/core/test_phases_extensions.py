@@ -3,13 +3,13 @@ image caching, and the Rabenseifner collectives — the extension features."""
 
 import pytest
 
-from repro.alya.app import PhaseTimes
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.core.runner import ExperimentRunner
 from repro.hardware import catalog
 from repro.hardware.network import NetworkPath
+from repro.workloads import AlyaWorkload, PhaseBreakdown
 
 
 def run(runtime="bare-metal", technique=None, case=CaseKind.CFD, **kw):
@@ -37,11 +37,15 @@ def run(runtime="bare-metal", technique=None, case=CaseKind.CFD, **kw):
 
 
 def test_phase_times_fractions_sum_to_one():
-    pt = PhaseTimes(compute=3.0, halo=1.0, collective=0.5, coupling=0.5)
+    pt = PhaseBreakdown(dict.fromkeys(AlyaWorkload.buckets, 0.0))
+    assert pt.fractions() == {}
+    for bucket, dt in (("compute", 3.0), ("halo", 1.0), ("collective", 0.5),
+                       ("coupling", 0.5)):
+        pt.add(bucket, dt)
     fr = pt.fractions()
     assert sum(fr.values()) == pytest.approx(1.0)
     assert fr["compute"] == pytest.approx(0.6)
-    assert PhaseTimes().fractions() == {}
+    assert list(fr) == ["compute", "halo", "collective", "coupling"]
 
 
 def test_runner_reports_phase_fractions():

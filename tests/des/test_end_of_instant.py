@@ -4,7 +4,6 @@ clock advances, in registration order, on every run path."""
 import pytest
 
 from repro.des import Environment
-from repro.des.engine import set_legacy_step_loop
 
 
 def _scenario(env, log):
@@ -70,20 +69,17 @@ def _stepping(env):
         env.step()
 
 
+# The ids keep their "fast-" prefix so the test names stay stable.
 @pytest.mark.parametrize(
     "drive", [_drain, _bounded_time, _bounded_event, _stepping],
-    ids=["run", "run-until-time", "run-until-event", "step"],
+    ids=["fast-run", "fast-run-until-time", "fast-run-until-event",
+         "fast-step"],
 )
-@pytest.mark.parametrize("legacy", [False, True], ids=["fast", "legacy"])
-def test_callbacks_run_at_the_end_of_each_instant(drive, legacy):
-    set_legacy_step_loop(legacy)
-    try:
-        env = Environment()
-        log = []
-        _scenario(env, log)
-        drive(env)
-    finally:
-        set_legacy_step_loop(False)
+def test_callbacks_run_at_the_end_of_each_instant(drive):
+    env = Environment()
+    log = []
+    _scenario(env, log)
+    drive(env)
     assert log == EXPECTED
 
 

@@ -185,55 +185,3 @@ def test_double_schedule_raises_in_wheel_path_and_step():
     env.step()
     with pytest.raises(SimulationError, match="dispatched twice"):
         env.step()
-
-
-def test_bounded_run_honours_legacy_step_loop():
-    """run(until=...) must route through the legacy step body when
-    set_legacy_step_loop() is on — and produce identical results."""
-    from repro.des.engine import set_legacy_step_loop
-
-    def workload(env, order):
-        def ping(name, delay):
-            yield env.timeout(delay)
-            order.append((name, env.now))
-            yield env.timeout(delay)
-            order.append((name, env.now))
-
-        env.process(ping("a", 1.0))
-        env.process(ping("b", 1.5))
-
-    def run(legacy, until):
-        env = Environment()
-        order = []
-        workload(env, order)
-        set_legacy_step_loop(legacy)
-        try:
-            env.run(until=until)
-        finally:
-            set_legacy_step_loop(False)
-        return order, env.now
-
-    for until in (2.0, 10.0):
-        fast = run(False, until)
-        slow = run(True, until)
-        assert slow == fast
-
-    # until=<event> takes the same toggle-aware path.
-    def run_until_event(legacy):
-        env = Environment()
-        order = []
-        workload(env, order)
-
-        def probe():
-            yield env.timeout(1.25)
-            return tuple(order)
-
-        p = env.process(probe())
-        set_legacy_step_loop(legacy)
-        try:
-            got = env.run(until=p)
-        finally:
-            set_legacy_step_loop(False)
-        return got, env.now
-
-    assert run_until_event(True) == run_until_event(False)
