@@ -1,14 +1,16 @@
 """The DES event loop and generator-based processes.
 
-The :class:`Environment` keeps its future events in an array-backed
-calendar-queue wheel (:class:`repro.des.wheel.EventWheel`) keyed by
+The :class:`Environment` keeps its future events in a ``heapq``
+future-event list (:class:`repro.des.wheel.EventWheel`) keyed by
 ``(time, seq)``, plus a FIFO *now-ring* for events triggered at the
 current instant; :meth:`Environment.run` pops events in order, executes
 their callbacks, and thereby resumes any :class:`Process` waiting on
 them.  Determinism: two events scheduled for the same time fire in
 scheduling order (FIFO), which makes every simulation in this package
-reproducible — the wheel's pop discipline is property-tested against a
-binary-heap reference model in ``tests/des/test_wheel.py``.
+reproducible — the list's pop discipline is property-tested against a
+sorted-list reference in ``tests/des/test_wheel.py``, and the dispatch
+order of every run path against each other in
+``tests/des/test_run_paths.py``.
 
 *End-of-instant callbacks* (:meth:`Environment.at_end_of_instant`) run
 once the current instant has nothing left to dispatch — its now-ring is
@@ -21,6 +23,7 @@ in the same instant).
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.des.events import AllOf, AnyOf, Event, Timeout
@@ -165,8 +168,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Future events: the calendar-queue wheel (strictly later than
-        #: ``now``; assigns the FIFO tie-break sequence numbers).
+        #: Future events: the heap future-event list (strictly later
+        #: than ``now``; assigns the FIFO tie-break sequence numbers).
         self._wheel = EventWheel()
         #: Events due at the current instant, in trigger order.  Ring
         #: entries always precede any *later* wheel entry and follow any
@@ -241,11 +244,13 @@ class Environment:
         self._eoi.append(callback)
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0.0:
-            # Symmetric with _schedule_at's past-time check: a negative
-            # delay would silently schedule into the past and break the
-            # monotonic-clock invariant every component relies on.
-            raise ValueError(f"negative delay {delay} (now={self._now})")
+        if not 0.0 <= delay < inf:
+            # Symmetric with _schedule_at's check: a negative delay would
+            # schedule into the past and break the monotonic clock; a NaN
+            # would break the heap order and an infinite one would drive
+            # the clock to infinity.
+            kind = "negative" if delay < 0.0 else "non-finite"
+            raise ValueError(f"{kind} delay {delay} (now={self._now})")
         when = self._now + delay
         if when <= self._now:
             self._ring.append(event)
@@ -259,8 +264,10 @@ class Environment:
         absolute timestamp and ``now + (when - now)`` would round
         differently (the collective fast path's closed-form schedule).
         """
-        if when < self._now:
-            raise ValueError(f"when={when} is in the past (now={self._now})")
+        if not self._now <= when < inf:
+            if when < self._now:
+                raise ValueError(f"when={when} is in the past (now={self._now})")
+            raise ValueError(f"non-finite when={when} (now={self._now})")
         if when <= self._now:
             self._ring.append(event)
         else:
@@ -294,7 +301,7 @@ class Environment:
         elif self._eoi:
             self._eoi.popleft()()
             return
-        elif when != float("inf"):
+        elif when != inf:
             when, event = wheel.pop()
             self._now = when
         else:
@@ -333,14 +340,16 @@ class Environment:
             return its value.
         """
         stop_event: Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = inf
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
+            if stop_time != stop_time:
+                raise ValueError("until=nan is not a time")
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-        if stop_event is None and stop_time == float("inf"):
+        if stop_event is None and stop_time == inf:
             self._drain()
             return None
         while self._wheel or self._ring or self._eoi:
@@ -362,17 +371,17 @@ class Environment:
             raise SimulationError(
                 "run(until=event) finished without the event firing (deadlock?)"
             )
-        if stop_time != float("inf"):
+        if stop_time != inf:
             self._now = stop_time
         return None
 
     def _drain(self) -> None:
         """Run until the event queue empties.
 
-        Semantically identical to ``while self._queue: self.step()`` — the
-        loop body is inlined with local bindings because this is the inner
-        loop of every simulation (hundreds of thousands of iterations for
-        the paper-scale runs).
+        Dispatches in the same order as ``while self._wheel or self._ring
+        or self._eoi: self.step()`` — the loop body is inlined with local
+        bindings because this is the inner loop of every simulation
+        (hundreds of thousands of iterations for the paper-scale runs).
         """
         wheel = self._wheel
         ring = self._ring
@@ -394,17 +403,19 @@ class Environment:
                     # callback, then dispatch whatever it scheduled.
                     eoi.popleft()()
                     continue
-                elif wheel._size:
+                else:
                     # Ring empty: advance the clock and promote the whole
                     # earliest-timestamp group out of the wheel in one
                     # call.  The group lands ahead of anything its
                     # callbacks append (wheel pushes are strictly future,
                     # so no *new* entry can join the group mid-dispatch),
-                    # which is exactly scheduling order.
-                    self._now = wheel_pop_batch(ring_append)
+                    # which is exactly scheduling order.  An empty wheel
+                    # raises IndexError: the queue has drained.
+                    try:
+                        self._now = wheel_pop_batch(ring_append)
+                    except IndexError:
+                        break
                     continue
-                else:
-                    break
                 executed += 1
                 if hook is not None:
                     hook(event, self._now)

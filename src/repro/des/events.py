@@ -124,8 +124,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # env._schedule rejects a negative, NaN or infinite delay.
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True

@@ -91,12 +91,19 @@ class FairShareLink:
         per_byte_overhead: float = 1.0,
         name: Optional[str] = None,
     ) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
-        if per_byte_overhead < 1.0:
-            raise ValueError("per_byte_overhead must be >= 1")
+        # Written so that NaN fails every check: each comparison with a
+        # NaN is false.
+        if not 0 < bandwidth < math.inf:
+            raise ValueError(
+                f"bandwidth must be positive and finite, got {bandwidth}"
+            )
+        if not 0 <= latency < math.inf:
+            raise ValueError(f"latency must be >= 0 and finite, got {latency}")
+        if not 1.0 <= per_byte_overhead < math.inf:
+            raise ValueError(
+                "per_byte_overhead must be >= 1 and finite, "
+                f"got {per_byte_overhead}"
+            )
         self.env = env
         self.bandwidth = float(bandwidth)
         #: Nominal capacity; :meth:`set_bandwidth_factor` scales

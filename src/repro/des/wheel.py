@@ -1,351 +1,67 @@
-"""Array-backed calendar-queue event wheel.
+"""The future-event list: a ``heapq`` of ``(time, seq, payload)`` entries.
 
-The second-generation future-event store of the DES core.  Two ideas,
-both borrowed from classic high-rate simulators:
+Events due strictly after the current instant live here; events due at
+the current instant go to the engine's now-ring instead (see
+:class:`repro.des.engine.Environment`).  ``seq`` is a push counter, so
+entries pop in ascending ``(time, seq)`` order: equal times pop first in,
+first out, and the payload itself is never compared.  That ordering is
+the whole contract every simulation's determinism rests on; it is
+property-tested against a sorted-list reference in
+``tests/des/test_wheel.py``.
 
-**Struct-of-arrays slots.**  Every queued event occupies a *slot*: its
-timestamp, tie-break sequence number and lifecycle state live in three
-preallocated parallel arrays (``array('d')`` / ``array('Q')`` /
-``bytearray``) indexed by slot id, with the payload object held in a
-parallel list.  Slots are recycled through a free list, so a steady-state
-simulation allocates nothing per event — and slot state is one index away
-(``cancel`` is O(1): flip the state byte, let the pop scan discard the
-stale entry lazily).
-
-**Calendar queue** (R. Brown, CACM 1988).  The time axis is divided into
-``nbuckets`` buckets of ``width`` seconds that wrap around like the days
-of a calendar year.  An event for time *t* is filed under bucket
-``int(t / width) % nbuckets``; buckets are kept sorted by ``(time, seq)``
-(``bisect.insort`` on plain tuples, so the comparisons run in C).  A pop
-scans forward from the current bucket, taking the head entry if it falls
-inside the bucket's current year and skipping empty buckets otherwise;
-when a whole year of buckets turns up empty (a sparse far-future
-schedule), the scan jumps straight to the globally earliest entry.  The
-bucket count doubles/halves as the population grows/shrinks, and the
-width is re-estimated from the inter-event gaps of the soonest entries at
-each resize, which keeps an average bucket at O(1) entries — making both
-``push`` and ``pop`` amortised O(1) against the heap's O(log n).
-
-Ordering contract (property-tested against a ``heapq`` reference model in
-``tests/des/test_wheel.py``): entries pop in ascending ``(time, seq)``
-order, with ``seq`` assigned in push order — exactly the discipline the
-per-object binary heap implemented, so simulations are bit-identical
-under either store.
+``heappush``/``heappop`` and the tuple comparisons they make run in C.
+A calendar queue is O(1) per operation on paper, but in CPython its
+bucket arithmetic runs as bytecode and loses to the heap's C-speed
+O(log n) at the queue depths these simulations reach.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
-from bisect import insort
-from typing import Any, List, Optional, Tuple
-
-_INF = math.inf
-
-#: Slot lifecycle states (the ``state`` array).
-FREE = 0
-QUEUED = 1
-
-_MIN_BUCKETS = 8
-_SAMPLE = 32
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
+from typing import Any, Callable
 
 
 class EventWheel:
-    """Future-event store: calendar-queue wheel over SoA slot storage.
+    """Future-event list ordered by ``(time, push order)``."""
 
-    Parameters
-    ----------
-    capacity:
-        Initial number of preallocated slots (grows by doubling).
-    width:
-        Initial bucket width in seconds; re-estimated at every resize,
-        so the value only matters for the first handful of events.
-    """
+    __slots__ = ("_heap", "_seq")
 
-    __slots__ = (
-        "_time",
-        "_seq_of",
-        "_state",
-        "_payload",
-        "_free",
-        "_buckets",
-        "_nbuckets",
-        "_mask",
-        "_width",
-        "_vbucket",
-        "_size",
-        "_next_seq",
-    )
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._seq = count()
 
-    def __init__(self, capacity: int = 256, width: float = 1e-3) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not width > 0.0:
-            raise ValueError(f"width must be positive, got {width}")
-        self._time = array("d", bytes(8 * capacity))
-        self._seq_of = array("Q", bytes(8 * capacity))
-        self._state = bytearray(capacity)
-        self._payload: List[Any] = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
-        self._nbuckets = _MIN_BUCKETS
-        self._mask = _MIN_BUCKETS - 1
-        self._buckets: List[List[Tuple[float, int, int]]] = [
-            [] for _ in range(_MIN_BUCKETS)
-        ]
-        self._width = float(width)
-        self._vbucket = 0  # virtual (non-wrapped) bucket number of the scan
-        self._size = 0
-        self._next_seq = 0
+    def __len__(self) -> int:  # truthiness too: empty means false
+        return len(self._heap)
 
-    # -- introspection -------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of queued (not cancelled) entries."""
-        return self._size
+    def push(self, when: float, payload: Any) -> None:
+        """File ``payload`` at time ``when``, after every entry already
+        filed at the same time."""
+        heappush(self._heap, (when, next(self._seq), payload))
 
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def slot_time(self, slot: int) -> float:
-        """Timestamp filed for ``slot`` (valid while it is queued)."""
-        return self._time[slot]
-
-    def slot_queued(self, slot: int) -> bool:
-        """True while ``slot`` is queued (not popped or cancelled)."""
-        return self._state[slot] == QUEUED
-
-    # -- mutation ------------------------------------------------------------
-    def push(self, when: float, payload: Any) -> int:
-        """File ``payload`` at time ``when``; returns its slot id.
-
-        Entries with equal ``when`` pop in push order (the slot's
-        monotonically increasing sequence number breaks the tie).
-        """
-        free = self._free
-        if free:
-            slot = free.pop()
-        else:
-            slot = self._grow_slots()
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._time[slot] = when
-        self._seq_of[slot] = seq
-        self._state[slot] = QUEUED
-        self._payload[slot] = payload
-        width = self._width
-        v = int(when / width)
-        insort(self._buckets[v & self._mask], (when, seq, slot))
-        self._size += 1
-        # A push earlier than the scan cursor must pull the cursor back,
-        # or the entry would wait a whole calendar year to be seen.
-        if v < self._vbucket:
-            self._vbucket = v
-        if self._size > 2 * self._nbuckets:
-            self._resize(self._nbuckets * 2)
-        return slot
-
-    def cancel(self, slot: int) -> None:
-        """Remove a queued entry in O(1) (lazy: the bucket tuple is
-        discarded when the scan reaches it)."""
-        if self._state[slot] != QUEUED:
-            raise ValueError(f"slot {slot} is not queued")
-        self._release(slot)
-
-    def pop(self) -> Tuple[float, Any]:
-        """Remove and return ``(when, payload)`` of the earliest entry."""
-        bucket = self._locate()
-        if bucket is None:
-            raise IndexError("pop from an empty EventWheel")
-        when, _seq, slot = bucket.pop(0)
-        payload = self._payload[slot]
-        self._release(slot)
+    def pop(self) -> tuple[float, Any]:
+        """Remove and return ``(when, payload)`` of the earliest entry;
+        :class:`IndexError` when empty."""
+        when, _seq, payload = heappop(self._heap)
         return when, payload
 
-    def pop_due(self, limit: float) -> Optional[Any]:
-        """Pop and return the earliest payload if its time is <= ``limit``;
-        ``None`` otherwise (wheel untouched)."""
-        bucket = self._locate()
-        if bucket is None or bucket[0][0] > limit:
-            return None
-        _when, _seq, slot = bucket.pop(0)
-        payload = self._payload[slot]
-        self._release(slot)
-        return payload
+    def pop_batch(self, out_append: Callable[[Any], None]) -> float:
+        """Pop every entry bearing the earliest time, feed their payloads
+        to ``out_append`` in push order, and return that time;
+        :class:`IndexError` when empty.
 
-    def pop_batch(self, out_append) -> float:
-        """Pop *every* entry bearing the earliest queued time and feed
-        their payloads to ``out_append`` in ``(time, seq)`` order;
-        returns that time.  Raises :class:`IndexError` when empty.
-
-        This is the engine's inner-loop primitive: one wheel interaction
-        drains a whole simultaneous-event group into the now-ring, where
-        a C ``deque`` dispatches it.  Equal timestamps always share a
-        bucket (equal time → equal virtual bucket), so the group is a
-        contiguous, already-sorted bucket prefix.
+        The engine's inner-loop primitive: one call moves a whole
+        simultaneous-event group onto the now-ring.
         """
-        state = self._state
-        seq_of = self._seq_of
-        # Inlined cursor probe: after a pop the cursor almost always
-        # still points at the live bucket, so the common case needs no
-        # _locate call — just a head check with the filing arithmetic.
-        v = self._vbucket
-        bucket = self._buckets[v & self._mask]
-        if (
-            not bucket
-            or state[bucket[0][2]] != QUEUED
-            or seq_of[bucket[0][2]] != bucket[0][1]
-            or int(bucket[0][0] / self._width) != v
-        ):
-            bucket = self._locate()
-            if bucket is None:
-                raise IndexError("pop from an empty EventWheel")
-        payload = self._payload
-        free = self._free
-        head = bucket[0]
-        t0 = head[0]
-        n = len(bucket)
-        if n == 1 or bucket[1][0] != t0:
-            # Singleton group — the overwhelmingly common case.
-            del bucket[0]
-            slot = head[2]
-            state[slot] = FREE
-            out_append(payload[slot])
-            payload[slot] = None
-            free.append(slot)
-            popped = 1
-        else:
-            i = 2
-            while i < n and bucket[i][0] == t0:
-                i += 1
-            batch = bucket[:i]
-            del bucket[:i]
-            popped = 0
-            for _t, seq, slot in batch:
-                if state[slot] != QUEUED or seq_of[slot] != seq:
-                    continue  # cancelled husk inside the prefix
-                state[slot] = FREE
-                out_append(payload[slot])
-                payload[slot] = None
-                free.append(slot)
-                popped += 1
-        self._size = size = self._size - popped
-        if size < self._nbuckets >> 1 and self._nbuckets > _MIN_BUCKETS:
-            self._resize(self._nbuckets >> 1)
-        return t0
+        heap = self._heap
+        when, _seq, payload = heappop(heap)
+        out_append(payload)
+        while heap and heap[0][0] == when:
+            out_append(heappop(heap)[2])
+        return when
 
     def peek_time(self) -> float:
-        """Earliest queued time, or ``inf`` when empty.  O(1) amortised:
-        the scan cursor advances exactly as a pop would, so a following
-        ``pop()`` finds the entry in the first bucket it checks."""
-        bucket = self._locate()
-        return bucket[0][0] if bucket is not None else _INF
-
-    # -- internals -----------------------------------------------------------
-    def _release(self, slot: int) -> None:
-        self._state[slot] = FREE
-        self._payload[slot] = None
-        self._free.append(slot)
-        self._size = size = self._size - 1
-        if size < self._nbuckets >> 1 and self._nbuckets > _MIN_BUCKETS:
-            self._resize(self._nbuckets >> 1)
-
-    def _locate(self) -> Optional[List[Tuple[float, int, int]]]:
-        """Advance the scan to the bucket whose head is the global
-        earliest queued entry; returns that bucket (head valid), or
-        ``None`` when the wheel is empty.  Cancelled entries encountered
-        at bucket heads are discarded here.  A husk is recognised by a
-        *seq mismatch* as well as slot state: a cancelled slot may have
-        been recycled for a new (QUEUED) entry, but the stale bucket
-        tuple still carries the old sequence number.
-
-        Year membership is decided by recomputing the head's virtual
-        bucket with *exactly* the filing arithmetic (``int(t / width)``)
-        — never by comparing against ``(v + 1) * width``, which rounds
-        differently near bucket edges and would misfile boundary
-        timestamps into the wrong year, reordering events by an ulp.
-        ``int(t / width)`` is monotone in ``t``, so scanning virtual
-        buckets in order still yields globally ascending ``(time, seq)``.
-        """
-        if self._size == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        state = self._state
-        seq_of = self._seq_of
-        width = self._width
-        v = self._vbucket
-        scanned = 0
-        nbuckets = self._nbuckets
-        while True:
-            bucket = buckets[v & mask]
-            while bucket:
-                head = bucket[0]
-                if state[head[2]] != QUEUED or seq_of[head[2]] != head[1]:
-                    bucket.pop(0)  # cancelled: discard lazily
-                    continue
-                if int(head[0] / width) != v:
-                    break  # head (and everything after) is a later year
-                self._vbucket = v
-                return bucket
-            v += 1
-            scanned += 1
-            if scanned > nbuckets:
-                # A whole year of empty buckets: sparse schedule — jump
-                # the scan straight to the globally earliest entry.
-                earliest = _INF
-                for b in buckets:
-                    for when, seq, slot in b:
-                        if (
-                            state[slot] == QUEUED
-                            and seq_of[slot] == seq
-                            and when < earliest
-                        ):
-                            earliest = when
-                            break  # bucket sorted: first queued is its min
-                if earliest is _INF:  # only cancelled husks remain
-                    for b in buckets:
-                        b.clear()
-                    return None
-                v = int(earliest / width)
-                scanned = 0
-
-    def _grow_slots(self) -> int:
-        old = len(self._payload)
-        self._time.extend(bytes(8 * old))
-        self._seq_of.extend(bytes(8 * old))
-        self._state.extend(bytes(old))
-        self._payload.extend([None] * old)
-        self._free.extend(range(2 * old - 1, old, -1))
-        return old
-
-    def _resize(self, nbuckets: int) -> None:
-        state = self._state
-        seq_of = self._seq_of
-        entries = [
-            e
-            for bucket in self._buckets
-            for e in bucket
-            if state[e[2]] == QUEUED and seq_of[e[2]] == e[1]
-        ]
-        entries.sort()
-        width = self._estimate_width(entries)
-        self._nbuckets = nbuckets
-        self._mask = mask = nbuckets - 1
-        self._width = width
-        self._buckets = buckets = [[] for _ in range(nbuckets)]
-        for e in entries:
-            buckets[int(e[0] / width) & mask].append(e)
-        self._vbucket = int(entries[0][0] / width) if entries else 0
-
-    def _estimate_width(self, entries: List[Tuple[float, int, int]]) -> float:
-        """Bucket width from the mean gap of the soonest entries, aiming
-        for a low single-digit bucket occupancy."""
-        if len(entries) < 2:
-            return self._width
-        sample = entries[: _SAMPLE]
-        span = sample[-1][0] - sample[0][0]
-        if span <= 0.0:  # simultaneous events: keep the current width
-            return self._width
-        width = 3.0 * span / (len(sample) - 1)
-        if not width > 0.0 or width == _INF:  # pragma: no cover - paranoia
-            return self._width
-        return width
+        """Earliest queued time, or ``inf`` when empty."""
+        heap = self._heap
+        return heap[0][0] if heap else inf

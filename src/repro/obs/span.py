@@ -269,7 +269,7 @@ class Observability:
 
         def hook(event: Any, when: float) -> None:
             events.value += 1
-            d = wheel._size + len(ring)
+            d = len(wheel) + len(ring)
             depth.value = d
             if depth.min is None or d < depth.min:
                 depth.min = d

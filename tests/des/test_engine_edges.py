@@ -162,6 +162,37 @@ def test_negative_delay_raises():
         env._schedule(env.event(), delay=-1e-9)
 
 
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_delay_raises(delay):
+    """A NaN would break the future-event list's order and an infinite
+    delay would drive the clock to infinity: both are refused up front,
+    on every scheduling entry point."""
+    env = Environment()
+    with pytest.raises(ValueError, match="non-finite delay"):
+        env.timeout(delay)
+    with pytest.raises(ValueError, match="non-finite delay"):
+        env._schedule(env.event(), delay=delay)
+    with pytest.raises(ValueError, match="non-finite when"):
+        env._schedule_at(env.event(), delay)
+    assert env.peek() == float("inf")
+
+
+def test_schedule_at_past_still_reported_as_past():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env._schedule_at(env.event(), 1.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env._schedule_at(env.event(), float("-inf"))
+
+
+def test_run_until_nan_raises():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError, match="nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+
 def test_double_schedule_raises_simulation_error():
     """Scheduling an event twice dispatches it twice; the second
     dispatch must be a clear SimulationError, not a bare assert."""

@@ -94,6 +94,24 @@ def test_validation():
         link.transfer(-1)
 
 
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"bandwidth": float("nan")}, "bandwidth"),
+        ({"bandwidth": float("inf")}, "bandwidth"),
+        ({"bandwidth": 1, "latency": float("nan")}, "latency"),
+        ({"bandwidth": 1, "latency": float("inf")}, "latency"),
+        ({"bandwidth": 1, "per_byte_overhead": float("nan")}, "per_byte_overhead"),
+        ({"bandwidth": 1, "per_byte_overhead": float("inf")}, "per_byte_overhead"),
+    ],
+)
+def test_validation_rejects_non_finite(kwargs, field):
+    """Every comparison with NaN is false, so ``bandwidth <= 0`` alone
+    would let a NaN capacity through and poison every completion time."""
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        FairShareLink(Environment(), **kwargs)
+
 def test_instantaneous_rate_divides():
     env = Environment()
     link = FairShareLink(env, bandwidth=100.0)

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.des import Environment
+from repro.containers.recipes import BuildTechnique
+from repro.core import calibration
+from repro.core.experiment import EndpointGranularity, ExperimentSpec
+from repro.core.runner import ExperimentRunner
+from repro.des import Environment, FairShareLink
+from repro.hardware import catalog
 from repro.obs import (
     Observability,
     SpanTracer,
@@ -135,6 +140,55 @@ def test_attach_engine_counts_events():
     assert obs.metrics.counter("des.events_processed").value > 0
     assert "des.queue_depth" in obs.metrics
 
+
+
+def _gauge_pin(obs: Observability) -> tuple:
+    depth = obs.metrics.gauge("des.queue_depth")
+    events = obs.metrics.counter("des.events_processed").value
+    return depth.min, depth.max, depth.value, events
+
+
+def test_engine_hook_pins_queue_depth_on_link_sim():
+    """Queue depth (future-event list + now-ring, sampled after each pop)
+    and the event count of one small fixed simulation.  The values were
+    recorded with the previous future-event store, so they also show
+    that changing the store left the depth the hook samples unchanged."""
+    env = Environment()
+    obs = Observability()
+    obs.bind(env)
+    link = FairShareLink(env, bandwidth=1e6, latency=1e-3)
+
+    def worker(i):
+        for _ in range(3):
+            yield env.timeout(0.5 * (i % 3))
+            yield link.transfer(1000 * (i + 1))
+            yield env.timeout(0.0)
+
+    for i in range(6):
+        env.process(worker(i))
+    env.run()
+    assert _gauge_pin(obs) == (0, 5, 0, 108)
+    assert env.now == 3.028249999999999
+
+
+def test_engine_hook_pins_queue_depth_on_docker_run():
+    """Same pin through the full pipeline: 2 Lenox nodes x 4 ranks under
+    Docker, where the bridge, links and MPI delivery all file events."""
+    spec = ExperimentSpec(
+        name="queue-depth-pin",
+        cluster=catalog.LENOX,
+        runtime_name="docker",
+        technique=BuildTechnique.SELF_CONTAINED,
+        workmodel=calibration.lenox_cfd_workmodel(),
+        n_nodes=2,
+        ranks_per_node=4,
+        threads_per_rank=1,
+        sim_steps=1,
+        granularity=EndpointGranularity.RANK,
+    )
+    obs = Observability()
+    ExperimentRunner().run(spec, obs=obs)
+    assert _gauge_pin(obs) == (0, 31, 0, 11879)
 
 # -- exporters ----------------------------------------------------------------
 def _sample_obs() -> Observability:
