@@ -11,7 +11,7 @@ Two benchmark families share this file:
   exactly like N independent CLI invocations;
 - ``served``: the same requests fired concurrently at a
   :class:`~repro.serve.service.StudyService`, which collapses identical
-  in-flight requests to one execution and micro-batches the rest.
+  in-flight requests to one execution and batches the rest.
 
 **Cluster scaling** replays one seeded zipfian mix (the load
 generator's "millions of users" shape) through three targets: the
@@ -123,13 +123,10 @@ def run_naive(requests):
     return results, elapsed, executor.stats
 
 
-def run_served(requests, batch_window):
+def run_served(requests):
     executor = ExperimentExecutor(workers=1, keep_going=True)
     service = StudyService(
-        executor=executor,
-        max_pending=len(requests),
-        batch_window=batch_window,
-        max_batch=16,
+        executor=executor, max_pending=len(requests), max_batch=16
     )
 
     async def replay():
@@ -192,7 +189,6 @@ def run_service_arm(mix: ZipfianMix):
     service = StudyService(
         executor=ExperimentExecutor(workers=1, l1=True, keep_going=True),
         max_pending=len(mix.universe),
-        batch_window=0.005,
     )
 
     async def replay():
@@ -396,7 +392,6 @@ def main(argv=None) -> int:
                     help="exit non-zero on parity/dedupe/speedup failure")
     ap.add_argument("--min-speedup", type=float, default=2.0,
                     help="wall-clock floor served must beat (default 2.0)")
-    ap.add_argument("--batch-window", type=float, default=0.01)
     ap.add_argument("--cluster", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="also run the sharded-cluster scaling arms")
@@ -420,9 +415,7 @@ def main(argv=None) -> int:
           f"specs ({'quick' if args.quick else 'full'} mix)")
 
     naive_results, naive_s, naive_stats = run_naive(requests)
-    served_results, served_s, service = run_served(
-        requests, args.batch_window
-    )
+    served_results, served_s, service = run_served(requests)
 
     # Parity first: identical payload per spec across arms and requests.
     naive_blobs = payloads_by_name(naive_results)

@@ -20,7 +20,7 @@ from repro.alya.navier_stokes import ChannelFlowSolver, SolverStats
 from repro.alya.solid import ElasticWall
 from repro.alya.fsi import FsiCoupledSolver
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
-from repro.alya.app import ComputeContext, TwoCodeFsiAlya
+from repro.alya.app import ComputeContext
 
 __all__ = [
     "AlyaWorkModel",
@@ -33,6 +33,5 @@ __all__ = [
     "PartitionInfo",
     "SolverStats",
     "StructuredMesh",
-    "TwoCodeFsiAlya",
     "slab_partition",
 ]

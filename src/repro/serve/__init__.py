@@ -3,25 +3,27 @@
 Where :mod:`repro.exec` distributes one caller's grid across processes,
 :mod:`repro.serve` multiplexes *many callers* onto one executor:
 
-- :mod:`repro.serve.service` — :class:`StudyService`, an asyncio
-  single-flight layer: concurrent identical requests (same
-  :func:`~repro.exec.speckey.spec_key`) collapse to one execution,
-  compatible requests micro-batch into shared
-  :meth:`~repro.exec.executor.ExperimentExecutor.run_many` submissions,
-  and admission control rejects (with a ``retry_after`` hint) instead of
-  queueing without bound.  :meth:`~StudyService.drain` completes all
-  admitted work while refusing new requests.
-- :mod:`repro.serve.cluster` — :class:`StudyCluster`, the sharded
-  front end: N worker processes (own executor + in-memory L1, shared
-  on-disk L2) behind a :class:`~repro.serve.router.ShardRouter` that
-  consistent-hashes :func:`~repro.exec.speckey.spec_key`, making the
-  per-shard single-flight globally single-flight.  Self-healing by
-  default: a supervisor detects dead and wedged workers, respawns
-  them, and replays their in-flight requests.
+- :mod:`repro.serve.service` — :class:`StudyService`, the one serve
+  front end, an asyncio single-flight layer: concurrent identical
+  requests (same :func:`~repro.exec.speckey.spec_key`) collapse to one
+  execution, distinct requests share self-clocking batches (at most one
+  outstanding batch per *lane*), admission control rejects (with a
+  ``retry_after`` hint) instead of queueing without bound, and
+  ``submit(spec, deadline=...)`` bounds one request.
+  :meth:`~StudyService.drain` completes all admitted work while
+  refusing new requests.
+- :mod:`repro.serve.cluster` — :class:`StudyCluster`, the same front end
+  with process-shard lanes: N worker processes (own executor +
+  in-memory L1, shared on-disk L2) behind a
+  :class:`~repro.serve.router.ShardRouter` that consistent-hashes
+  :func:`~repro.exec.speckey.spec_key`, making the front end's
+  single-flight globally single-flight, and the service's in-process
+  lane as the fallback.  Self-healing by default: a supervisor detects
+  dead and wedged workers, respawns them, and replays their in-flight
+  requests.
 - :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the
   deterministic per-shard closed → open → half-open state machine
-  that routes traffic to the degraded fallback path while a shard
-  flaps.
+  that routes traffic to the fallback lane while a shard flaps.
 - :mod:`repro.serve.router` — the consistent-hash ring (stable,
   balanced, minimally disruptive on resize).
 - :mod:`repro.serve.loadgen` — seeded zipfian traffic generation,

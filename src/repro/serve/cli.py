@@ -27,8 +27,8 @@ Examples
 The ``--expect-*`` flags turn the run into a check (exit 1 on
 violation); ``--expect-dedupe`` counts every avoided execution —
 single-flight joins plus L1/L2 hits.  Bad inputs (missing/invalid
-script, unwritable ``--json`` path) exit 2 with a one-line message,
-never a traceback.  See ``docs/serving.md``.
+script, unwritable ``--json`` path, a bound below 1) exit 2 with a
+one-line message, never a traceback.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -86,22 +86,9 @@ async def _replay(service, groups: "list[RequestGroup]") -> dict:
     return tally
 
 
-def _cache_stats(target) -> "tuple[int, int, int]":
-    """(executed, l1_hits, l2_hits) for a service or a drained cluster."""
-    if isinstance(target, StudyCluster):
-        return (
-            target.stats.executed,
-            target.stats.l1_hits,
-            target.stats.l2_hits,
-        )
-    xs = target.executor.stats
-    return xs.executed, xs.l1_hits, xs.hits
-
-
 def _scoreboard(target, tally: Optional[dict]) -> str:
     stats = target.stats
     lat = stats.latency_summary()
-    executed, l1_hits, l2_hits = _cache_stats(target)
     rows = [
         ["requests", stats.requests],
     ]
@@ -116,9 +103,9 @@ def _scoreboard(target, tally: Optional[dict]) -> str:
     rows += [
         ["batches", stats.batches],
         ["flights executed", stats.flights],
-        ["simulations executed", executed],
-        ["L1 hits (in-memory)", l1_hits],
-        ["L2 hits (result cache)", l2_hits],
+        ["simulations executed", stats.executed],
+        ["L1 hits (in-memory)", stats.l1_hits],
+        ["L2 hits (result cache)", stats.l2_hits],
         ["latency p50 [ms]", round(lat["p50"] * 1e3, 3)],
         ["latency p95 [ms]", round(lat["p95"] * 1e3, 3)],
         ["latency p99 [ms]", round(lat["p99"] * 1e3, 3)],
@@ -227,11 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
              "when clustered; default 64)",
     )
     svc.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="micro-batch collection window, in-process service only "
-             "(default 0.005)",
-    )
-    svc.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
         help="max flights per executor submission (default 16)",
     )
@@ -302,7 +284,6 @@ def _build_target(args):
             keep_going=True,
         ),
         max_pending=args.max_pending,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
     )
 
@@ -325,6 +306,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.shards < 0:
         print("error: --shards must be >= 0", file=sys.stderr)
         return 2
+    for flag in ("max_pending", "max_batch", "workers"):
+        if getattr(args, flag) < 1:
+            print(f"error: --{flag.replace('_', '-')} must be >= 1",
+                  file=sys.stderr)
+            return 2
     if args.zipf is not None and (
         args.zipf < 0 or args.requests < 1 or args.universe < 1
         or args.concurrency < 1
@@ -412,10 +398,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "or lower the offered load",
                 file=sys.stderr,
             )
-        executed, _, _ = _cache_stats(target)
         board = scoreboard(
             report,
-            executed,
+            target.stats.executed,
             per_shard=(
                 target.stats.requests_by_shard
                 if isinstance(target, StudyCluster)
@@ -451,8 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "serve": target.stats.as_dict(),
             "drained_clean": drained_clean,
         }
-    if not isinstance(target, StudyCluster):
-        json_payload["executor"] = target.executor.stats.as_dict()
 
     if args.json:
         blob = (
@@ -473,16 +456,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
 
     ok = drained_clean
-    executed, l1_hits, l2_hits = _cache_stats(target)
+    stats = target.stats
     if args.expect_dedupe is not None:
-        got = target.stats.dedup_hits + l1_hits + l2_hits
+        got = stats.dedup_hits + stats.l1_hits + stats.l2_hits
         if got < args.expect_dedupe:
             print(f"CHECK FAILED: deduped {got} < expected "
                   f"{args.expect_dedupe}", file=sys.stderr)
             ok = False
     if args.expect_max_executed is not None:
-        if executed > args.expect_max_executed:
-            print(f"CHECK FAILED: executed {executed} > allowed "
+        if stats.executed > args.expect_max_executed:
+            print(f"CHECK FAILED: executed {stats.executed} > allowed "
                   f"{args.expect_max_executed}", file=sys.stderr)
             ok = False
     return 0 if ok else 1

@@ -1,27 +1,24 @@
-"""The sharded study cluster: N service workers behind a shard router.
+"""The sharded study cluster: the study service plus process-shard lanes.
 
-:class:`StudyCluster` scales :class:`~repro.serve.service.StudyService`
-past the process boundary.  N *shard workers* — one OS process each,
-each owning its own :class:`~repro.exec.executor.ExperimentExecutor`
-with an in-memory L1 memo (``l1=True``) and, optionally, the shared
-on-disk :class:`~repro.exec.cache.ResultCache` as L2 — sit behind a
-:class:`~repro.serve.router.ShardRouter` that consistent-hashes every
-request's :func:`~repro.exec.speckey.spec_key`:
+:class:`StudyCluster` is :class:`~repro.serve.service.StudyService` —
+the same single-flight, admission, deadline, stats and drain front end,
+the same self-clocking batches — with N *shard lanes* added.  Each shard
+is one OS worker process owning its own
+:class:`~repro.exec.executor.ExperimentExecutor` with an in-memory L1
+memo (``l1=True``) and, optionally, the shared on-disk
+:class:`~repro.exec.cache.ResultCache` as L2.  A
+:class:`~repro.serve.router.ShardRouter` consistent-hashes every
+request's :func:`~repro.exec.speckey.spec_key` to its shard; the
+service's own in-process lane becomes the *fallback* lane.
 
 - **Global single-flight.** Identical requests always route to the same
-  shard, so the per-shard dedupe *is* cluster-wide dedupe: concurrent
-  duplicates join the in-flight request at the front end (no second
-  message crosses the pipe), later repeats hit the owning worker's L1.
-  A spec executes at most once per cluster lifetime, no matter which of
-  millions of callers asks, how often, or when.
-- **Self-clocking batches.** Each shard has at most one outstanding
-  batch; requests arriving while the worker is busy accumulate and are
-  flushed (up to ``max_batch``) the moment its previous batch lands.
-  Under load the batch size grows automatically — no timer to tune.
-- **Bounded admission.** At most ``max_pending`` unique specs may be in
-  flight per shard; beyond that, new keys are rejected with
-  :class:`~repro.serve.service.Overloaded` exactly like the
-  single-process service.
+  shard, so the front end's dedupe *is* cluster-wide dedupe: concurrent
+  duplicates join the in-flight request (no second message crosses the
+  pipe), later repeats hit the owning worker's L1.  A spec executes at
+  most once per cluster lifetime, no matter which of millions of
+  callers asks, how often, or when.
+- **Bounded admission** is per lane: at most ``max_pending`` unique
+  specs in flight per shard (and on the fallback lane).
 - **Self-healing** (``self_heal=True``, the default).  A supervisor
   task detects dead workers two ways — pipe EOF for a process that
   exited, and missed heartbeats (a ``ping``/``pong`` RPC on the same
@@ -34,21 +31,20 @@ request's :func:`~repro.exec.speckey.spec_key`:
   deterministically.  While a shard is down or flapping, its per-shard
   circuit breaker (:mod:`repro.serve.breaker`: closed → open →
   half-open with seeded decorrelated-jitter backoff) degrades
-  gracefully — new keys for that shard run on a front-end *fallback*
-  executor backed by the same L2 — and traffic recovers to the ring
-  when the breaker half-opens.  With ``self_heal=False`` the cluster
-  keeps the original crash-containment contract: a dying worker fails
-  only *its* requests with :class:`ShardDown` and stays down.
-- **Deadlines.** ``submit(spec, deadline=seconds)`` bounds one request:
-  the remaining budget travels with the batch so the worker cancels a
-  queued spec whose budget lapsed before it ran (worker-side
-  cancellation), and the waiter gets a typed
-  :class:`~repro.serve.service.DeadlineExceeded` either way.
+  gracefully — new keys for that shard take the fallback lane, an
+  in-process executor backed by the same L2 — and traffic recovers to
+  the ring when the breaker half-opens.  With ``self_heal=False`` the
+  cluster keeps the original crash-containment contract: a dying worker
+  fails only *its* requests with :class:`ShardDown` and stays down.
+- **Deadlines** work as in the service; in addition the remaining
+  budget travels with the batch, so the worker cancels a spec whose
+  budget lapsed while earlier batchmates executed (worker-side
+  cancellation).
 
 Transport is a duplex :func:`multiprocessing.Pipe` per worker: specs
 travel as pickles, results return as the same canonical JSON the result
 cache writes — so a response is byte-identical whether it was computed
-here, replayed from L1/L2, served by the fallback path, or served by a
+here, replayed from L1/L2, served by the fallback lane, or served by a
 single-process :class:`StudyService` (the parity and chaos gates in
 ``benchmarks/bench_serve_throughput.py`` hold the cluster to that).
 
@@ -81,7 +77,8 @@ from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
 from repro.exec.executor import ExperimentExecutor
 from repro.exec.failures import FailedPoint
-from repro.exec.speckey import spec_key
+# perfbench's probe patches spec_key in this module's namespace.
+from repro.exec.speckey import spec_key  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Observability
 from repro.serve import breaker as breaker_mod
@@ -89,11 +86,11 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.router import ShardRouter
 from repro.serve.service import (
     DeadlineExceeded,
-    Overloaded,
-    RequestFailed,
     ServeError,
     ServeStats,
     ServiceClosed,
+    StudyService,
+    _LocalLane,
 )
 
 
@@ -120,14 +117,13 @@ class ShardConfig:
 
 @dataclass
 class ClusterStats(ServeStats):
-    """Front-end accounting plus the per-shard balance view.
+    """Front-end accounting plus the per-shard and supervision view.
 
-    The totals (`requests`, `dedup_hits`, ...) mean the same thing as on
-    :class:`~repro.serve.service.ServeStats`; the ``*_by_shard`` lists
-    and the worker-side aggregates (``executed`` / ``l1_hits`` /
-    ``l2_hits``, accumulated from per-batch deltas as batches land) are
-    cluster-specific, and the supervision block (``respawns`` …
-    ``deadline_exceeded``) tracks the self-healing machinery.
+    The inherited totals mean the same thing as on
+    :class:`~repro.serve.service.ServeStats` (``executed`` / ``l1_hits``
+    / ``l2_hits`` sum the shard workers and the fallback lane); the
+    ``*_by_shard`` lists are the router's balance, and the rest tracks
+    the self-healing machinery.
     """
 
     shards: int = 0
@@ -137,23 +133,16 @@ class ClusterStats(ServeStats):
     #: Unique in-flight specs actually sent to each worker (replayed
     #: flights count once per send).
     flights_by_shard: list = field(default_factory=list)
-    #: Simulations executed across all workers + the fallback path.
-    executed: int = 0
-    #: Worker/fallback L1-memo hits.
-    l1_hits: int = 0
-    #: Shared on-disk L2 cache hits across workers + fallback.
-    l2_hits: int = 0
     shard_crashes: int = 0
     #: Workers respawned by the supervisor.
     respawns: int = 0
     #: In-flight requests orphaned by a death and replayed on the ring.
     replayed: int = 0
-    #: Requests served by the front-end fallback executor.
+    #: Flights served by the front-end fallback lane.
     fallbacks: int = 0
     breaker_opens: int = 0
     breaker_closes: int = 0
     heartbeat_misses: int = 0
-    deadline_exceeded: int = 0
 
     def balance_ratio(self) -> float:
         """max/min requests per shard (``inf`` if a shard saw none)."""
@@ -165,27 +154,7 @@ class ClusterStats(ServeStats):
         return max(self.requests_by_shard) / low
 
     def as_dict(self) -> dict:
-        out = super().as_dict()
-        out.update(
-            {
-                "shards": self.shards,
-                "requests_by_shard": list(self.requests_by_shard),
-                "flights_by_shard": list(self.flights_by_shard),
-                "executed": self.executed,
-                "l1_hits": self.l1_hits,
-                "l2_hits": self.l2_hits,
-                "shard_crashes": self.shard_crashes,
-                "respawns": self.respawns,
-                "replayed": self.replayed,
-                "fallbacks": self.fallbacks,
-                "breaker_opens": self.breaker_opens,
-                "breaker_closes": self.breaker_closes,
-                "heartbeat_misses": self.heartbeat_misses,
-                "deadline_exceeded": self.deadline_exceeded,
-                "balance_ratio": self.balance_ratio(),
-            }
-        )
-        return out
+        return {**super().as_dict(), "balance_ratio": self.balance_ratio()}
 
 
 # -- the worker process ------------------------------------------------------
@@ -194,11 +163,12 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
     """Shard worker: recv batches, run them, send outcomes, repeat.
 
     Protocol (parent → worker): ``("run", [(seq, spec, remaining), …])``
-    where ``remaining`` is the request's leftover deadline budget in
-    seconds (or ``None``); ``("ping", token)`` answered with
-    ``("pong", token)`` — between batches *and* between execution
-    chunks mid-batch, so a busy worker stays visibly alive while a
-    wedged (stopped) process, which can answer nothing, does not;
+    where ``seq`` is the flight's index in the batch and ``remaining``
+    its leftover deadline budget in seconds (or ``None``);
+    ``("ping", token)`` answered with ``("pong", token)`` — between
+    batches *and* between execution chunks mid-batch, so a busy worker
+    stays visibly alive while a wedged (stopped) process, which can
+    answer nothing, does not;
     ``("shutdown",)`` answered with ``("bye", metrics_dump,
     exec_stats)``.  Every ``("done", replies, delta)`` carries the
     batch's exact executor-stat delta so the parent's accounting never
@@ -308,88 +278,75 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
         raise
 
 
-class _ClusterFlight:
-    """One unique in-flight spec at the front end."""
-
-    __slots__ = (
-        "key", "spec", "seq", "shard", "future", "waiters",
-        "deadline", "deadline_s", "replays", "route",
-    )
-
-    def __init__(
-        self, key, spec, seq, shard, future,
-        deadline=None, deadline_s=None,
-    ) -> None:
-        self.key = key
-        self.spec = spec
-        self.seq = seq
-        self.shard = shard
-        self.future = future
-        self.waiters = 1
-        #: Absolute (monotonic) expiry, or None.  Set by the flight's
-        #: *opening* request; joiners enforce their own budget
-        #: waiter-side.
-        self.deadline = deadline
-        self.deadline_s = deadline_s
-        #: Times this flight was orphaned by a shard death and replayed.
-        self.replays = 0
-        #: "ring" (owned by a shard worker) or "fallback" (degraded
-        #: front-end execution while the shard's breaker is open).
-        self.route = "ring"
-
-
 class _Shard:
-    """Front-end bookkeeping for one worker process."""
+    """One worker process as a lane of the front end (see
+    :class:`~repro.serve.service._LocalLane` for the lane contract),
+    plus its pipe, reader generation, heartbeat and breaker state."""
 
     __slots__ = (
-        "proc", "conn", "queue", "outstanding", "inflight", "alive",
-        "bye", "bye_payload", "reader", "gen", "awaiting_pong",
-        "missed", "respawns", "breaker",
+        "id", "proc", "conn", "queue", "batch", "inflight", "alive",
+        "bye", "bye_payload", "gen", "awaiting_pong", "missed",
+        "respawns", "breaker",
     )
 
-    def __init__(self, proc, conn, breaker: CircuitBreaker) -> None:
-        self.proc = proc
-        self.conn = conn
+    def __init__(self, shard_id: int, breaker: CircuitBreaker) -> None:
+        self.id = shard_id
         self.queue: deque = deque()
-        self.outstanding = False
         self.inflight = 0
-        self.alive = True
-        self.bye = asyncio.Event()
-        self.bye_payload = None
-        self.reader: Optional[threading.Thread] = None
         #: Process generation.  Bumped on every death so messages (and
         #: the EOF) from a superseded reader thread are discarded
         #: instead of being mistaken for the respawned worker's — the
         #: guard against double-settling a replayed flight.
         self.gen = 0
-        self.awaiting_pong = False
-        self.missed = 0
         self.respawns = 0
         self.breaker = breaker
 
     def reset(self, proc, conn) -> None:
-        """Point this shard at a freshly respawned worker process."""
+        """Point this shard at a freshly (re)spawned worker process;
+        orphans already requeued by a death are its backlog."""
         self.proc = proc
         self.conn = conn
-        self.outstanding = False
+        self.batch: Optional[list] = None
         self.alive = True
         self.bye = asyncio.Event()
         self.bye_payload = None
         self.awaiting_pong = False
         self.missed = 0
-        # Orphans already requeued by _shard_died are the new backlog.
-        self.inflight = len(self.queue)
+
+    def send(self, cluster: "StudyCluster", batch: list, now: float) -> None:
+        cluster.stats.flights_by_shard[self.id] += len(batch)
+        wire = [
+            (i, f.spec, None if f.deadline is None else f.deadline - now)
+            for i, f in enumerate(batch)
+        ]
+        try:
+            self.conn.send(("run", wire))
+        except (OSError, ValueError):
+            # The batch's flights are still on this lane: the death
+            # path replays or fails them.
+            cluster._shard_died(self.id, "pipe write failed")
 
 
-class StudyCluster:
+class _FallbackLane(_LocalLane):
+    """The front end's in-process lane, taken by keys whose shard is
+    down past its respawn budget or behind an open breaker."""
+
+    def send(self, cluster: "StudyCluster", batch: list, now: float) -> None:
+        cluster.stats.fallbacks += len(batch)
+        cluster.obs.metrics.counter("serve.fallback_requests").inc(len(batch))
+        super().send(cluster, batch, now)
+
+
+class StudyCluster(StudyService):
     """Serve experiment requests across N shard worker processes.
 
-    The request API mirrors :class:`~repro.serve.service.StudyService`
-    (``await submit(spec)`` → :class:`ExperimentResult`, raising
-    :class:`Overloaded` / :class:`ServiceClosed` / :class:`RequestFailed`
-    / :class:`DeadlineExceeded` plus — with ``self_heal=False`` — the
-    cluster-specific :class:`ShardDown`), so load generators, the CLI
-    and the parity tests drive either interchangeably.
+    The request API is :class:`~repro.serve.service.StudyService`'s
+    (``await submit(spec, deadline=None)`` → :class:`ExperimentResult`,
+    raising :class:`Overloaded` / :class:`ServiceClosed` /
+    :class:`RequestFailed` / :class:`DeadlineExceeded` plus — with
+    ``self_heal=False`` — the cluster-specific :class:`ShardDown`), so
+    load generators, the CLI and the parity tests drive either
+    interchangeably.
 
     Parameters
     ----------
@@ -403,7 +360,7 @@ class StudyCluster:
         Executor processes *inside* each worker (default 1: the worker
         itself is the parallelism unit).
     cache / cache_dir:
-        Give every worker (and the fallback path) the shared on-disk
+        Give every worker (and the fallback lane) the shared on-disk
         result cache as L2.  Strongly recommended with ``self_heal``:
         it is what makes replays and degraded-path responses cost a
         cache hit instead of a re-execution.
@@ -412,7 +369,7 @@ class StudyCluster:
         repeats of a served spec cost one dict lookup).
     max_pending:
         Admission bound on unique in-flight specs *per shard* (the
-        fallback path is bounded by the same number).
+        fallback lane is bounded by the same number).
     max_batch:
         Max specs per pipe message / executor submission.
     obs:
@@ -426,14 +383,14 @@ class StudyCluster:
         Supervisor tick in seconds, and consecutive unanswered ticks
         before a live-but-silent worker is declared wedged and killed.
         The product is the wedge-detection budget — keep it above the
-        longest legitimate batch runtime (a worker only answers pings
-        between batches).
+        longest legitimate execution chunk (a worker answers pings
+        between chunks of a batch).
     max_respawns:
         Per-shard respawn budget (``None`` = unlimited).  A shard past
-        its budget serves its keys through the fallback path forever.
+        its budget serves its keys through the fallback lane forever.
     max_flight_replays:
         Times one flight may die with a worker and be replayed on the
-        ring before it is routed to the fallback executor instead — the
+        ring before it is routed to the fallback lane instead — the
         guard against a poison spec that kills every worker it meets.
     breaker_seed / breaker_base_backoff / breaker_max_backoff:
         Deterministic decorrelated-jitter backoff of the per-shard
@@ -460,11 +417,20 @@ class StudyCluster:
         breaker_base_backoff: float = 0.05,
         breaker_max_backoff: float = 2.0,
     ) -> None:
+        # The service's executor backs the fallback lane: it shares the
+        # workers' L2 (and key space), so the degraded path changes
+        # latency, never bytes.  Building it spawns nothing.
+        super().__init__(
+            executor=ExperimentExecutor(
+                workers=1, cache=cache, cache_dir=str(cache_dir),
+                l1=True, keep_going=True,
+            ),
+            max_pending=max_pending,
+            max_batch=max_batch,
+            obs=obs,
+        )
+        self._lane = _FallbackLane(self.executor)
         self.router = router or ShardRouter(shards)
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be > 0")
         if heartbeat_misses < 1:
@@ -477,9 +443,6 @@ class StudyCluster:
         self.cache = cache
         self.cache_dir = cache_dir
         self.l1 = l1
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self.obs = obs or Observability()
         self.self_heal = self_heal
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
@@ -490,43 +453,23 @@ class StudyCluster:
         )
         n = self.router.n_shards
         self.stats = ClusterStats(
-            shards=n,
-            requests_by_shard=[0] * n,
-            flights_by_shard=[0] * n,
+            shards=n, requests_by_shard=[0] * n, flights_by_shard=[0] * n
         )
         self._shards: list[_Shard] = []
-        self._flights: dict[str, _ClusterFlight] = {}
-        self._by_seq: dict[int, _ClusterFlight] = {}
-        self._seq = itertools.count()
         self._ping_tokens = itertools.count()
         self._ctx = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._idle: Optional[asyncio.Event] = None
         self._supervisor: Optional[asyncio.Task] = None
-        self._fallback_exec: Optional[ExperimentExecutor] = None
-        self._fallback_lock: Optional[asyncio.Lock] = None
-        self._fallback_inflight = 0
         self._started = False
-        self._draining = False
-        self._closed = False
-        self._t0 = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
     async def __aenter__(self) -> "StudyCluster":
         await self.start()
         return self
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.drain()
-
     @property
     def n_shards(self) -> int:
         return self.router.n_shards
-
-    @property
-    def pending(self) -> int:
-        """Unique specs currently in flight across all shards."""
-        return len(self._flights)
 
     async def start(self) -> "StudyCluster":
         """Spawn the worker processes, their pipe readers, and — with
@@ -536,31 +479,27 @@ class StudyCluster:
         if self._closed:
             raise ServiceClosed("cluster has been drained")
         self._loop = asyncio.get_running_loop()
-        self._idle = asyncio.Event()
-        self._fallback_lock = asyncio.Lock()
         # fork is cheap (workers inherit the warm interpreter) and is
         # the Linux default; fall back to spawn where fork is absent.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         seed, base, cap = self._breaker_cfg
         for shard_id in range(self.n_shards):
-            proc, conn = self._spawn_proc(shard_id)
-            self._shards.append(
-                _Shard(
-                    proc, conn,
-                    CircuitBreaker(
-                        shard_id, seed=seed,
-                        base_backoff=base, max_backoff=cap,
-                    ),
-                )
+            shard = _Shard(
+                shard_id,
+                CircuitBreaker(
+                    shard_id, seed=seed, base_backoff=base, max_backoff=cap
+                ),
             )
+            shard.reset(*self._spawn_proc(shard_id))
+            self._shards.append(shard)
         # Readers start only after every fork: forking a multi-threaded
         # process is where the dragons live.  (A later *respawn* does
         # fork with readers running — the child execs nothing but
         # _worker_main and touches no parent locks, the same bargain
         # ProcessPoolExecutor makes on POSIX.)
-        for shard_id, shard in enumerate(self._shards):
-            self._start_reader(shard_id, shard)
+        for shard in self._shards:
+            self._start_reader(shard)
         self._started = True
         self.obs.metrics.gauge("serve.cluster.shards").set(self.n_shards)
         if self.self_heal:
@@ -591,15 +530,13 @@ class StudyCluster:
         child_conn.close()
         return proc, parent_conn
 
-    def _start_reader(self, shard_id: int, shard: _Shard) -> None:
-        t = threading.Thread(
+    def _start_reader(self, shard: _Shard) -> None:
+        threading.Thread(
             target=self._reader,
-            args=(shard_id, shard.conn, shard.gen),
+            args=(shard.id, shard.conn, shard.gen),
             daemon=True,
-            name=f"repro-serve-reader-{shard_id}.{shard.gen}",
-        )
-        shard.reader = t
-        t.start()
+            name=f"repro-serve-reader-{shard.id}.{shard.gen}",
+        ).start()
 
     async def drain(self) -> None:
         """Complete all in-flight work, then retire every worker.
@@ -613,42 +550,37 @@ class StudyCluster:
         """
         if self._closed:
             return
-        self._draining = True
-        if self._started:
-            while self._flights:
-                self._idle.clear()
-                await self._idle.wait()
-            if self._supervisor is not None:
-                # All work is settled; stop supervising so a worker
-                # dying on the way out is contained, not respawned.
-                self._supervisor.cancel()
+        await super().drain()
+        if not self._started:
+            return
+        if self._supervisor is not None:
+            # All work is settled; stop supervising so a worker dying on
+            # the way out is contained, not respawned.
+            self._supervisor.cancel()
+            try:
+                await self._supervisor
+            except asyncio.CancelledError:
+                pass
+            self._supervisor = None
+        for shard in self._shards:
+            if shard.alive:
                 try:
-                    await self._supervisor
-                except asyncio.CancelledError:
-                    pass
-                self._supervisor = None
-            for shard in self._shards:
-                if shard.alive:
-                    try:
-                        shard.conn.send(("shutdown",))
-                    except (OSError, ValueError, BrokenPipeError):
-                        shard.alive = False
-                        shard.bye.set()
-            await asyncio.gather(
-                *(self._collect_bye(s) for s in self._shards)
+                    shard.conn.send(("shutdown",))
+                except (OSError, ValueError):
+                    shard.alive = False
+                    shard.bye.set()
+        await asyncio.gather(*(self._collect_bye(s) for s in self._shards))
+        for shard in self._shards:
+            await asyncio.get_running_loop().run_in_executor(
+                None, shard.proc.join, 10.0
             )
-            for shard in self._shards:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, shard.proc.join, 10.0
-                )
-                if shard.proc.is_alive():  # pragma: no cover
-                    shard.proc.terminate()
-                try:
-                    shard.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            self._finalise_stats()
-        self._closed = True
+            if shard.proc.is_alive():  # pragma: no cover
+                shard.proc.terminate()
+            try:
+                shard.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+        self._finalise_stats()
 
     async def _collect_bye(self, shard: _Shard) -> None:
         if not shard.alive:
@@ -668,14 +600,11 @@ class StudyCluster:
             min(load) if load else 0
         )
         for shard in self._shards:
-            payload = shard.bye_payload
-            if payload is None:
-                continue
             # Execution counts already accumulated live from the
             # per-batch done-deltas; the bye only contributes the
             # worker's metric registry.
-            metrics_dump, _exec_stats = payload
-            self.obs.metrics.merge_dict(metrics_dump)
+            if shard.bye_payload is not None:
+                self.obs.metrics.merge_dict(shard.bye_payload[0])
 
     # -- chaos hooks ---------------------------------------------------------
     def worker_pid(self, shard_id: int) -> Optional[int]:
@@ -710,298 +639,38 @@ class StudyCluster:
 
     # -- the request path ----------------------------------------------------
     async def submit(
-        self,
-        spec: ExperimentSpec,
-        deadline: Optional[float] = None,
+        self, spec: ExperimentSpec, deadline: Optional[float] = None
     ) -> ExperimentResult:
-        """Serve one request through its key's owning shard.
-
-        ``deadline`` is this request's wall-clock budget in seconds.
-        The budget rides along to the worker (which cancels the spec if
-        it lapses before execution) and bounds this waiter's own wait —
-        either way the request raises :class:`DeadlineExceeded`.  A
-        joiner's budget never cancels the shared flight: the flight
-        carries its *opening* request's deadline, and the result is
-        still computed and cached for the other waiters.
-        """
-        t_start = time.monotonic()
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be > 0 seconds")
-        self.stats.requests += 1
-        self.obs.metrics.counter("serve.requests").inc()
-        if self._draining or self._closed:
-            raise ServiceClosed("study cluster is draining; not admitting")
-        if not self._started:
+        """:meth:`StudyService.submit
+        <repro.serve.service.StudyService.submit>` through the key's
+        owning shard; the workers must be started first."""
+        if not self._started and not self._closed:
             raise RuntimeError(
                 "StudyCluster.submit before start(); use 'async with' "
                 "or await start() first"
             )
-        key = spec_key(spec)
-        flight = self._flights.get(key)
-        deduped = flight is not None
-        if deduped:
-            flight.waiters += 1
-            self.stats.dedup_hits += 1
-            self.obs.metrics.counter("serve.dedup_hits").inc()
-        else:
-            flight = self._open_flight(key, spec, t_start, deadline)
-        self.stats.requests_by_shard[flight.shard] += 1
-        try:
-            shielded = asyncio.shield(flight.future)
-            if deadline is not None:
-                budget = (t_start + deadline) - time.monotonic()
-                outcome = await asyncio.wait_for(
-                    shielded, timeout=max(0.0, budget)
-                )
-            else:
-                outcome = await shielded
-        except asyncio.TimeoutError:
-            self._count_deadline()
-            raise DeadlineExceeded(key, deadline) from None
-        except DeadlineExceeded:
-            self._count_deadline()
-            raise
-        except (RequestFailed, ShardDown):
-            self.stats.failures += 1
-            self.obs.metrics.counter("serve.failures").inc()
-            raise
-        latency = time.monotonic() - t_start
-        self.stats.latencies.append(latency)
-        self.obs.metrics.histogram("serve.request_seconds").observe(latency)
-        self.obs.add_span(
-            "serve.request", "serve",
-            t_start - self._t0, t_start - self._t0 + latency,
-            track="serve", key=key, deduped=deduped, shard=flight.shard,
-        )
-        return outcome
+        return await super().submit(spec, deadline)
 
-    def _open_flight(
-        self, key: str, spec: ExperimentSpec,
-        t_start: float, deadline: Optional[float],
-    ) -> _ClusterFlight:
-        """Admit, route (ring or degraded fallback) and launch a new key."""
+    def _route(self, key: str, now: float):
+        """The key's ring lane — or the fallback lane while its shard is
+        down past the respawn budget or its breaker is open."""
         shard_id = self.router.shard_for(key)
         shard = self._shards[shard_id]
-        route = "ring"
         if not self.self_heal:
             if not shard.alive:
                 self.stats.failures += 1
                 self.obs.metrics.counter("serve.failures").inc()
                 raise ShardDown(shard_id, "worker process has exited")
-        elif not shard.alive and not self._respawn_budget_left(shard):
-            route = "fallback"  # permanently down; breaker is moot
-        else:
-            prev = shard.breaker.state
-            route = shard.breaker.route(t_start)
-            if shard.breaker.state != prev:
-                self._breaker_event(shard_id, shard.breaker)
-        if route == "ring":
-            # A HALF_OPEN probe may target a dead-but-respawnable
-            # shard: the flight queues and flushes after the respawn.
-            if shard.inflight >= self.max_pending:
-                self.stats.rejected += 1
-                self.obs.metrics.counter("serve.rejected").inc()
-                raise Overloaded(
-                    pending=shard.inflight,
-                    retry_after=self._retry_after(shard.inflight),
-                )
-            flight = self._make_flight(
-                key, spec, shard_id, t_start, deadline
-            )
-            self._by_seq[flight.seq] = flight
-            shard.inflight += 1
-            shard.queue.append(flight)
-            self._gauge_depth()
-            self._flush(shard_id)
-        else:
-            if self._fallback_inflight >= self.max_pending:
-                self.stats.rejected += 1
-                self.obs.metrics.counter("serve.rejected").inc()
-                raise Overloaded(
-                    pending=self._fallback_inflight,
-                    retry_after=self._retry_after(self._fallback_inflight),
-                )
-            flight = self._make_flight(
-                key, spec, shard_id, t_start, deadline
-            )
-            flight.route = "fallback"
-            self._gauge_depth()
-            self._start_fallback(flight)
-        return flight
-
-    @staticmethod
-    def _fail_future(future, exc) -> None:
-        """Settle a flight future with an exception, pre-retrieving it:
-        a waiter whose own deadline already lapsed has abandoned the
-        future, and an unretrieved exception would be logged as a leak
-        at garbage collection.  Waiters still awaiting re-raise as
-        usual."""
-        if not future.done():
-            future.set_exception(exc)
-            future.exception()
-
-    def _make_flight(self, key, spec, shard_id, t_start, deadline):
-        flight = _ClusterFlight(
-            key, spec, next(self._seq), shard_id,
-            self._loop.create_future(),
-            deadline=None if deadline is None else t_start + deadline,
-            deadline_s=deadline,
-        )
-        self._flights[key] = flight
-        return flight
-
-    def _count_deadline(self) -> None:
-        self.stats.deadline_exceeded += 1
-        self.obs.metrics.counter("serve.deadline_exceeded").inc()
-
-    def _retry_after(self, inflight: int) -> float:
-        """Backpressure hint: batches the backlog needs, at a nominal
-        batch turnaround."""
-        backlog_batches = -(-inflight // self.max_batch)
-        return 0.01 * max(1, backlog_batches)
-
-    def _gauge_depth(self) -> None:
-        self.obs.metrics.gauge("serve.queue_depth").set(len(self._flights))
-
-    def _check_idle(self) -> None:
-        if not self._flights and self._idle is not None:
-            self._idle.set()
+            return shard, shard_id
+        if not shard.alive and not self._respawn_budget_left(shard):
+            return self._lane, shard_id  # permanently down; breaker moot
+        # A HALF_OPEN probe may target a dead-but-respawnable shard: the
+        # flight queues and flushes after the respawn.
+        ring = self._breaker(shard, shard.breaker.route, now) == "ring"
+        return (shard if ring else self._lane), shard_id
 
     def _respawn_budget_left(self, shard: _Shard) -> bool:
-        return (
-            self.max_respawns is None
-            or shard.respawns < self.max_respawns
-        )
-
-    def _flush(self, shard_id: int) -> None:
-        """Send the next batch if the shard's worker is free."""
-        shard = self._shards[shard_id]
-        if shard.outstanding or not shard.alive or not shard.queue:
-            return
-        now = time.monotonic()
-        batch = []
-        while shard.queue and len(batch) < self.max_batch:
-            flight = shard.queue.popleft()
-            if flight.deadline is not None and now >= flight.deadline:
-                # Front-end-side cancellation: the budget lapsed while
-                # the flight sat in the shard queue — never send it.
-                self._expire(flight, shard)
-                continue
-            batch.append(flight)
-        if not batch:
-            self._check_idle()
-            return
-        shard.outstanding = True
-        self.stats.batches += 1
-        self.stats.flights += len(batch)
-        self.stats.flights_by_shard[shard_id] += len(batch)
-        self.obs.metrics.counter("serve.batches").inc()
-        self.obs.metrics.gauge("serve.batch_size").set(len(batch))
-        wire = [
-            (
-                f.seq, f.spec,
-                None if f.deadline is None else f.deadline - now,
-            )
-            for f in batch
-        ]
-        try:
-            shard.conn.send(("run", wire))
-        except (OSError, ValueError, BrokenPipeError):
-            # _shard_died collects the batch's flights from
-            # self._flights (they are still registered there) and
-            # replays or fails them.
-            self._shard_died(shard_id, "pipe write failed")
-
-    def _expire(self, flight: _ClusterFlight, shard: _Shard) -> None:
-        self._flights.pop(flight.key, None)
-        self._by_seq.pop(flight.seq, None)
-        shard.inflight -= 1
-        self._fail_future(
-            flight.future, DeadlineExceeded(flight.key, flight.deadline_s)
-        )
-
-    # -- the degraded fallback path ------------------------------------------
-    def _fallback_executor(self) -> ExperimentExecutor:
-        if self._fallback_exec is None:
-            self._fallback_exec = ExperimentExecutor(
-                workers=1,
-                cache=self.cache,
-                cache_dir=str(self.cache_dir),
-                l1=True,
-                keep_going=True,
-            )
-        return self._fallback_exec
-
-    def _start_fallback(self, flight: _ClusterFlight) -> None:
-        self.stats.fallbacks += 1
-        self.obs.metrics.counter("serve.fallback_requests").inc()
-        self._fallback_inflight += 1
-        self._loop.create_task(self._run_fallback(flight))
-
-    async def _run_fallback(self, flight: _ClusterFlight) -> None:
-        """Serve one flight on the front-end local executor.
-
-        Shares the L2 cache (and key space) with the workers, so a key
-        the ring already computed is a cache hit here, and a key
-        computed *here* is a cache hit when the ring recovers — the
-        degraded path changes latency, never bytes (results take the
-        same canonical-JSON round trip as the pipe).
-        """
-        try:
-            if (
-                flight.deadline is not None
-                and time.monotonic() >= flight.deadline
-            ):
-                raise DeadlineExceeded(flight.key, flight.deadline_s)
-            async with self._fallback_lock:
-                ex = self._fallback_executor()
-                before = ex.stats.snapshot()
-                outcomes = await self._loop.run_in_executor(
-                    None, lambda: ex.run_many([flight.spec])
-                )
-                self._fold_delta(ex.stats.delta(before))
-            outcome = outcomes[0]
-            if isinstance(outcome, FailedPoint):
-                self._fail_future(
-                    flight.future,
-                    RequestFailed(
-                        outcome,
-                        f"request {flight.spec.name!r} failed: "
-                        f"{outcome.error_type}: {outcome.error}",
-                    ),
-                )
-            elif not flight.future.done():
-                blob = json.dumps(
-                    outcome.to_json_dict(), sort_keys=True
-                )
-                flight.future.set_result(
-                    ExperimentResult.from_json_dict(json.loads(blob))
-                )
-        except Exception as exc:
-            if not isinstance(exc, ServeError):
-                exc = RequestFailed(
-                    None,
-                    "fallback execution failed: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-            self._fail_future(flight.future, exc)
-        finally:
-            self._fallback_inflight -= 1
-            self._flights.pop(flight.key, None)
-            self._gauge_depth()
-            self._check_idle()
-
-    def _to_fallback(self, flight: _ClusterFlight) -> None:
-        """Re-route an already-admitted (orphaned) flight to the
-        fallback executor — replays never drop accepted work."""
-        self._by_seq.pop(flight.seq, None)
-        flight.route = "fallback"
-        self._start_fallback(flight)
-
-    def _fold_delta(self, delta: dict) -> None:
-        self.stats.executed += delta["executed"]
-        self.stats.l1_hits += delta["l1_hits"]
-        self.stats.l2_hits += delta["l2_hits"]
+        return self.max_respawns is None or shard.respawns < self.max_respawns
 
     # -- supervision ---------------------------------------------------------
     async def _supervise(self) -> None:
@@ -1012,22 +681,21 @@ class StudyCluster:
         """
         while True:
             await asyncio.sleep(self.heartbeat_interval)
-            for shard_id, shard in enumerate(self._shards):
+            for shard in self._shards:
                 try:
-                    self._tick(shard_id, shard)
+                    self._tick(shard)
                 except Exception:  # pragma: no cover - must not die
                     self.obs.metrics.counter(
                         "serve.supervisor_errors"
                     ).inc()
 
-    def _tick(self, shard_id: int, shard: _Shard) -> None:
+    def _tick(self, shard: _Shard) -> None:
         if shard.alive:
             if not shard.proc.is_alive():
                 # EOF normally beats us to it; belt and braces for a
                 # pipe end kept open by an inherited descriptor.
-                self._shard_died(shard_id, "worker process exited")
-                return
-            if shard.awaiting_pong:
+                self._shard_died(shard.id, "worker process exited")
+            elif shard.awaiting_pong:
                 shard.missed += 1
                 self.stats.heartbeat_misses += 1
                 self.obs.metrics.counter(
@@ -1035,58 +703,60 @@ class StudyCluster:
                 ).inc()
                 if shard.missed >= self.heartbeat_misses:
                     self._kill_shard(
-                        shard_id,
-                        f"wedged: {shard.missed} heartbeats missed",
+                        shard, f"wedged: {shard.missed} heartbeats missed"
                     )
             else:
                 try:
                     shard.conn.send(("ping", next(self._ping_tokens)))
                     shard.awaiting_pong = True
-                except (OSError, ValueError, BrokenPipeError):
-                    self._shard_died(shard_id, "pipe write failed (ping)")
+                except (OSError, ValueError):
+                    self._shard_died(shard.id, "pipe write failed (ping)")
         elif not self._draining or shard.queue:
             if self._respawn_budget_left(shard):
-                self._respawn(shard_id, shard)
-            elif shard.queue:  # pragma: no cover - defensive
-                for flight in list(shard.queue):
-                    self._to_fallback(flight)
-                shard.queue.clear()
-                shard.inflight = 0
+                self._respawn(shard)
+            else:  # pragma: no cover - defensive
+                while shard.queue:
+                    self._enqueue(shard.queue.popleft(), self._lane)
 
-    def _kill_shard(self, shard_id: int, detail: str) -> None:
+    def _kill_shard(self, shard: _Shard, detail: str) -> None:
         """Forcibly terminate a wedged worker, then run the death path
         (replay + breaker) exactly as if it had crashed."""
         try:
-            self._shards[shard_id].proc.kill()
+            shard.proc.kill()
         except (OSError, ValueError, AttributeError):  # pragma: no cover
             pass
-        self._shard_died(shard_id, detail)
+        self._shard_died(shard.id, detail)
 
-    def _respawn(self, shard_id: int, shard: _Shard) -> None:
+    def _respawn(self, shard: _Shard) -> None:
         try:
-            proc, conn = self._spawn_proc(shard_id)
+            proc, conn = self._spawn_proc(shard.id)
         except OSError:  # pragma: no cover - retry next tick
             return
         shard.reset(proc, conn)
-        self._start_reader(shard_id, shard)
+        self._start_reader(shard)
         shard.respawns += 1
         self.stats.respawns += 1
         self.obs.metrics.counter("serve.shard.respawns").inc()
         t = time.monotonic() - self._t0
         self.obs.add_span(
             "serve.shard.respawn", "serve", t, t,
-            track="serve", shard=shard_id, generation=shard.gen,
+            track="serve", shard=shard.id, generation=shard.gen,
         )
-        # Replay the orphans _shard_died queued for this shard.
-        self._flush(shard_id)
+        self._flush(shard)  # replay the orphans _shard_died requeued
 
-    def _breaker_event(self, shard_id: int, brk: CircuitBreaker) -> None:
-        """Record a breaker state *transition* (caller checks it moved)."""
+    def _breaker(self, shard: _Shard, call, *args):
+        """``call(*args)`` on ``shard``'s breaker; record the state
+        transition if it made one."""
+        brk = shard.breaker
+        prev = brk.state
+        out = call(*args)
+        if brk.state == prev:
+            return out
         self.obs.metrics.gauge("serve.shard.breaker_state").set(brk.state)
         t = time.monotonic() - self._t0
         self.obs.add_span(
             "serve.shard.breaker", "serve", t, t,
-            track="serve", shard=shard_id, state=brk.state_name,
+            track="serve", shard=shard.id, state=brk.state_name,
         )
         if brk.state == breaker_mod.OPEN:
             self.stats.breaker_opens += 1
@@ -1094,6 +764,7 @@ class StudyCluster:
         elif brk.state == breaker_mod.CLOSED:
             self.stats.breaker_closes += 1
             self.obs.metrics.counter("serve.shard.breaker_closes").inc()
+        return out
 
     # -- worker messages (loop thread; scheduled by the readers) -------------
     def _reader(self, shard_id: int, conn, gen: int) -> None:
@@ -1120,45 +791,20 @@ class StudyCluster:
             return  # a superseded generation; its flights were replayed
         kind = msg[0]
         if kind == "done":
-            replies, delta = msg[1], msg[2]
-            self._fold_delta(delta)
             shard.missed = 0
             if self.self_heal and shard.breaker.state != breaker_mod.CLOSED:
-                prev = shard.breaker.state
-                shard.breaker.record_success()
-                if shard.breaker.state != prev:
-                    self._breaker_event(shard_id, shard.breaker)
-            for seq, outcome_kind, payload in replies:
-                flight = self._by_seq.pop(seq, None)
-                if flight is None:  # pragma: no cover - protocol guard
-                    continue
-                if outcome_kind == "failed":
-                    point: FailedPoint = payload
-                    self._fail_future(
-                        flight.future,
-                        RequestFailed(
-                            point,
-                            f"request {flight.spec.name!r} failed: "
-                            f"{point.error_type}: {point.error}",
-                        ),
-                    )
-                elif outcome_kind == "deadline":
-                    self._fail_future(
-                        flight.future,
-                        DeadlineExceeded(flight.key, flight.deadline_s),
-                    )
-                else:
-                    result = ExperimentResult.from_json_dict(
+                self._breaker(shard, shard.breaker.record_success)
+            outcomes = []
+            for i, reply, payload in msg[1]:
+                flight = shard.batch[i]
+                if reply == "result":
+                    payload = ExperimentResult.from_json_dict(
                         json.loads(payload)
                     )
-                    if not flight.future.done():
-                        flight.future.set_result(result)
-                self._flights.pop(flight.key, None)
-                shard.inflight -= 1
-            shard.outstanding = False
-            self._gauge_depth()
-            self._flush(shard_id)
-            self._check_idle()
+                elif reply == "deadline":
+                    payload = DeadlineExceeded(flight.key, flight.deadline_s)
+                outcomes.append((flight, payload))  # "failed": FailedPoint
+            self._land(shard, outcomes, msg[2])
         elif kind == "pong":
             shard.awaiting_pong = False
             shard.missed = 0
@@ -1179,8 +825,8 @@ class StudyCluster:
 
     def _shard_died(self, shard_id: int, detail: str) -> None:
         """One shard's worker is gone.  With ``self_heal``: open the
-        breaker and queue its orphaned flights for replay (or degrade
-        them to the fallback path); without: fail them with
+        breaker and queue its orphaned flights for replay (or move them
+        to the fallback lane); without: fail them with
         :class:`ShardDown` and leave the shard down."""
         shard = self._shards[shard_id]
         if not shard.alive:
@@ -1192,51 +838,30 @@ class StudyCluster:
         shard.gen += 1
         shard.awaiting_pong = False
         shard.missed = 0
-        shard.outstanding = False
+        shard.batch = None
         shard.bye.set()  # a drain waiting on this shard must not hang
         self.stats.shard_crashes += 1
         self.obs.metrics.counter("serve.shard_crashes").inc()
-        affected = sorted(
-            (
-                f for f in self._flights.values()
-                if f.shard == shard_id and f.route == "ring"
-            ),
-            key=lambda f: f.seq,
-        )
+        # Admission order: the replay keeps the original request order.
+        orphans = [f for f in self._inflight.values() if f.lane is shard]
         shard.queue.clear()
         if not self.self_heal:
-            for flight in affected:
-                self._fail_future(
-                    flight.future, ShardDown(shard_id, detail)
-                )
-                self._flights.pop(flight.key, None)
-                self._by_seq.pop(flight.seq, None)
-            shard.inflight = 0
-        else:
-            prev = shard.breaker.state
-            shard.breaker.record_failure(time.monotonic())
-            if shard.breaker.state != prev:
-                self._breaker_event(shard_id, shard.breaker)
-            respawnable = self._respawn_budget_left(shard)
-            requeued = 0
-            for flight in affected:
-                flight.replays += 1
-                if (
-                    not respawnable
-                    or flight.replays > self.max_flight_replays
-                ):
-                    # A flight that keeps dying with workers may be a
-                    # poison spec — isolate it on the fallback path
-                    # instead of taking another worker down.
-                    self._to_fallback(flight)
-                else:
-                    shard.queue.append(flight)
-                    requeued += 1
-            shard.inflight = len(shard.queue)
-            if requeued:
-                self.stats.replayed += requeued
-                self.obs.metrics.counter("serve.shard.replayed").inc(
-                    requeued
-                )
-        self._gauge_depth()
-        self._check_idle()
+            for flight in orphans:
+                self._settle(flight, ShardDown(shard_id, detail))
+            return
+        self._breaker(shard, shard.breaker.record_failure, time.monotonic())
+        respawnable = self._respawn_budget_left(shard)
+        for flight in orphans:
+            flight.replays += 1
+            if respawnable and flight.replays <= self.max_flight_replays:
+                shard.queue.append(flight)
+            else:
+                # A flight that keeps dying with workers may be a poison
+                # spec — isolate it on the fallback lane instead of
+                # taking another worker down.
+                self._enqueue(flight, self._lane)
+        if shard.queue:
+            self.stats.replayed += len(shard.queue)
+            self.obs.metrics.counter("serve.shard.replayed").inc(
+                len(shard.queue)
+            )

@@ -14,7 +14,8 @@ This module replays exactly that, reproducibly:
   one-cell nudge to the work model's mesh size — enough to change the
   :func:`~repro.exec.speckey.spec_key`, too small to change the cost);
 - :func:`run_load` fires a mix at any target with an async
-  ``submit(spec)`` — a :class:`~repro.serve.service.StudyService` or a
+  ``submit(spec)`` — the :class:`~repro.serve.service.StudyService`
+  front end, in-process or as a
   :class:`~repro.serve.cluster.StudyCluster` — under bounded
   concurrency, retrying backpressure rejections with seeded
   decorrelated-jitter backoff (deterministic for a fixed mix seed, yet
@@ -434,7 +435,7 @@ def scoreboard(
     balance, and the deterministic digest.
 
     ``executed`` is the number of simulations the target actually ran
-    (executor stats for a service, summed worker stats for a cluster);
+    (``target.stats.executed``, summed over every lane);
     ``per_shard`` is the cluster's request balance, when there is one.
     The ``digest`` covers only seed-determined data — universe keys,
     sequence, response payloads, error count — so it is invariant

@@ -1,10 +1,12 @@
-"""The single-flight study service.
+"""The single-flight study service: the one serve front end.
 
 :class:`StudyService` is the asyncio front door over
 :class:`~repro.exec.executor.ExperimentExecutor`: callers ``await
 submit(spec)`` and get an :class:`~repro.core.metrics.ExperimentResult`
 back, while the service collapses duplicate work and bounds the damage
-of overload.  Three mechanisms do all of it:
+of overload.  :class:`~repro.serve.cluster.StudyCluster` is this same
+front end with process-shard lanes added; everything below holds for
+both.
 
 Single-flight
     Every admitted spec becomes a *flight* keyed by its
@@ -16,40 +18,52 @@ Single-flight
     resolved — a request arriving *after* completion opens a fresh
     flight (which the executor's result cache then answers cheaply).
 
-Micro-batching
-    Admitted flights queue briefly (``batch_window`` seconds, at most
-    ``max_batch`` flights) and are submitted to the executor as one
-    :meth:`~repro.exec.executor.ExperimentExecutor.run_many` call, so
-    the executor's process pool amortises across requests the way it
-    already amortises across grid points.  The blocking ``run_many``
-    runs on a worker thread; the event loop keeps admitting.
+Lanes and self-clocking batches
+    A flight queues on a *lane*: the in-process executor here, a shard
+    worker process in the cluster.  Each lane has at most one
+    outstanding batch of at most ``max_batch`` flights.  ``submit``
+    never sends inline: it schedules the lane's flush with
+    ``loop.call_soon``, so every arrival of the same event-loop
+    iteration shares one batch, and a landed batch flushes that lane's
+    backlog at once.  Under load the batch grows by itself — no timer
+    to tune.  The in-process lane runs the blocking
+    :meth:`~repro.exec.executor.ExperimentExecutor.run_many` on a worker
+    thread; the event loop keeps admitting.
 
 Admission control
     At most ``max_pending`` flights may be in the building (queued or
-    executing).  Request N+1 with a *new* key is rejected immediately
-    with :class:`Overloaded` carrying a ``retry_after`` hint — explicit
-    backpressure beats an unbounded queue collapsing under its own
-    latency.  Piggybacking on an existing flight is always admitted (it
-    adds no work).  :meth:`drain` stops admissions and completes every
-    in-flight request before returning — graceful shutdown never drops
-    accepted work.
+    executing) per lane.  Request N+1 with a *new* key is rejected
+    immediately with :class:`Overloaded` carrying a ``retry_after``
+    hint — explicit backpressure beats an unbounded queue collapsing
+    under its own latency.  Piggybacking on an existing flight is always
+    admitted (it adds no work).  :meth:`drain` stops admissions and
+    completes every in-flight request before returning — graceful
+    shutdown never drops accepted work.
+
+Deadlines
+    ``submit(spec, deadline=seconds)`` bounds one request: its waiter
+    stops waiting when the budget lapses, and a flight whose opening
+    request's budget lapsed while it was still queued is never sent.
+    Either way the caller gets :class:`DeadlineExceeded`.
 
 Everything is instrumented through :mod:`repro.obs` (counters
 ``serve.requests`` / ``serve.dedup_hits`` / ``serve.rejected`` /
-``serve.batches`` / ``serve.failures``, gauges ``serve.queue_depth`` /
-``serve.batch_size``, histogram ``serve.request_seconds``, and one
-``serve.request`` span per completed request), and mirrored in
-:class:`ServeStats` which additionally keeps exact request latencies for
-p50/p95/p99 reporting.  See ``docs/serving.md``.
+``serve.batches`` / ``serve.failures`` / ``serve.deadline_exceeded``,
+gauges ``serve.queue_depth`` / ``serve.batch_size``, histogram
+``serve.request_seconds``, and one ``serve.request`` span per completed
+request), and mirrored in :class:`ServeStats` which additionally keeps
+exact request latencies for p50/p95/p99 reporting.  See
+``docs/serving.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
@@ -64,13 +78,14 @@ class ServeError(RuntimeError):
 
 
 class Overloaded(ServeError):
-    """Admission refused: the pending-flight queue is full.
+    """Admission refused: the lane's pending-flight queue is full.
 
     Attributes
     ----------
     retry_after:
-        Seconds after which a retry has a realistic chance — the time
-        the current backlog needs to clear one batch.
+        Seconds after which a retry has a realistic chance — the
+        batches the lane's backlog needs, at a nominal 10 ms turnaround
+        per batch.
     """
 
     def __init__(self, pending: int, retry_after: float) -> None:
@@ -89,12 +104,12 @@ class ServiceClosed(ServeError):
 class DeadlineExceeded(ServeError):
     """The request's deadline lapsed before its flight landed.
 
-    Raised by :meth:`StudyCluster.submit(spec, deadline=...)
-    <repro.serve.cluster.StudyCluster.submit>` — either because the
-    waiter's own budget ran out while it waited on a shared flight, or
-    because the owning worker cancelled the spec before executing it
-    (worker-side cancellation: a queued spec whose budget lapsed is
-    never run).  ``deadline`` is the request's budget in seconds.
+    Raised by ``submit(spec, deadline=...)`` — because the waiter's own
+    budget ran out while it waited on a (possibly shared) flight, or
+    because the flight's budget lapsed before it executed: still queued
+    at the front end, or (in a cluster) queued behind batchmates inside
+    a shard worker, which then cancels it.  ``deadline`` is the
+    request's budget in seconds.
     """
 
     def __init__(self, key: str, deadline: float) -> None:
@@ -121,16 +136,22 @@ class RequestFailed(ServeError):
 
 @dataclass
 class ServeStats:
-    """Cumulative accounting of one service's traffic."""
+    """Cumulative accounting of one front end's traffic."""
 
     requests: int = 0
     #: Requests that attached to an already-in-flight identical spec.
     dedup_hits: int = 0
     rejected: int = 0
     batches: int = 0
-    #: Flights handed to the executor (= unique specs actually driven).
+    #: Flights handed to a lane (= unique specs actually driven).
     flights: int = 0
     failures: int = 0
+    deadline_exceeded: int = 0
+    #: Simulations executed, in-memory L1 hits and on-disk L2 hits,
+    #: folded from every lane's per-batch executor deltas.
+    executed: int = 0
+    l1_hits: int = 0
+    l2_hits: int = 0
     #: Per-request wall-clock latencies [s], completed requests only.
     latencies: list = field(default_factory=list)
 
@@ -155,27 +176,86 @@ class ServeStats:
         }
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "dedup_hits": self.dedup_hits,
-            "rejected": self.rejected,
-            "batches": self.batches,
-            "flights": self.flights,
-            "failures": self.failures,
-            "latency": self.latency_summary(),
+        """Every counter, plus the latency summary in place of the raw
+        latencies."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "latencies"
         }
+        out["latency"] = self.latency_summary()
+        return out
 
 
 class _Flight:
-    """One admitted unique spec: the work unit batching operates on."""
+    """One admitted unique spec: what lanes batch, run and replay."""
 
-    __slots__ = ("key", "spec", "future", "waiters")
+    __slots__ = (
+        "key", "spec", "future", "waiters", "deadline", "deadline_s",
+        "shard", "lane", "replays",
+    )
 
-    def __init__(self, key: str, spec: ExperimentSpec, future) -> None:
+    def __init__(self, key, spec, future, deadline_s, t_start, shard):
         self.key = key
         self.spec = spec
         self.future = future
         self.waiters = 1
+        #: The *opening* request's budget [s] and its monotonic expiry
+        #: (None: no deadline); joiners enforce their own budget
+        #: waiter-side.
+        self.deadline_s = deadline_s
+        self.deadline = None if deadline_s is None else t_start + deadline_s
+        #: The router's shard for the key (None in-process), and the
+        #: lane the flight is queued or running on.
+        self.shard = shard
+        self.lane = None
+        #: Times a shard death orphaned this flight and it was replayed.
+        self.replays = 0
+
+
+class _LocalLane:
+    """The in-process lane: ``executor.run_many`` on a worker thread.
+
+    The lane contract the front end batches onto: a FIFO ``queue`` of
+    flights, the ``inflight`` count admission bounds (queued plus
+    running), the one outstanding ``batch`` (or None), ``alive`` (may a
+    batch be sent now), and ``send(service, batch, now)``, which ends in
+    exactly one ``service._land(lane, outcomes, delta)``.
+    """
+
+    alive = True
+
+    def __init__(self, executor) -> None:
+        self.executor = executor
+        self.queue: deque = deque()
+        self.inflight = 0
+        self.batch: Optional[list] = None
+
+    def send(self, service: "StudyService", batch: list, now: float) -> None:
+        # run_many writes into a fresh Observability, merged back on the
+        # loop thread once the batch lands — no cross-thread mutation.
+        specs = [f.spec for f in batch]
+        obs = Observability()
+        ex = self.executor
+
+        def run():
+            before = ex.stats.snapshot()
+            return ex.run_many(specs, obs=obs), ex.stats.delta(before)
+
+        def landed(fut) -> None:
+            try:
+                outcomes, delta = fut.result()
+            except Exception as exc:  # fail-fast executor or infra error
+                detail = f"{type(exc).__name__}: {exc}"
+                failed = RequestFailed(
+                    None, f"batch execution failed: {detail}"
+                )
+                service._land(self, [(f, failed) for f in batch])
+                return
+            service.obs.merge(obs)
+            service._land(self, zip(batch, outcomes), delta)
+
+        loop = asyncio.get_running_loop()
+        loop.run_in_executor(None, run).add_done_callback(landed)
 
 
 class StudyService:
@@ -189,13 +269,10 @@ class StudyService:
         ``keep_going`` matters: one failing spec must annotate its own
         flight, not abort its batchmates.
     max_pending:
-        Admission bound on flights in the building (queued + executing).
-    batch_window:
-        Seconds an admitted flight waits for company before its batch is
-        sealed.  0 disables the wait (each batch takes whatever is
-        already queued).
+        Admission bound on flights in the building (queued + executing)
+        per lane.
     max_batch:
-        Hard cap on flights per executor submission.
+        Hard cap on flights per batch (one executor submission).
     obs:
         Metrics/span sink; a fresh :class:`Observability` by default
         (exposed as :attr:`obs` either way).
@@ -205,7 +282,6 @@ class StudyService:
         self,
         executor: Optional[ExperimentExecutor] = None,
         max_pending: int = 64,
-        batch_window: float = 0.005,
         max_batch: int = 16,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -213,21 +289,17 @@ class StudyService:
             raise ValueError("max_pending must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         self.executor = executor or ExperimentExecutor(
             workers=1, cache=True, keep_going=True
         )
         self.max_pending = max_pending
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.obs = obs or Observability()
         self.stats = ServeStats()
-        #: key -> flight, for every flight not yet retired.
+        self._lane = _LocalLane(self.executor)
+        #: key -> flight, in admission order, until the flight settles.
         self._inflight: dict[str, _Flight] = {}
-        self._queue: deque[_Flight] = deque()
-        self._wake: Optional[asyncio.Event] = None
-        self._worker: Optional[asyncio.Task] = None
+        self._idle: Optional[asyncio.Event] = None
         self._draining = False
         self._closed = False
         self._t0 = time.monotonic()
@@ -244,14 +316,6 @@ class StudyService:
         """Flights currently in the building (queued + executing)."""
         return len(self._inflight)
 
-    def _ensure_worker(self) -> None:
-        if self._wake is None:
-            self._wake = asyncio.Event()
-        if self._worker is None or self._worker.done():
-            self._worker = asyncio.get_running_loop().create_task(
-                self._batch_loop(), name="repro-serve-batcher"
-            )
-
     async def drain(self) -> None:
         """Refuse new admissions, finish every in-flight request.
 
@@ -260,23 +324,31 @@ class StudyService:
         resolved.
         """
         self._draining = True
-        if self._wake is not None:
-            self._wake.set()
-        if self._worker is not None:
-            await self._worker
-            self._worker = None
+        while self._inflight:
+            self._idle = asyncio.Event()
+            await self._idle.wait()
         self._closed = True
 
     # -- the request path ----------------------------------------------------
-    async def submit(self, spec: ExperimentSpec) -> ExperimentResult:
+    async def submit(
+        self, spec: ExperimentSpec, deadline: Optional[float] = None
+    ) -> ExperimentResult:
         """Serve one request; resolves when its flight lands.
+
+        ``deadline`` is this request's wall-clock budget in seconds.  A
+        joiner's budget never cancels the shared flight: the flight
+        carries its *opening* request's deadline, and the result is
+        still computed (and cached) for the other waiters.
 
         Raises :class:`Overloaded` (carrying ``retry_after``) when
         admission control refuses the request, :class:`ServiceClosed`
-        after :meth:`drain`, and :class:`RequestFailed` when the
-        simulation itself failed.
+        after :meth:`drain`, :class:`DeadlineExceeded` when the budget
+        lapses first, and :class:`RequestFailed` when the simulation
+        itself failed.
         """
         t_start = time.monotonic()
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError("deadline must be a finite number of seconds > 0")
         self.stats.requests += 1
         self.obs.metrics.counter("serve.requests").inc()
         if self._draining or self._closed:
@@ -289,26 +361,39 @@ class StudyService:
             self.stats.dedup_hits += 1
             self.obs.metrics.counter("serve.dedup_hits").inc()
         else:
-            if len(self._inflight) >= self.max_pending:
+            lane, shard = self._route(key, t_start)
+            if lane.inflight >= self.max_pending:
                 self.stats.rejected += 1
                 self.obs.metrics.counter("serve.rejected").inc()
+                backlog_batches = -(-lane.inflight // self.max_batch)
                 raise Overloaded(
-                    pending=len(self._inflight),
-                    retry_after=self._retry_after(),
+                    lane.inflight, 0.01 * max(1, backlog_batches)
                 )
-            self._ensure_worker()
             flight = _Flight(
-                key, spec, asyncio.get_running_loop().create_future()
+                key, spec, asyncio.get_running_loop().create_future(),
+                deadline, t_start, shard,
             )
             self._inflight[key] = flight
-            self._queue.append(flight)
-            self._gauge_depth()
-            self._wake.set()
-        # shield: one waiter cancelling must not cancel the shared
-        # flight — the other waiters (and the cache write) still want it.
+            self._enqueue(flight, lane)
+        attrs = {}
+        if flight.shard is not None:  # the router's traffic balance
+            self.stats.requests_by_shard[flight.shard] += 1
+            attrs["shard"] = flight.shard
         try:
-            outcome = await asyncio.shield(flight.future)
-        except RequestFailed:
+            # shield: one waiter giving up must not cancel the shared
+            # flight — the other waiters (and the cache write) want it.
+            waiting = asyncio.shield(flight.future)
+            if deadline is not None:
+                budget = t_start + deadline - time.monotonic()
+                waiting = asyncio.wait_for(waiting, max(0.0, budget))
+            outcome = await waiting
+        except (asyncio.TimeoutError, DeadlineExceeded) as exc:
+            self.stats.deadline_exceeded += 1
+            self.obs.metrics.counter("serve.deadline_exceeded").inc()
+            if isinstance(exc, DeadlineExceeded):
+                raise
+            raise DeadlineExceeded(key, deadline) from None
+        except ServeError:  # RequestFailed, or a cluster's ShardDown
             self.stats.failures += 1
             self.obs.metrics.counter("serve.failures").inc()
             raise
@@ -318,75 +403,85 @@ class StudyService:
         self.obs.add_span(
             "serve.request", "serve",
             t_start - self._t0, t_start - self._t0 + latency,
-            track="serve", key=key, deduped=deduped,
+            track="serve", key=key, deduped=deduped, **attrs,
         )
-        if isinstance(outcome, FailedPoint):
-            self.stats.failures += 1
-            self.obs.metrics.counter("serve.failures").inc()
-            raise RequestFailed(
-                outcome,
-                f"request {spec.name!r} failed: {outcome.error_type}: "
-                f"{outcome.error}",
-            )
         return outcome
 
-    def _retry_after(self) -> float:
-        """Backpressure hint: batches needed to clear the backlog times
-        the batch window (floored at one window so it is never 0)."""
-        backlog_batches = -(-len(self._inflight) // self.max_batch)
-        return max(self.batch_window, 0.001) * max(1, backlog_batches)
+    def _route(self, key: str, now: float):
+        """``(lane, shard)`` for a new key's flight: the one local lane,
+        no shard."""
+        return self._lane, None
 
-    def _gauge_depth(self) -> None:
+    # -- lanes ---------------------------------------------------------------
+    def _enqueue(self, flight: _Flight, lane) -> None:
+        """Queue ``flight`` on ``lane`` (moving it off its old lane, if
+        any) and schedule the lane's flush for the end of this loop
+        iteration."""
+        if flight.lane is not None:
+            flight.lane.inflight -= 1
+        flight.lane = lane
+        lane.inflight += 1
+        lane.queue.append(flight)
         self.obs.metrics.gauge("serve.queue_depth").set(len(self._inflight))
+        asyncio.get_running_loop().call_soon(self._flush, lane)
 
-    # -- the batching worker -------------------------------------------------
-    async def _batch_loop(self) -> None:
-        while True:
-            while not self._queue and not self._draining:
-                self._wake.clear()
-                await self._wake.wait()
-            if not self._queue:
-                return  # draining and nothing left
-            if self.batch_window > 0 and not self._draining:
-                # Hold the batch open briefly so concurrent arrivals
-                # share the executor submission.
-                await asyncio.sleep(self.batch_window)
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(self.max_batch, len(self._queue)))
-            ]
-            await self._run_batch(batch)
-
-    async def _run_batch(self, batch: Sequence[_Flight]) -> None:
-        self.stats.batches += 1
-        self.stats.flights += len(batch)
-        self.obs.metrics.counter("serve.batches").inc()
-        self.obs.metrics.gauge("serve.batch_size").set(len(batch))
-        specs = [f.spec for f in batch]
-        # The executor runs on a thread (run_many blocks); it writes
-        # into its own fresh Observability which is merged back on the
-        # loop thread afterwards — no cross-thread mutation.
-        batch_obs = Observability()
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes = await loop.run_in_executor(
-                None, lambda: self.executor.run_many(specs, obs=batch_obs)
-            )
-        except Exception as exc:  # fail-fast executor or infra error
-            detail = f"batch execution failed: {type(exc).__name__}: {exc}"
-            for f in batch:
-                if not f.future.done():
-                    # One instance per future: a shared exception object
-                    # would interleave tracebacks across waiter tasks.
-                    f.future.set_exception(RequestFailed(None, detail))
-                self._inflight.pop(f.key, None)
-            self._gauge_depth()
+    def _flush(self, lane) -> None:
+        """Send the lane's next batch unless one is outstanding."""
+        if lane.batch is not None or not lane.alive:
             return
-        self.obs.merge(batch_obs)
-        for f, outcome in zip(batch, outcomes):
-            if not f.future.done():
-                f.future.set_result(outcome)
-            # Retire the flight: later identical requests re-submit (and
-            # typically hit the executor's result cache).
-            self._inflight.pop(f.key, None)
-        self._gauge_depth()
+        now = time.monotonic()
+        batch = []
+        while lane.queue and len(batch) < self.max_batch:
+            flight = lane.queue.popleft()
+            if flight.deadline is not None and now >= flight.deadline:
+                # The budget lapsed while the flight queued: never send.
+                self._settle(
+                    flight, DeadlineExceeded(flight.key, flight.deadline_s)
+                )
+            else:
+                batch.append(flight)
+        if batch:
+            lane.batch = batch
+            self.stats.batches += 1
+            self.stats.flights += len(batch)
+            self.obs.metrics.counter("serve.batches").inc()
+            self.obs.metrics.gauge("serve.batch_size").set(len(batch))
+            lane.send(self, batch, now)
+
+    def _land(self, lane, outcomes, delta: Optional[dict] = None) -> None:
+        """A lane's batch is back: fold its executor delta, settle each
+        ``(flight, outcome)``, then send the lane's backlog."""
+        if delta is not None:
+            self.stats.executed += delta["executed"]
+            self.stats.l1_hits += delta["l1_hits"]
+            self.stats.l2_hits += delta["l2_hits"]
+        lane.batch = None
+        for flight, outcome in outcomes:
+            self._settle(flight, outcome)
+        self._flush(lane)
+
+    def _settle(self, flight: _Flight, outcome) -> None:
+        """Resolve ``flight`` with its outcome — a result, a
+        :class:`FailedPoint` or a :class:`ServeError` — and retire it:
+        later identical requests open a fresh flight."""
+        if isinstance(outcome, FailedPoint):
+            outcome = RequestFailed(
+                outcome,
+                f"request {flight.spec.name!r} failed: "
+                f"{outcome.error_type}: {outcome.error}",
+            )
+        if flight.future.done():
+            pass
+        elif isinstance(outcome, ServeError):
+            flight.future.set_exception(outcome)
+            # Pre-retrieve: a waiter whose own deadline lapsed abandoned
+            # the future, and an unretrieved exception is logged as a
+            # leak; waiters still awaiting re-raise as usual.
+            flight.future.exception()
+        else:
+            flight.future.set_result(outcome)
+        self._inflight.pop(flight.key, None)
+        flight.lane.inflight -= 1
+        self.obs.metrics.gauge("serve.queue_depth").set(len(self._inflight))
+        if not self._inflight and self._idle is not None:
+            self._idle.set()

@@ -148,6 +148,15 @@ def test_zipf_validation_and_mode_exclusivity(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--max-pending", "--max-batch", "--workers"])
+def test_bounds_below_one_exit_2_with_one_line_message(flag, capsys):
+    assert main(["--burst", "2", flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln] == [
+        f"error: {flag} must be >= 1"
+    ]
+
+
 def test_retry_ceiling_exhaustion_reports_hint_and_exits_1(capsys):
     # One admission slot, no retries allowed: most of the concurrent
     # replay gives up immediately, and the error line must surface the

@@ -38,6 +38,7 @@ import pytest
 import repro.exec.executor as executor_mod
 import repro.serve.cluster as cluster_mod
 from repro.exec import spec_key
+from tests.serve import deadline_scenarios
 from repro.serve import (
     ChaosPlan,
     DeadlineExceeded,
@@ -59,8 +60,6 @@ pytestmark = [
         reason="chaos hooks need POSIX signals",
     ),
 ]
-
-_real_execute = executor_mod._execute_spec
 
 #: Hair-trigger supervision for cheap (~10ms) simulations: wedge
 #: detection within ~0.3s, breaker backoff 20-250ms.
@@ -265,26 +264,15 @@ def test_exhausted_respawn_budget_degrades_to_fallback_forever():
 # FAST's.
 
 
-def _slow_execute(spec, with_obs):
-    time.sleep(0.4)
-    return _real_execute(spec, with_obs)
+_slow_execute = deadline_scenarios.slow_execute
 
 
 def test_waiter_side_deadline_is_typed_and_counted(monkeypatch):
+    # The in-process twin runs the same scenario in test_service.py.
     monkeypatch.setattr(executor_mod, "_execute_spec", _slow_execute)
-    spec = cheap_universe(1)[0]
-
-    async def scenario():
-        async with StudyCluster(shards=1) as cluster:
-            with pytest.raises(DeadlineExceeded) as exc_info:
-                await cluster.submit(spec, deadline=0.05)
-            return cluster, exc_info.value
-
-    cluster, exc = run(scenario())
-    assert exc.deadline == 0.05
-    assert exc.key == spec_key(spec)
-    assert cluster.stats.deadline_exceeded >= 1
-    assert cluster.obs.metrics.value_of("serve.deadline_exceeded") >= 1
+    deadline_scenarios.waiter_side_deadline_is_typed_and_counted(
+        StudyCluster(shards=1)
+    )
 
 
 def test_worker_side_cancellation_of_an_expired_batchmate(monkeypatch):
@@ -326,32 +314,23 @@ def test_worker_side_cancellation_of_an_expired_batchmate(monkeypatch):
 
 
 def test_joiner_deadline_does_not_cancel_the_shared_flight(monkeypatch):
+    # The in-process twin runs the same scenario in test_service.py.
     monkeypatch.setattr(executor_mod, "_execute_spec", _slow_execute)
-    spec = cheap_universe(1)[0]
-
-    async def scenario():
-        async with StudyCluster(shards=1) as cluster:
-            creator = asyncio.ensure_future(cluster.submit(spec))
-            await asyncio.sleep(0.05)  # the flight is open and running
-            with pytest.raises(DeadlineExceeded):
-                await cluster.submit(spec, deadline=0.05)  # joiner
-            result = await creator  # the flight itself is undisturbed
-            return cluster, result
-
-    cluster, result = run(scenario())
-    assert result.spec_name == spec.name
-    assert cluster.stats.dedup_hits == 1
-    assert cluster.stats.deadline_exceeded == 1
-    assert cluster.stats.executed == 1
+    deadline_scenarios.joiner_deadline_does_not_cancel_the_shared_flight(
+        StudyCluster(shards=1)
+    )
 
 
 def test_deadline_validation():
     async def scenario():
         async with StudyCluster(shards=1) as cluster:
-            with pytest.raises(ValueError):
-                await cluster.submit(cheap_universe(1)[0], deadline=0.0)
+            for bad in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    await cluster.submit(cheap_universe(1)[0], deadline=bad)
+            return cluster
 
-    run(scenario())
+    cluster = run(scenario())
+    assert cluster.stats.executed == 0  # a rejected request never runs
 
 
 # --------------------------- drain-vs-death races ----------------------------

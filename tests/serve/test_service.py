@@ -22,9 +22,11 @@ import threading
 
 import pytest
 
+import repro.exec.executor as executor_mod
 from repro.core.metrics import ExperimentResult
 from repro.exec import ExecStats, ExperimentExecutor, FailedPoint, spec_key
 from repro.serve import (
+    DeadlineExceeded,
     Overloaded,
     RequestFailed,
     ServeStats,
@@ -32,6 +34,7 @@ from repro.serve import (
     StudyService,
     build_spec,
 )
+from tests.serve import deadline_scenarios
 
 
 def small_spec(nodes=2, steps=1, runtime=None):
@@ -90,9 +93,7 @@ def test_identical_burst_executes_exactly_once():
     """64 concurrent identical requests -> one simulation, 64 responses,
     all byte-identical."""
     executor = ExperimentExecutor(workers=1, keep_going=True)
-    service = StudyService(
-        executor=executor, batch_window=0.01, max_pending=64
-    )
+    service = StudyService(executor=executor, max_pending=64)
     spec = small_spec()
 
     async def burst():
@@ -127,7 +128,7 @@ def test_flight_retires_after_completion():
     """Single-flight dedupes *concurrent* requests only: a request after
     completion opens a fresh flight (the result cache's job, not ours)."""
     executor = GateExecutor()
-    service = StudyService(executor=executor, batch_window=0.0)
+    service = StudyService(executor=executor)
     spec = small_spec()
 
     async def sequential():
@@ -143,7 +144,7 @@ def test_flight_retires_after_completion():
 
 def test_distinct_requests_do_not_block_each_other():
     executor = GateExecutor()
-    service = StudyService(executor=executor, batch_window=0.01, max_batch=8)
+    service = StudyService(executor=executor, max_batch=8)
     specs = [small_spec(nodes=n) for n in (1, 2, 3, 4)]
 
     async def mixed():
@@ -156,14 +157,14 @@ def test_distinct_requests_do_not_block_each_other():
     assert [r.spec_name for r in results] == [s.name for s in specs]
     assert executor.stats.executed == 4
     assert service.stats.dedup_hits == 0
-    # They shared the batch window -> one executor submission.
+    # They arrived in one loop iteration -> one executor submission.
     assert len(executor.batches) == 1
     assert sorted(executor.batches[0]) == sorted(s.name for s in specs)
 
 
 def test_max_batch_splits_submissions():
     executor = GateExecutor()
-    service = StudyService(executor=executor, batch_window=0.01, max_batch=2)
+    service = StudyService(executor=executor, max_batch=2)
     specs = [small_spec(nodes=2, steps=n) for n in (1, 2, 3, 4, 5)]
 
     async def mixed():
@@ -182,7 +183,7 @@ def test_queue_full_rejection_is_deterministic():
     gate = threading.Event()
     executor = GateExecutor(gate=gate)
     service = StudyService(
-        executor=executor, max_pending=2, batch_window=0.0, max_batch=1
+        executor=executor, max_pending=2, max_batch=1
     )
 
     async def scenario():
@@ -214,7 +215,7 @@ def test_rejected_request_succeeds_on_retry_after_drain_of_backlog():
     gate = threading.Event()
     executor = GateExecutor(gate=gate)
     service = StudyService(
-        executor=executor, max_pending=1, batch_window=0.0, max_batch=1
+        executor=executor, max_pending=1, max_batch=1
     )
 
     async def scenario():
@@ -240,7 +241,7 @@ def test_rejected_request_succeeds_on_retry_after_drain_of_backlog():
 def test_drain_completes_inflight_and_refuses_new_admissions():
     gate = threading.Event()
     executor = GateExecutor(gate=gate)
-    service = StudyService(executor=executor, batch_window=0.0, max_batch=4)
+    service = StudyService(executor=executor, max_batch=4)
 
     async def scenario():
         t1 = asyncio.ensure_future(service.submit(small_spec(nodes=1)))
@@ -281,7 +282,7 @@ def test_drain_is_idempotent_and_safe_on_idle_service():
 def test_failed_point_raises_request_failed_for_every_waiter():
     spec = small_spec(nodes=3)
     executor = GateExecutor(fail_specs={spec.name})
-    service = StudyService(executor=executor, batch_window=0.01)
+    service = StudyService(executor=executor)
 
     async def scenario():
         async with service:
@@ -303,7 +304,7 @@ def test_failing_spec_does_not_poison_batchmates():
     bad = small_spec(nodes=3)
     good = small_spec(nodes=2)
     executor = GateExecutor(fail_specs={bad.name})
-    service = StudyService(executor=executor, batch_window=0.01, max_batch=4)
+    service = StudyService(executor=executor, max_batch=4)
 
     async def scenario():
         async with service:
@@ -316,6 +317,78 @@ def test_failing_spec_does_not_poison_batchmates():
     assert isinstance(bad_out, RequestFailed)
     assert isinstance(good_out, ExperimentResult)
     assert len(executor.batches) == 1  # they really shared a batch
+
+
+# -- deadlines ---------------------------------------------------------------
+#
+# The waiter-side and joiner scenarios are shared with the sharded
+# backend (test_selfheal.py runs them against a StudyCluster).
+
+
+def _uncached_service():
+    return StudyService(
+        executor=ExperimentExecutor(workers=1, keep_going=True)
+    )
+
+
+def test_waiter_side_deadline_in_process(monkeypatch):
+    monkeypatch.setattr(
+        executor_mod, "_execute_spec", deadline_scenarios.slow_execute
+    )
+    deadline_scenarios.waiter_side_deadline_is_typed_and_counted(
+        _uncached_service()
+    )
+
+
+def test_joiner_deadline_does_not_cancel_the_flight_in_process(monkeypatch):
+    monkeypatch.setattr(
+        executor_mod, "_execute_spec", deadline_scenarios.slow_execute
+    )
+    deadline_scenarios.joiner_deadline_does_not_cancel_the_shared_flight(
+        _uncached_service()
+    )
+
+
+def test_deadline_lapsing_in_the_queue_is_never_executed():
+    """A flight whose budget lapses while it queues behind a gated batch
+    is expired at flush: every waiter (a deadline-free joiner too) gets
+    DeadlineExceeded, and the executor never sees the spec."""
+    gate = threading.Event()
+    executor = GateExecutor(gate=gate)
+    service = StudyService(executor=executor)
+    blocker, doomed = small_spec(nodes=1), small_spec(nodes=2)
+
+    async def scenario():
+        async with service:
+            first = asyncio.ensure_future(service.submit(blocker))
+            await asyncio.sleep(0.01)  # its batch is out, held by the gate
+            joiner = asyncio.ensure_future(service.submit(doomed))
+            with pytest.raises(DeadlineExceeded):
+                await service.submit(doomed, deadline=0.05)
+            gate.set()
+            with pytest.raises(DeadlineExceeded):
+                await joiner
+            return await first
+
+    result = asyncio.run(scenario())
+    assert result.spec_name == blocker.name
+    assert executor.batches == [[blocker.name]]
+    assert service.stats.deadline_exceeded == 2
+    assert service.stats.executed == 1
+    assert service.pending == 0
+
+
+def test_deadline_validation_in_process():
+    service = StudyService(executor=GateExecutor())
+
+    async def scenario():
+        async with service:
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    await service.submit(small_spec(), deadline=bad)
+
+    asyncio.run(scenario())
+    assert service.stats.flights == 0
 
 
 # -- stats -------------------------------------------------------------------
@@ -336,5 +409,3 @@ def test_service_parameter_validation():
         StudyService(executor=GateExecutor(), max_pending=0)
     with pytest.raises(ValueError):
         StudyService(executor=GateExecutor(), max_batch=0)
-    with pytest.raises(ValueError):
-        StudyService(executor=GateExecutor(), batch_window=-1)
