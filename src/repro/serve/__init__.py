@@ -14,18 +14,20 @@ Where :mod:`repro.exec` distributes one caller's grid across processes,
   refusing new requests.
 - :mod:`repro.serve.cluster` — :class:`StudyCluster`, the same front end
   with process-shard lanes: N worker processes (own executor +
-  in-memory L1, shared on-disk L2) behind a
-  :class:`~repro.serve.router.ShardRouter` that consistent-hashes
-  :func:`~repro.exec.speckey.spec_key`, making the front end's
-  single-flight globally single-flight, and the service's in-process
-  lane as the fallback.  Self-healing by default: a supervisor detects
+  in-memory L1, shared on-disk L2), and the service's in-process lane
+  as the fallback.  The front end's single-flight spans every shard;
+  each new :func:`~repro.exec.speckey.spec_key` is placed on the
+  least-loaded healthy shard and stays there, with the
+  :class:`~repro.serve.router.ShardRouter` ring owner as the
+  tie-break.  Self-healing by default: a supervisor detects
   dead and wedged workers, respawns them, and replays their in-flight
   requests.
 - :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the
   deterministic per-shard closed → open → half-open state machine
   that routes traffic to the fallback lane while a shard flaps.
 - :mod:`repro.serve.router` — the consistent-hash ring (stable,
-  balanced, minimally disruptive on resize).
+  balanced, minimally disruptive on resize) naming each key's ring
+  owner, the tie-break of placement.
 - :mod:`repro.serve.loadgen` — seeded zipfian traffic generation,
   the deterministic scoreboard, and seeded :class:`ChaosPlan` fault
   schedules ("millions of users" replay harness + chaos harness).

@@ -439,7 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.json:
         blob = (
-            json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(
+                json_payload, indent=2, sort_keys=True, allow_nan=False
+            ) + "\n"
         )
         if args.json == "-":
             print(blob, end="")

@@ -6,25 +6,32 @@ the same self-clocking batches — with N *shard lanes* added.  Each shard
 is one OS worker process owning its own
 :class:`~repro.exec.executor.ExperimentExecutor` with an in-memory L1
 memo (``l1=True``) and, optionally, the shared on-disk
-:class:`~repro.exec.cache.ResultCache` as L2.  A
-:class:`~repro.serve.router.ShardRouter` consistent-hashes every
-request's :func:`~repro.exec.speckey.spec_key` to its shard; the
-service's own in-process lane becomes the *fallback* lane.
+:class:`~repro.exec.cache.ResultCache` as L2.  The service's own
+in-process lane becomes the *fallback* lane.
 
-- **Global single-flight.** Identical requests always route to the same
-  shard, so the front end's dedupe *is* cluster-wide dedupe: concurrent
-  duplicates join the in-flight request (no second message crosses the
-  pipe), later repeats hit the owning worker's L1.  A spec executes at
-  most once per cluster lifetime, no matter which of millions of
-  callers asks, how often, or when.
+- **Placement.** A :class:`~repro.serve.router.ShardRouter`
+  consistent-hashes each request's :func:`~repro.exec.speckey.spec_key`
+  to its *ring owner*.  The first flight of a key whose ring owner is
+  healthy goes to the healthy shard with the fewest flights in the
+  building, the owner winning ties; the front end records that shard,
+  and every later flight of the key goes there.  A key whose ring owner
+  is unhealthy takes the owner's path (below) and is not recorded.
+- **Exactly-once execution.** Single-flight belongs to the front end:
+  concurrent duplicates join the in-flight request (no second message
+  crosses the pipe).  Later repeats go to the shard the key was placed
+  on and hit that worker's L1 — or, with ``cache=True``, the shared L2
+  — so a spec executes at most once per cluster lifetime, no matter
+  which of millions of callers asks, how often, or when.
 - **Bounded admission** is per lane: at most ``max_pending`` unique
-  specs in flight per shard (and on the fallback lane).
+  specs in flight per shard (and on the fallback lane).  A new key is
+  refused only when every healthy shard is full; a placed key is
+  refused while its own shard is full.
 - **Self-healing** (``self_heal=True``, the default).  A supervisor
   task detects dead workers two ways — pipe EOF for a process that
   exited, and missed heartbeats (a ``ping``/``pong`` RPC on the same
   duplex pipe) for a *wedged* process that is alive but unresponsive,
   which is then killed.  Dead workers are respawned with a fresh
-  executor (the router never remaps, so every key routes back to the
+  executor (placement never moves a key, so every key goes back to the
   original shard id), and the in-flight requests that died with the old
   worker are **replayed** transparently: responses stay byte-identical
   because replayed keys hit the shared L2 cache or re-execute
@@ -64,6 +71,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import multiprocessing as mp
 import os
 import signal
@@ -95,7 +103,7 @@ from repro.serve.service import (
 
 
 class ShardDown(ServeError):
-    """The shard owning this request's key has died (``self_heal=False``
+    """The shard serving this request's key has died (``self_heal=False``
     clusters only — a self-healing cluster replays or degrades instead
     of surfacing this to callers)."""
 
@@ -122,13 +130,13 @@ class ClusterStats(ServeStats):
     The inherited totals mean the same thing as on
     :class:`~repro.serve.service.ServeStats` (``executed`` / ``l1_hits``
     / ``l2_hits`` sum the shard workers and the fallback lane); the
-    ``*_by_shard`` lists are the router's balance, and the rest tracks
+    ``*_by_shard`` lists are the placement's balance, and the rest tracks
     the self-healing machinery.
     """
 
     shards: int = 0
     #: Requests routed to each shard (dedupe joins included — this is
-    #: the traffic balance the router produced).
+    #: the traffic balance placement produced).
     requests_by_shard: list = field(default_factory=list)
     #: Unique in-flight specs actually sent to each worker (replayed
     #: flights count once per send).
@@ -154,7 +162,14 @@ class ClusterStats(ServeStats):
         return max(self.requests_by_shard) / low
 
     def as_dict(self) -> dict:
-        return {**super().as_dict(), "balance_ratio": self.balance_ratio()}
+        """The service's view plus ``balance_ratio`` — ``None`` (JSON
+        ``null``) when a shard saw no requests, since strict JSON has
+        no infinity."""
+        ratio = self.balance_ratio()
+        return {
+            **super().as_dict(),
+            "balance_ratio": ratio if math.isfinite(ratio) else None,
+        }
 
 
 # -- the worker process ------------------------------------------------------
@@ -327,6 +342,11 @@ class _Shard:
             cluster._shard_died(self.id, "pipe write failed")
 
 
+def _healthy(shard: _Shard) -> bool:
+    """May new keys be placed on ``shard``: alive, breaker closed."""
+    return shard.alive and shard.breaker.state == breaker_mod.CLOSED
+
+
 class _FallbackLane(_LocalLane):
     """The front end's in-process lane, taken by keys whose shard is
     down past its respawn budget or behind an open breaker."""
@@ -353,7 +373,8 @@ class StudyCluster(StudyService):
     shards:
         Worker process count (ignored when ``router`` is given).
     router:
-        The consistent-hash router; a default
+        The consistent-hash router that names each key's ring owner
+        (the tie-break of placement); a default
         :class:`~repro.serve.router.ShardRouter` over ``shards`` if
         omitted.
     workers_per_shard:
@@ -456,6 +477,9 @@ class StudyCluster(StudyService):
             shards=n, requests_by_shard=[0] * n, flights_by_shard=[0] * n
         )
         self._shards: list[_Shard] = []
+        #: spec key -> the shard id it was placed on, for the cluster's
+        #: lifetime (respawns keep shard ids).
+        self._placement: dict[str, int] = {}
         self._ping_tokens = itertools.count()
         self._ctx = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -643,7 +667,7 @@ class StudyCluster(StudyService):
     ) -> ExperimentResult:
         """:meth:`StudyService.submit
         <repro.serve.service.StudyService.submit>` through the key's
-        owning shard; the workers must be started first."""
+        shard; the workers must be started first."""
         if not self._started and not self._closed:
             raise RuntimeError(
                 "StudyCluster.submit before start(); use 'async with' "
@@ -652,9 +676,29 @@ class StudyCluster(StudyService):
         return await super().submit(spec, deadline)
 
     def _route(self, key: str, now: float):
-        """The key's ring lane — or the fallback lane while its shard is
-        down past the respawn budget or its breaker is open."""
-        shard_id = self.router.shard_for(key)
+        """The key's shard lane — or the fallback lane while that shard
+        is down past the respawn budget or its breaker is open.
+
+        A key's shard is the one it was placed on.  A key seen for the
+        first time whose ring owner is healthy is placed on the healthy
+        shard with the fewest flights in the building (the owner wins
+        ties) and stays there, so its repeats hit that worker's L1.  A
+        key whose ring owner is unhealthy is left unplaced and takes the
+        owner's path.  A key refused admission is left unplaced too, so
+        its retry can go where there is room.
+        """
+        shard_id = self._placement.get(key)
+        if shard_id is None:
+            owner = self._shards[self.router.shard_for(key)]
+            if _healthy(owner):
+                pick = owner
+                for shard in self._shards:
+                    if shard.inflight < pick.inflight and _healthy(shard):
+                        pick = shard
+                if pick.inflight < self.max_pending:
+                    self._placement[key] = pick.id
+                return pick, pick.id
+            shard_id = owner.id
         shard = self._shards[shard_id]
         if not self.self_heal:
             if not shard.alive:

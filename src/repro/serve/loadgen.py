@@ -484,7 +484,7 @@ def scoreboard(
         per_shard = list(per_shard)
         low = min(per_shard) if per_shard else 0
         out["requests_by_shard"] = per_shard
-        out["balance_ratio"] = (
-            (max(per_shard) / low) if low else float("inf")
-        )
+        # None (JSON null) when a shard saw nothing: strict JSON has no
+        # infinity.
+        out["balance_ratio"] = (max(per_shard) / low) if low else None
     return out

@@ -1,4 +1,4 @@
-"""Consistent-hash routing of spec keys to shards.
+"""Consistent-hash ring owners of spec keys: the cluster's tie-break.
 
 :class:`ShardRouter` places every shard at ``replicas`` pseudo-random
 points on a 64-bit hash ring (SHA-256 of ``"<salt>:<shard>:<replica>"``
@@ -11,8 +11,9 @@ Three properties carry the cluster design (property-tested in
 stable
     ``shard_for`` is a pure function of ``(key, n_shards, replicas,
     salt)`` — the same key maps to the same shard on every call, in
-    every process, forever.  Routing identical requests to the same
-    shard is what makes per-shard single-flight *globally* single-flight.
+    every process, forever.  The cluster places a new key on the
+    least-loaded healthy shard and uses the ring owner as the
+    tie-break, so on an idle cluster every key lands on its owner.
 
 balanced
     With the default replica count, uniformly distributed keys land
@@ -25,12 +26,11 @@ minimally disruptive
     *to* the new shard.  A resize never reshuffles traffic between
     surviving shards, so their L1 caches stay warm.
 
-Stability is also what makes the cluster's *respawn* path sound: a
-worker that dies and is replaced by a fresh process keeps its shard id,
-and because the ring is a pure function of ``(n_shards, replicas,
-salt)`` — never of process identity, pids or uptime — every key routes
-back to the original shard id after the respawn.  :meth:`signature`
-fingerprints the ring layout so that invariant is directly assertable
+Stability also keeps the cluster's *respawn* path sound: a worker that
+dies and is replaced by a fresh process keeps its shard id, and because
+the ring is a pure function of ``(n_shards, replicas, salt)`` — never
+of process identity, pids or uptime — every key has the same owner
+after the respawn as before.  :meth:`signature` fingerprints the ring layout so that invariant is directly assertable
 (two routers with equal signatures route every key identically).
 """
 

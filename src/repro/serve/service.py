@@ -204,7 +204,7 @@ class _Flight:
         #: waiter-side.
         self.deadline_s = deadline_s
         self.deadline = None if deadline_s is None else t_start + deadline_s
-        #: The router's shard for the key (None in-process), and the
+        #: The cluster's shard for the key (None in-process), and the
         #: lane the flight is queued or running on.
         self.shard = shard
         self.lane = None
@@ -376,7 +376,7 @@ class StudyService:
             self._inflight[key] = flight
             self._enqueue(flight, lane)
         attrs = {}
-        if flight.shard is not None:  # the router's traffic balance
+        if flight.shard is not None:  # the cluster's traffic balance
             self.stats.requests_by_shard[flight.shard] += 1
             attrs["shard"] = flight.shard
         try:

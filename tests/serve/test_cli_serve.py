@@ -43,6 +43,30 @@ def test_script_mode_replays_and_dumps_json(tmp_path, capsys):
     assert set(payload["serve"]["latency"]) == {"p50", "p95", "p99"}
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_report_is_strict_json_when_a_shard_sees_no_requests(
+    tmp_path, capsys
+):
+    # One key in a burst: every request goes to one shard, so the other
+    # sees none and the max/min balance ratio is unbounded.
+    report = tmp_path / "r.json"
+    rc = main([
+        "--burst", "8", "--fig", "fig1", "--nodes", "2",
+        "--shards", "2", "--json", str(report),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    payload = _strict_json(report.read_text())
+    assert sorted(payload["serve"]["requests_by_shard"]) == [0, 8]
+    assert payload["serve"]["balance_ratio"] is None
+
+
 def test_failed_expectation_sets_exit_code(capsys):
     rc = main(["--burst", "2", "--expect-dedupe", "99"])
     assert rc == 1

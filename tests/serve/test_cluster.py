@@ -6,14 +6,17 @@ cluster's production guarantees:
 
 - concurrent identical requests execute once *cluster-wide* and every
   caller gets a byte-identical payload;
-- repeats of an already-served spec are L1 hits in the owning worker —
-  still exactly one execution per spec per cluster lifetime;
+- repeats of an already-served spec are L1 hits in the worker it was
+  placed on — still exactly one execution per spec per cluster
+  lifetime;
 - a 4-shard cluster is byte-identical to the single-process
   :class:`StudyService` on the same seeded zipfian mix, with exact
   global dedupe (the parity satellite);
-- admission control is per shard and crash containment per shard: one
-  dying worker fails only its own keys, the rest keep serving and
-  :meth:`drain` still completes;
+- a key's first flight goes to the least-loaded healthy shard (its
+  ring owner on ties) and every repeat stays there, so admission
+  refuses a new key only when every healthy shard is full;
+- crash containment is per shard: one dying worker fails only its own
+  keys, the rest keep serving and :meth:`drain` still completes;
 - worker-side ``serve.shard.*`` metrics fold into the front end's
   registry at drain.
 """
@@ -166,32 +169,103 @@ def test_cluster_matches_single_service_on_zipfian_mix():
 # ------------------------- admission and lifecycle ---------------------------
 
 
-def test_overload_is_per_shard_and_carries_retry_hint():
-    # Two distinct keys owned by the same shard of a 2-shard ring.
-    router = ShardRouter(2)
-    universe = cheap_universe(12)
+def same_owner_specs(router, n, universe_size=12):
+    """``n`` cheap specs whose keys share one ring owner, and that owner."""
     by_shard = {}
-    for s in universe:
+    for s in cheap_universe(universe_size):
         by_shard.setdefault(router.shard_for(spec_key(s)), []).append(s)
-    shard_id, specs = next(
-        (k, v) for k, v in by_shard.items() if len(v) >= 2
-    )
+    owner, specs = max(by_shard.items(), key=lambda kv: len(kv[1]))
+    assert len(specs) >= n
+    return owner, specs[:n]
+
+
+def test_overload_refuses_new_keys_only_when_every_healthy_shard_is_full():
+    router = ShardRouter(2)
+    owner, specs = same_owner_specs(router, 4)
+    other = 1 - owner
 
     async def scenario():
         async with StudyCluster(
             shards=2, router=router, max_pending=1
         ) as cluster:
+            # Rule 1: a new key goes to whichever shard has room, and is
+            # refused only once every healthy shard is full.
             first = asyncio.ensure_future(cluster.submit(specs[0]))
-            await asyncio.sleep(0)  # let the first submit claim the slot
+            await asyncio.sleep(0)  # specs[0] fills its owner
+            second = asyncio.ensure_future(cluster.submit(specs[1]))
+            await asyncio.sleep(0)  # specs[1] takes the other shard
             with pytest.raises(Overloaded) as exc_info:
-                await cluster.submit(specs[1])
+                await cluster.submit(specs[2])
             assert exc_info.value.retry_after > 0
             assert exc_info.value.pending == 1
-            await first
+            await asyncio.gather(first, second)
+            # Rule 2: a placed key is refused while its own shard is
+            # full, even though the other shard has room.
+            third = asyncio.ensure_future(cluster.submit(specs[2]))
+            await asyncio.sleep(0)  # idle cluster: specs[2] -> owner
+            with pytest.raises(Overloaded) as exc_info:
+                await cluster.submit(specs[0])  # placed on the owner
+            assert exc_info.value.pending == 1
+            await cluster.submit(specs[3])  # a new key: the free shard
+            await third
             return cluster
 
     cluster = run(scenario())
-    assert cluster.stats.rejected == 1
+    assert cluster.stats.rejected == 2
+    # Admitted flights: specs[0] and specs[2] on the owner, specs[1]
+    # and specs[3] on the other shard.
+    assert cluster.stats.flights_by_shard[owner] == 2
+    assert cluster.stats.flights_by_shard[other] == 2
+    assert cluster.stats.executed == 4
+
+
+# --------------------------------- placement ---------------------------------
+
+
+def test_new_keys_spread_over_shards_and_repeats_stay_put():
+    # Every key has the same ring owner; routing by the ring alone would
+    # send all of them to one shard.
+    router = ShardRouter(2)
+    _, specs = same_owner_specs(router, 5)
+
+    async def scenario():
+        async with StudyCluster(
+            shards=2, router=router, cache=False
+        ) as cluster:
+            await asyncio.gather(*(cluster.submit(s) for s in specs))
+            first_pass = (cluster.stats.executed, cluster.stats.l1_hits)
+            # One at a time on an idle cluster: the ring owner would win
+            # every tie, so only the recorded placement finds the L1s.
+            for s in specs:
+                await cluster.submit(s)
+            return cluster, first_pass
+
+    cluster, (executed, l1_hits) = run(scenario())
+    assert all(n > 0 for n in cluster.stats.flights_by_shard)
+    assert executed == len(specs)  # one execution per distinct key
+    assert l1_hits == 0
+    # The second pass found every key on the shard it was placed on.
+    assert cluster.stats.executed == len(specs)
+    assert cluster.stats.l1_hits == len(specs)
+    assert cluster.stats.l2_hits == 0
+
+
+def test_keys_submitted_one_at_a_time_land_on_their_ring_owners():
+    router = ShardRouter(2)
+    universe = cheap_universe(8)
+    owners = [router.shard_for(spec_key(s)) for s in universe]
+    assert set(owners) == {0, 1}
+
+    async def scenario():
+        async with StudyCluster(shards=2, router=router) as cluster:
+            for s in universe:
+                await cluster.submit(s)  # every shard idle: owner wins
+            return cluster
+
+    cluster = run(scenario())
+    assert cluster.stats.flights_by_shard == [
+        owners.count(0), owners.count(1)
+    ]
 
 
 def test_submit_after_drain_raises_service_closed():

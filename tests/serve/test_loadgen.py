@@ -185,7 +185,7 @@ def test_scoreboard_balance_view():
     assert board["requests_by_shard"] == [10, 20]
     assert board["balance_ratio"] == 2.0
     starved = scoreboard(_report(_mix()), executed=6, per_shard=[0, 30])
-    assert starved["balance_ratio"] == float("inf")
+    assert starved["balance_ratio"] is None  # strict JSON: null, not inf
 
 
 # ----------------------------- retry backoff ---------------------------------
