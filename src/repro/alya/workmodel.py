@@ -18,6 +18,7 @@ gap:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,14 +91,20 @@ class AlyaWorkModel:
             raise ValueError("n_cells must be >= 1")
         if self.cg_iters_per_step < 1:
             raise ValueError("cg_iters_per_step must be >= 1")
-        if self.flops_per_cell_step <= 0 or self.flops_per_cell_cg_iter <= 0:
-            raise ValueError("flop costs must be positive")
-        if self.halo_surface_coeff <= 0:
-            raise ValueError("halo_surface_coeff must be positive")
+        # Written as ``not 0 < x < inf`` so that NaN fails every check.
+        if not (0 < self.flops_per_cell_step < math.inf
+                and 0 < self.flops_per_cell_cg_iter < math.inf):
+            raise ValueError("flop costs must be positive and finite")
+        if not 0 < self.halo_surface_coeff < math.inf:
+            raise ValueError("halo_surface_coeff must be positive and finite")
+        if not (0 < self.bytes_per_value < math.inf
+                and 0 < self.memory_bytes_per_cell < math.inf):
+            raise ValueError("byte sizes must be positive and finite")
         if self.nominal_timesteps < 1:
             raise ValueError("nominal_timesteps must be >= 1")
         if self.case is CaseKind.FSI:
-            if self.solid_flops_per_step <= 0 or self.interface_cells < 1:
+            if (not 0 < self.solid_flops_per_step < math.inf
+                    or self.interface_cells < 1):
                 raise ValueError(
                     "an FSI model needs solid_flops_per_step and "
                     "interface_cells"

@@ -116,8 +116,9 @@ class ExperimentRunner:
             n_endpoints = spec.total_ranks
             endpoint_is_node = False
         rankmap = RankMap(n_ranks=n_endpoints, n_nodes=spec.n_nodes)
-        # The exact collective short-circuit is on unless a fault plan is
-        # armed: a fault can change a link or a rank mid-collective.
+        # The exact collective and halo short-circuit is on unless a
+        # fault plan is armed: a fault can change a link or a rank
+        # mid-operation.
         fastpath = injector is None
         comm = SimComm(
             env, cluster, rankmap, perf,

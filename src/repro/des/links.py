@@ -24,6 +24,34 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS_BYTES = 1e-6
 
+
+def lockstep_finish(
+    when: float, wire_bytes: float, n: int, bandwidth: float
+) -> Optional[float]:
+    """When ``n`` equal flows of ``wire_bytes`` admitted together at
+    ``when`` to an idle :class:`FairShareLink` of ``bandwidth`` all
+    complete, or ``None`` when the link would not finish them at once.
+
+    This is the link's own float arithmetic for that case: the last
+    admission schedules the wake at ``fl(when + fl(wire / rate))`` with
+    ``rate = fl(bandwidth / n)``, and that wake finishes every flow only
+    if the drained residual ``wire − rate·(t − when)`` passes the
+    completion threshold of :meth:`FairShareLink._wake_fire`; otherwise
+    the link would reschedule, and ``None`` lets the caller decline
+    rather than guess.  Flows of at most :data:`_EPS_BYTES` complete at
+    admission.
+    """
+    if wire_bytes <= _EPS_BYTES:
+        return when
+    rate = bandwidth / n
+    t = when + wire_bytes / rate
+    resid = wire_bytes - rate * (t - when)
+    threshold = rate * 4.0 * (math.ulp(t) if t > 0 else 1e-18)
+    if threshold < _EPS_BYTES:
+        threshold = _EPS_BYTES
+    return t if resid <= threshold else None
+
+
 class _Gate(Event):
     """A pooled latency gate for :meth:`FairShareLink.transfer_cb`.
 
@@ -138,8 +166,8 @@ class FairShareLink:
 
     def transfer(self, nbytes: float) -> Event:
         """Start a transfer of ``nbytes``; the event fires on completion."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         done = Event(self.env)
         wire_bytes = nbytes * self.per_byte_overhead
         if self.latency > 0:
@@ -162,8 +190,8 @@ class FairShareLink:
         the ordering consequences — ``notify`` runs within the wake's
         callback, so it must not re-enter this link synchronously.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         wire_bytes = nbytes * self.per_byte_overhead
         if self.latency > 0:
             pool = self._gate_pool

@@ -459,10 +459,10 @@ class SimComm:
         ``False`` the indexed/callback hot path; ``None`` (default)
         follows :func:`set_default_delivery`.
     collective_fastpath:
-        Allow the exact analytic collective short-circuit
+        Allow the exact analytic collective and halo short-circuit
         (:class:`repro.mpi.fastpath.CollectiveFastPath`) when the static
-        gates hold; each collective then decides for itself whether to
-        use it.  ``False`` forces every collective onto its message
+        gates hold; each collective or halo then decides for itself
+        whether to use it.  ``False`` forces every one onto its message
         schedule (the runner passes ``False`` when a fault plan is
         armed).  See ``docs/perf.md``.
     """
@@ -526,8 +526,8 @@ class SimComm:
         #: Messages sent but not yet deposited at their destination
         #: (latency stage included) — the fast path's quiescence check.
         self._in_flight = 0
-        #: Analytic collective short-circuit; None when disabled or when
-        #: a static gate fails.
+        #: Analytic collective and halo short-circuit; None when disabled
+        #: or when a static gate fails.
         self.fastpath = (
             CollectiveFastPath(self)
             if collective_fastpath and CollectiveFastPath.eligible(self)

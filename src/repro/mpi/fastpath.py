@@ -1,4 +1,4 @@
-"""Exact analytic short-circuit for lockstep collectives.
+"""Exact analytic short-circuit for lockstep collectives and halos.
 
 A pairwise-exchange collective whose ranks all enter at the same instant
 on an idle network advances in lockstep: in every round each rank sends
@@ -27,6 +27,28 @@ their ranks at different times.  A rank that finishes early moves on
 and can put traffic on a NIC the closed form still assumes idle, so no
 closed form for them can be exact; they always run as messages.
 
+**Lockstep halos** (:meth:`CollectiveFastPath.join` with kind
+:data:`HALO`).  A halo
+exchange is one round in which every endpoint sends to each of its
+neighbours and receives from each of them.  Each endpoint declares its
+sends ``((neighbour, nbytes), ...)``; every message is admitted to its
+source's NIC transmit pipe and its destination's receive pipe at
+``when = now + L(nbytes)``.  A pipe carrying ``n`` equal flows finishes
+them all at
+
+    ``t = fl(when + fl(wire / fl(bw / n)))``
+
+provided the link's own completion check passes there (the residual
+``wire − rate·(t − when)`` is within ``max(rate·4·ulp(t), ε)``; see
+:func:`~repro.des.links.lockstep_finish`, which the collectives above
+call with ``n = 1``).  A message completes at ``max(t_tx(src),
+t_rx(dst))`` and an endpoint when its last send and last receive have.
+The halo declines when a pipe carries flows of unequal size, when a
+residual check fails, when the sends are not symmetric (every
+neighbour sends back), or when the endpoints would not all finish at
+one instant.  The flow counts depend only on the declarations, so each
+distinct declaration set is analysed once and cached.
+
 **Static gates** (:meth:`CollectiveFastPath.eligible`, evaluated once
 when the communicator is built — failing any means no fast path at all):
 at least two endpoints, each on its own node with wired NICs, no switch
@@ -38,26 +60,30 @@ complete).  The communicator must also be the job's WORLD communicator
 to its members' NICs) and the run must carry no fault plan (a fault can
 change a link or a rank mid-collective); the runner enforces the last.
 
-**Per-collective decision.**  The first participant to join a collective
-registers one end-of-instant callback
+**Per-operation decision.**  Collectives and halos share one decision
+path.  The first participant to join an operation registers one
+end-of-instant callback
 (:meth:`~repro.des.engine.Environment.at_end_of_instant`).  When it
 fires — nothing left to dispatch at ``now``, before the clock advances —
 the closed form is used only if all ``p`` participants joined in that
 instant, no message of the communicator is still undelivered (latency
-stage included), and every participant's NIC transmit and receive pipes
-are idle and run at the same rate.  The decision is taken before any of the collective's messages
+stage included), every participant's NIC transmit and receive pipes
+are idle and run at the same rate, and the kind's own closed form
+holds.  The decision is taken before any of the operation's messages
 exist.  Otherwise every joined rank resumes at that same instant with
-:data:`DECLINED` and runs the message schedule; ranks that join later go
-straight to messages.  Either way the simulated times are the message
-schedule's; the only error this module raises is the invariant that
-every rank joins a collective with the same shape, once.
+:data:`DECLINED` and runs the message schedule; ranks that join later
+go straight to messages.  Either way the simulated times are the
+message schedule's; the only error this module raises is the invariant
+that every rank joins an operation with the same kind (and, for a
+collective, the same shape), once.
 
-A short-circuited collective emits no ``mpi.send``/``mpi.deliver``
+A short-circuited operation emits no ``mpi.send``/``mpi.deliver``
 records (traced runs never take it) and never posts receives, so
 ``messages_matched_fast`` does not count its messages.  It adds to the
 communicator's ``messages_sent``, ``internode_messages`` and
 ``bytes_sent`` exactly what the messages would have, adding bytes one
-message at a time in send order.
+message at a time in send order (join order, then neighbour order, for
+a halo).
 """
 
 from __future__ import annotations
@@ -66,10 +92,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.des.engine import SimulationError
 from repro.des.events import Event
-from repro.des.links import _EPS_BYTES
+from repro.des.links import lockstep_finish
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import SimComm
+
+#: Session kind of a lockstep halo (collectives use their own names).
+HALO = "halo"
 
 
 class _Declined:
@@ -81,46 +110,104 @@ class _Declined:
         return "DECLINED"
 
 
-#: Value of a joined rank's event when its collective declined the
+#: Value of a joined rank's event when its operation declined the
 #: closed form: the rank falls through to the message schedule.
 DECLINED = _Declined()
 
 
 class _Session:
-    """One collective awaiting (or past) its decision."""
+    """One collective or halo awaiting (or past) its decision."""
 
-    __slots__ = ("kind", "sizes", "ranks", "events", "joined", "declined")
+    __slots__ = ("kind", "shape", "shapes", "order", "events", "declined")
 
-    def __init__(self, kind: str, sizes: tuple, p: int) -> None:
+    def __init__(self, kind: str, shape: tuple, p: int) -> None:
         self.kind = kind
-        self.sizes = sizes
-        #: Which ranks joined (the join-once invariant).
-        self.ranks = bytearray(p)
+        #: The first joiner's shape: a collective's per-round sizes,
+        #: which every rank must repeat.
+        self.shape = shape
+        #: rank -> its declared shape (a halo's sends); ``None`` until
+        #: the rank joins (the join-once invariant).
+        self.shapes: List[Optional[tuple]] = [None] * p
+        #: Ranks in join order.
+        self.order: List[int] = []
         #: Events of the ranks that joined before the decision, in join
         #: order.
         self.events: List[Event] = []
-        self.joined = 0
         self.declined = False
 
 
+def _halo_plan(shapes: "List[tuple]") -> Optional[tuple]:
+    """What a halo's closed form needs from its per-rank sends
+    ``shapes`` alone: ``(classes, groups)``, where ``classes`` lists the
+    distinct ``(n, nbytes)`` flow sets its NIC pipes carry and
+    ``groups`` the distinct sets of class indices an endpoint's messages
+    touch (an endpoint finishes at the latest of them).  ``None`` when
+    no closed form applies: unequal flows on one pipe, asymmetric or
+    duplicate neighbours, or an endpoint with nothing to exchange."""
+    p = len(shapes)
+    tx: List[list] = [[] for _ in range(p)]
+    rx: List[list] = [[] for _ in range(p)]
+    pairs = set()
+    for src, sends in enumerate(shapes):
+        if not sends:
+            return None
+        for dst, nbytes in sends:
+            if not 0 <= dst < p or dst == src or (src, dst) in pairs:
+                return None
+            pairs.add((src, dst))
+            tx[src].append(nbytes)
+            rx[dst].append(nbytes)
+    if any((dst, src) not in pairs for src, dst in pairs):
+        return None  # someone waits on a message nobody sends
+    index: Dict[tuple, int] = {}
+
+    def cls(sizes: list) -> Optional[int]:
+        if any(s != sizes[0] for s in sizes):
+            return None
+        return index.setdefault((len(sizes), sizes[0]), len(index))
+
+    tx_c = [cls(s) for s in tx]
+    rx_c = [cls(s) for s in rx]
+    if None in tx_c or None in rx_c:
+        return None
+    groups = set()
+    for e, sends in enumerate(shapes):
+        # e's send to nb and nb's send back to e, each on two pipes.
+        groups.add(frozenset(
+            c for nb, _ in sends
+            for c in (tx_c[e], rx_c[nb], tx_c[nb], rx_c[e])
+        ))
+    return tuple(index), tuple(tuple(g) for g in groups)
+
+
 class CollectiveFastPath:
-    """Closed-form scheduler for the lockstep collectives of one WORLD
-    communicator; see the module docstring."""
+    """Closed-form scheduler for the lockstep collectives and halos of
+    one WORLD communicator; see the module docstring."""
 
     def __init__(self, comm: "SimComm") -> None:
         self.comm = comm
+        self._env = comm.env
+        self._p = comm.size
         self._sessions: Dict[int, _Session] = {}
+        #: Halo declarations (per-rank sends) -> plan, or ``None`` for
+        #: declarations no closed form covers.
+        self._halo_plans: Dict[tuple, Optional[tuple]] = {}
         nodes = comm.cluster.nodes
-        #: Participant NIC pipes, checked idle (and equally fast) at
-        #: every decision.
-        self._nics = [
-            (nodes[n].nic_tx, nodes[n].nic_rx)
+        #: Participant NIC pipes (tx, rx per rank), checked idle (and
+        #: equally fast) at every decision.
+        self._pipes = [
+            link
             for n in (comm.node_of_rank(i) for i in range(comm.size))
+            for link in (nodes[n].nic_tx, nodes[n].nic_rx)
         ]
         #: Collectives resolved analytically instead of message-by-message.
         self.collectives_short_circuited = 0
         #: Collectives whose decision fell back to the message schedule.
         self.collectives_declined = 0
+        #: Halos resolved analytically.
+        self.halos_short_circuited = 0
+        #: Halos whose decision fell back to the message schedule.
+        self.halos_declined = 0
         #: Messages accounted for analytically (counted into the comm's
         #: traffic counters without being simulated).
         self.messages_modelled = 0
@@ -148,82 +235,155 @@ class CollectiveFastPath:
         return True
 
     def join(
-        self, kind: str, rank: int, op: int, sizes: tuple
+        self, kind: str, rank: int, op: int, shape: tuple
     ) -> Optional[Event]:
-        """Join collective ``op``, whose round *r* has every rank send
-        one ``sizes[r]``-byte message.
+        """Join operation ``op`` of ``kind``.
+
+        For a collective, ``shape`` holds the per-round sizes: round *r*
+        has every rank send one ``shape[r]``-byte message, and every rank
+        must pass the same ``shape``.  For a :data:`HALO`, ``shape`` is
+        this rank's sends ``((neighbour, nbytes), ...)``: it sends
+        ``nbytes`` to each neighbour and receives one message from each.
 
         Returns the event to wait on — it fires with ``None`` at the
         closed-form completion time, or with :data:`DECLINED` at the
-        decision instant — or ``None`` when the collective was already
+        decision instant — or ``None`` when the operation was already
         declined and this rank goes straight to messages.
         """
-        p = self.comm.size
+        p = self._p
         sess = self._sessions.get(op)
         if sess is None:
-            sess = self._sessions[op] = _Session(kind, sizes, p)
-            self.comm.env.at_end_of_instant(lambda: self._decide(op))
-        elif sess.kind != kind or sess.sizes != sizes:
+            sess = self._sessions[op] = _Session(kind, shape, p)
+            self._env.at_end_of_instant(lambda: self._decide(op))
+        elif sess.kind != kind or (kind != HALO and sess.shape != shape):
             raise SimulationError(
                 f"collective fast path: op {op} joined as {kind} with "
-                f"sizes {sizes}, but as {sess.kind} with sizes "
-                f"{sess.sizes} by another rank"
+                f"sizes {shape}, but as {sess.kind} with sizes "
+                f"{sess.shape} by another rank"
             )
-        if sess.ranks[rank]:
+        if sess.shapes[rank] is not None:
             raise SimulationError(
                 f"collective fast path: rank {rank} joined op {op} twice"
             )
-        sess.ranks[rank] = 1
-        sess.joined += 1
+        sess.shapes[rank] = shape
+        sess.order.append(rank)
         if sess.declined:
-            if sess.joined == p:
+            if len(sess.order) == p:
                 del self._sessions[op]
             return None
-        ev = Event(self.comm.env)
+        ev = Event(self._env)
         sess.events.append(ev)
         return ev
 
     def _decide(self, op: int) -> None:
         sess = self._sessions[op]
-        comm = self.comm
-        p = comm.size
-        if sess.joined == p:
+        if len(sess.order) == self._p:
             del self._sessions[op]
-            bw = self._nics[0][0].bandwidth
-            if not comm._in_flight and all(
-                not tx.active_flows and not rx.active_flows
-                and tx.bandwidth == bw == rx.bandwidth
-                for tx, rx in self._nics
-            ):
-                self._resolve(sess)
-                return
+            if self._quiet():
+                if sess.kind == HALO:
+                    t = self._halo_time(sess)
+                else:
+                    t = self._collective_time(sess)
+                if t is not None:
+                    self._complete(sess, t)
+                    return
         sess.declined = True
-        self.collectives_declined += 1
+        if sess.kind == HALO:
+            self.halos_declined += 1
+        else:
+            self.collectives_declined += 1
         for ev in sess.events:
             ev.succeed(DECLINED)
 
-    def _resolve(self, sess: _Session) -> None:
+    def _quiet(self) -> bool:
+        """No message of the communicator undelivered, and every
+        participant NIC pipe idle at one rate."""
+        if self.comm._in_flight:
+            return False
+        pipes = self._pipes
+        bw = pipes[0].bandwidth
+        for link in pipes:
+            if link._f_remaining or link.bandwidth != bw:
+                return False
+        return True
+
+    def _collective_time(self, sess: _Session) -> Optional[float]:
+        """The lockstep recurrence over the collective's rounds: each
+        round's flows run alone (``n = 1``) on their pipes."""
         comm = self.comm
         perf = comm.perf
-        link = self._nics[0][0]
+        link = self._pipes[0]
         o_mpi = perf.inter.per_byte_overhead
-        p = comm.size
         t = comm.env.now
+        for size in sess.shape:
+            t = lockstep_finish(
+                t + perf.message_latency(False, size),
+                (size * o_mpi) * link.per_byte_overhead, 1, link.bandwidth,
+            )
+            if t is None:
+                return None
+        return t
+
+    def _halo_time(self, sess: _Session) -> Optional[float]:
+        """The halo's one finish time (see the module docstring), or
+        ``None`` when it has none."""
+        key = tuple(sess.shapes)
+        plans = self._halo_plans
+        if key in plans:
+            plan = plans[key]
+        else:
+            plan = plans[key] = _halo_plan(sess.shapes)
+        if plan is None:
+            return None
+        classes, groups = plan
+        perf = self.comm.perf
+        link = self._pipes[0]
+        o_mpi = perf.inter.per_byte_overhead
+        now = self.comm.env.now
+        finish = []
+        for n, size in classes:
+            t = lockstep_finish(
+                now + perf.message_latency(False, size),
+                (size * o_mpi) * link.per_byte_overhead, n, link.bandwidth,
+            )
+            if t is None:
+                return None
+            finish.append(t)
+        end = None
+        for group in groups:
+            t = max(finish[c] for c in group)
+            if end is None:
+                end = t
+            elif t != end:
+                return None  # an early finisher could load a busy pipe
+        return end
+
+    def _complete(self, sess: _Session, t: float) -> None:
+        """Account the operation's messages and resume its ranks at
+        ``t``."""
+        comm = self.comm
         acc = comm.bytes_sent
-        for size in sess.sizes:
-            wire = (size * o_mpi) * link.per_byte_overhead
-            w = wire / link.bandwidth if wire > _EPS_BYTES else 0.0
-            t = (t + perf.message_latency(False, size)) + w
-            # One add per message in send order, as isend accumulates:
-            # a single multiply-add can differ in the last ulp.
-            for _ in range(p):
-                acc += size
-        msgs = p * len(sess.sizes)
+        msgs = 0
+        # One add per message in send order, as isend accumulates: a
+        # single multiply-add can differ in the last ulp.
+        if sess.kind == HALO:
+            shapes = sess.shapes
+            for rank in sess.order:
+                for _, nbytes in shapes[rank]:
+                    acc += nbytes
+                    msgs += 1
+            self.halos_short_circuited += 1
+        else:
+            p = self._p
+            for size in sess.shape:
+                for _ in range(p):
+                    acc += size
+            msgs = p * len(sess.shape)
+            self.collectives_short_circuited += 1
         comm.bytes_sent = acc
         comm.messages_sent += msgs
         comm.internode_messages += msgs  # one rank per node: all cross
         self.messages_modelled += msgs
-        self.collectives_short_circuited += 1
         schedule_at = comm.env._schedule_at
         for ev in sess.events:
             ev._value = None  # succeeds at the exact absolute time

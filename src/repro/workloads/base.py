@@ -15,8 +15,9 @@ executes.  There is one lowering:
   :class:`BlockPhase` and :class:`OverlapPhase` — and the shared
   :class:`PhasedApp` compiles them to DES events (compute as
   straggler-scaled timeouts, halos as non-blocking neighbour sendrecv
-  joined with :class:`~repro.des.events.JoinAll`, collectives through
-  :mod:`repro.mpi.collectives`, IO as shared-filesystem transfers).
+  joined with :class:`~repro.des.events.JoinAll` unless the fast path
+  closes them, collectives through :mod:`repro.mpi.collectives`, IO as
+  shared-filesystem transfers).
 
 Determinism contract (every workload must honour it — the executor
 cache, the golden-trace suite and the serving digests all assume it):
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
 
@@ -45,6 +47,7 @@ from repro.des.events import JoinAll
 from repro.mpi import collectives
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import collective_tag
+from repro.mpi.fastpath import DECLINED, HALO
 
 #: Op-id stride reserved for one simulated time step.
 OPS_PER_STEP = 2048
@@ -56,8 +59,8 @@ def compute_seconds(flops: float, ctx) -> float:
     Sustained (not peak) core flop rate, the OpenMP threading model, and
     the container runtime's CPU overhead multiplier.
     """
-    if flops < 0:
-        raise ValueError("flops must be >= 0")
+    if not 0 <= flops < math.inf:
+        raise ValueError(f"flops must be >= 0 and finite, got {flops}")
     serial = flops / ctx.sustained_core_flops
     threaded = ctx.omp.threaded_time(serial, ctx.threads_per_rank)
     return threaded * ctx.cpu_overhead
@@ -119,8 +122,11 @@ class ComputePhase:
     root: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("compute seconds must be >= 0")
+        # Written as ``not 0 <= x < inf`` so that NaN fails every check.
+        if not 0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"compute seconds must be >= 0 and finite, got {self.seconds}"
+            )
         if self.root is not None and self.root < 0:
             raise ValueError("compute root must be >= 0")
 
@@ -139,8 +145,10 @@ class HaloPhase:
     op: int
 
     def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError("halo nbytes must be >= 0")
+        if not 0 <= self.nbytes < math.inf:
+            raise ValueError(
+                f"halo nbytes must be >= 0 and finite, got {self.nbytes}"
+            )
         if not 0 <= self.op < OPS_PER_STEP:
             raise ValueError(f"op offset must be in [0, {OPS_PER_STEP})")
 
@@ -173,10 +181,15 @@ class CollectivePhase:
                 f"unknown collective kind {self.kind!r}; "
                 f"expected one of {COLLECTIVE_KINDS}"
             )
-        if self.nbytes < 0:
-            raise ValueError("collective nbytes must be >= 0")
-        if self.pre_delay < 0:
-            raise ValueError("collective pre_delay must be >= 0")
+        if not 0 <= self.nbytes < math.inf:
+            raise ValueError(
+                f"collective nbytes must be >= 0 and finite, got {self.nbytes}"
+            )
+        if not 0 <= self.pre_delay < math.inf:
+            raise ValueError(
+                "collective pre_delay must be >= 0 and finite, "
+                f"got {self.pre_delay}"
+            )
         if not 0 <= self.op < OPS_PER_STEP:
             raise ValueError(f"op offset must be in [0, {OPS_PER_STEP})")
 
@@ -195,8 +208,10 @@ class IOPhase:
     nbytes: float
 
     def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError("IO nbytes must be >= 0")
+        if not 0 <= self.nbytes < math.inf:
+            raise ValueError(
+                f"IO nbytes must be >= 0 and finite, got {self.nbytes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -327,13 +342,24 @@ class Workload(abc.ABC):
     buckets: ClassVar[tuple] = ()
 
     def validate_spec(self, spec) -> None:
-        """Reject specs whose work model this workload cannot run."""
-        if not isinstance(spec.workmodel, self.workmodel_type):
+        """Reject specs whose work model this workload cannot run: the
+        wrong type, or a non-finite float field (a NaN passes every
+        ``x <= 0`` check and then hangs the run or drops work)."""
+        work = spec.workmodel
+        if not isinstance(work, self.workmodel_type):
             raise TypeError(
                 f"workload {self.name!r} needs a "
                 f"{self.workmodel_type.__name__} work model, got "
-                f"{type(spec.workmodel).__name__}"
+                f"{type(work).__name__}"
             )
+        if dataclasses.is_dataclass(work):
+            for f in dataclasses.fields(work):
+                value = getattr(work, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(
+                        f"work model field {f.name} must be finite, "
+                        f"got {value}"
+                    )
 
     @abc.abstractmethod
     def default_workmodel(self, fig: str = "fig1"):
@@ -397,6 +423,14 @@ class PhasedApp:
     and overlaps compose those.  Each top-level phase marks an obs span
     named after itself and bills its interval to the endpoint's
     :class:`PhaseBreakdown`.
+
+    A blocking :class:`HaloPhase` is first offered to the communicator's
+    fast path (:meth:`~repro.mpi.fastpath.CollectiveFastPath.join`),
+    which resolves it in closed form when every endpoint enters in the
+    same instant on idle NICs, with the same result as the messages;
+    on a decline, or without a fast path, it runs as messages.  The
+    halo of an :class:`OverlapPhase` always runs as messages: the
+    endpoint computes while it is in flight.
     """
 
     def __init__(
@@ -414,8 +448,10 @@ class PhasedApp:
             raise ValueError("sim_steps must be >= 1")
         if topology not in ("grid", "chain"):
             raise ValueError("topology must be 'grid' or 'chain'")
-        if io_bandwidth <= 0:
-            raise ValueError("io_bandwidth must be positive")
+        if not 0 < io_bandwidth < math.inf:
+            raise ValueError(
+                f"io_bandwidth must be positive and finite, got {io_bandwidth}"
+            )
         self.workload = workload
         self.work = work
         self.ctx = ctx
@@ -445,12 +481,15 @@ class PhasedApp:
             self._memo[key] = prog
         return prog
 
+    def _neighbors(self, comm: SimComm, ep: int):
+        return grid_neighbors(
+            comm.rankmap, ep, self.ctx.endpoint_is_node, self.topology
+        )
+
     def _halo(self, comm: SimComm, ep: int, op: int, nbytes: float):
         """All non-blocking halo sends/receives for one phase."""
         events = []
-        for nb, axis in grid_neighbors(
-            comm.rankmap, ep, self.ctx.endpoint_is_node, self.topology
-        ):
+        for nb, axis in self._neighbors(comm, ep):
             send_round = axis * 2 + (0 if nb < ep else 1)
             recv_round = axis * 2 + (0 if ep < nb else 1)
             events.append(
@@ -458,6 +497,17 @@ class PhasedApp:
             )
             events.append(comm.recv(ep, nb, collective_tag(op, recv_round)))
         return events
+
+    def _join_halo(self, comm: SimComm, ep: int, op: int, nbytes: float):
+        """Offer a blocking halo to the communicator's fast path: the
+        event to wait on (see
+        :meth:`~repro.mpi.fastpath.CollectiveFastPath.join`), or
+        ``None`` when there is no fast path or nothing to exchange."""
+        fp = getattr(comm, "fastpath", None)
+        if fp is None:
+            return None
+        sends = tuple((nb, nbytes) for nb, _ in self._neighbors(comm, ep))
+        return fp.join(HALO, ep, op, sends) if sends else None
 
     def _compute_delay(self, phase: ComputePhase, ep_node: int,
                        now: float) -> float:
@@ -483,9 +533,12 @@ class PhasedApp:
             kind = type(phase)
             bucket = _BUCKET.get(kind)
             if kind is HaloPhase:
-                pending = self._halo(comm, ep, base + phase.op, phase.nbytes)
-                if pending:
-                    yield JoinAll(env, pending)
+                op = base + phase.op
+                ev = self._join_halo(comm, ep, op, phase.nbytes)
+                if ev is None or (yield ev) is DECLINED:
+                    pending = self._halo(comm, ep, op, phase.nbytes)
+                    if pending:
+                        yield JoinAll(env, pending)
             elif kind is CollectivePhase:
                 if phase.pre_delay:
                     yield env.timeout(phase.pre_delay)

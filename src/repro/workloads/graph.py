@@ -19,6 +19,7 @@ different algorithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.workloads.base import (
@@ -85,10 +86,12 @@ class GraphWorkModel:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ValueError("n_cells must be >= 1")
-        if self.avg_degree <= 0:
-            raise ValueError("avg_degree must be positive")
-        if self.flops_per_edge <= 0 or self.sample_flops_per_edge <= 0:
-            raise ValueError("per-edge flop counts must be positive")
+        # Written as ``not 0 < x < inf`` so that NaN fails every check.
+        if not 0 < self.avg_degree < math.inf:
+            raise ValueError("avg_degree must be positive and finite")
+        if not (0 < self.flops_per_edge < math.inf
+                and 0 < self.sample_flops_per_edge < math.inf):
+            raise ValueError("per-edge flop counts must be positive and finite")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0.0 < self.shrink < 1.0:
@@ -96,8 +99,9 @@ class GraphWorkModel:
         max_rounds = (OPS_PER_STEP - 2) // _OPS_PER_ROUND
         if not 1 <= self.rounds <= max_rounds:
             raise ValueError(f"rounds must be in [1, {max_rounds}]")
-        if self.bytes_per_vertex <= 0 or self.memory_bytes_per_cell <= 0:
-            raise ValueError("byte sizes must be positive")
+        if not (0 < self.bytes_per_vertex < math.inf
+                and 0 < self.memory_bytes_per_cell < math.inf):
+            raise ValueError("byte sizes must be positive and finite")
         if self.nominal_timesteps < 1:
             raise ValueError("nominal_timesteps must be >= 1")
 

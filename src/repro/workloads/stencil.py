@@ -17,6 +17,7 @@ the shared filesystem — the IO phase of the workload interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.workloads.base import (
@@ -70,16 +71,20 @@ class StencilWorkModel:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ValueError("n_cells must be >= 1")
-        if self.flops_per_cell_step <= 0:
-            raise ValueError("flops_per_cell_step must be positive")
+        # Written as ``not 0 < x < inf`` so that NaN fails every check.
+        if not 0 < self.flops_per_cell_step < math.inf:
+            raise ValueError("flops_per_cell_step must be positive and finite")
         if self.sweeps_per_step < 1:
             raise ValueError("sweeps_per_step must be >= 1")
-        if self.halo_surface_coeff <= 0 or self.halo_fields < 1:
-            raise ValueError("halo geometry must be positive")
-        if self.bytes_per_value <= 0 or self.memory_bytes_per_cell <= 0:
-            raise ValueError("byte sizes must be positive")
-        if self.checkpoint_every < 0 or self.checkpoint_bytes_per_cell < 0:
-            raise ValueError("checkpoint parameters must be >= 0")
+        if not 0 < self.halo_surface_coeff < math.inf or self.halo_fields < 1:
+            raise ValueError("halo geometry must be positive and finite")
+        if not (0 < self.bytes_per_value < math.inf
+                and 0 < self.memory_bytes_per_cell < math.inf):
+            raise ValueError("byte sizes must be positive and finite")
+        if self.checkpoint_every < 0 or not (
+            0 <= self.checkpoint_bytes_per_cell < math.inf
+        ):
+            raise ValueError("checkpoint parameters must be >= 0 and finite")
         if self.nominal_timesteps < 1:
             raise ValueError("nominal_timesteps must be >= 1")
 

@@ -1,11 +1,12 @@
 """End-to-end parity of the collective fast path: on by default, exact.
 
 Every :class:`ExperimentRunner` run may short-circuit its lockstep
-collectives (:mod:`repro.mpi.fastpath`).  Hypothesis draws geometries —
-node counts 1–64 with the awkward ones (``3·2^k``, primes) forced in —
-across the Alya CFD/FSI, stencil and graph workloads, all four runtimes
-and 1–3 simulated steps, and asserts that the default run's serialised
-result equals, bit for bit, the run with the fast path switched off.
+collectives and halos (:mod:`repro.mpi.fastpath`).  Hypothesis draws
+geometries — node counts 1–64 with the awkward ones (``3·2^k``, primes)
+forced in — across the Alya CFD/FSI (synchronous and overlapped
+predictor halo), stencil and graph workloads, all four runtimes and 1–3
+simulated steps, and asserts that the default run's serialised result
+equals, bit for bit, the run with the fast path switched off.
 """
 
 import dataclasses
@@ -22,7 +23,23 @@ from repro.core.runner import ExperimentRunner
 from repro.hardware import catalog
 from repro.mpi import fastpath
 from repro.workloads import StencilWorkModel
+from repro.workloads.alya import AlyaWorkload
 from repro.workloads.graph import GraphWorkModel
+from repro.workloads.registry import _REGISTRY
+
+
+class OverlapAlya(AlyaWorkload):
+    """Alya with its predictor halo hidden behind the step's compute."""
+
+    name = "alya-overlap"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def overlap_alya_registered():
+    """Register :class:`OverlapAlya` for this module's specs only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(_REGISTRY, OverlapAlya.name, OverlapAlya(overlap_halo=True))
+        yield
 
 #: Lenox's node and fabric (the one machine with Docker and Shifter),
 #: stretched to 64 nodes so every runtime can reach every node count.
@@ -45,6 +62,11 @@ WORKLOADS = {
         StencilWorkModel(n_cells=2_000_000, checkpoint_every=2),
     ),
     "graph": ("graph", GraphWorkModel(n_cells=2_000_000, rounds=3)),
+    "alya-overlap": (
+        "alya-overlap",
+        AlyaWorkModel(case=CaseKind.CFD, n_cells=2_000_000,
+                      cg_iters_per_step=4, nominal_timesteps=50),
+    ),
 }
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
@@ -181,4 +203,69 @@ def test_fig3_power_of_two_short_circuits():
     cg_iters = spec.workmodel.cg_iters_per_step
     assert fp.collectives_short_circuited == cg_iters
     assert fp.collectives_declined == 0
+    assert fast == _run_without_fastpath(spec)
+
+
+def _spied_run(spec):
+    """(serialised result, the run's fast paths) of the default run."""
+    seen = []
+    init = fastpath.CollectiveFastPath.__init__
+
+    def spy(self, comm):
+        init(self, comm)
+        seen.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath.CollectiveFastPath, "__init__", spy)
+        result = ExperimentRunner().run(spec).to_json_dict()
+    return result, seen
+
+
+@pytest.mark.parametrize("n_nodes", [2, 64])
+def test_fig3_node_spec_closes_every_halo(n_nodes):
+    """Every halo of a power-of-two Fig. 3 point (the predictor and one
+    per CG iteration) takes the closed form, and the result equals the
+    message schedule's."""
+    spec = ExperimentSpec(
+        name=f"fig3-{n_nodes}n",
+        cluster=catalog.MARENOSTRUM4,
+        runtime_name="bare-metal",
+        technique=None,
+        workmodel=calibration.mn4_fsi_workmodel(),
+        n_nodes=n_nodes,
+        ranks_per_node=catalog.MARENOSTRUM4.node.cores,
+        sim_steps=1,
+        granularity=EndpointGranularity.NODE,
+    )
+    fast, (fp,) = _spied_run(spec)
+    assert fp.halos_short_circuited == 1 + spec.workmodel.cg_iters_per_step
+    assert fp.halos_declined == 0
+    assert fp.collectives_declined == 0
+    # Only the FSI coupling's gather and bcast trees send messages.
+    assert fast["messages"] - fp.messages_modelled == 2 * (n_nodes - 1)
+    assert fast == _run_without_fastpath(spec)
+
+
+def test_overlapped_halo_stays_on_messages():
+    """An :class:`OverlapPhase` halo is posted before the compute and
+    waited on after it, so it never joins the fast path: only the CG
+    halos are offered, and the result equals the message schedule's."""
+    workload, work = WORKLOADS["alya-overlap"]
+    spec = ExperimentSpec(
+        name="overlap-halo",
+        cluster=catalog.MARENOSTRUM4,
+        runtime_name="bare-metal",
+        technique=None,
+        workmodel=work,
+        n_nodes=8,
+        ranks_per_node=1,
+        sim_steps=2,
+        granularity=EndpointGranularity.NODE,
+        workload=workload,
+    )
+    fast, (fp,) = _spied_run(spec)
+    offered = fp.halos_short_circuited + fp.halos_declined
+    assert offered == spec.sim_steps * work.cg_iters_per_step
+    assert fp.halos_short_circuited > 0
+    assert fp.messages_modelled < fast["messages"]
     assert fast == _run_without_fastpath(spec)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment, FairShareLink
+from repro.des.links import lockstep_finish
 
 
 def run_transfers(bandwidth, latency, sizes, starts=None, overhead=1.0):
@@ -183,3 +184,35 @@ def test_property_equal_flows_finish_together(n):
     done, _ = run_transfers(500.0, 0.0, [250.0] * n)
     assert max(done) == pytest.approx(min(done))
     assert max(done) == pytest.approx(n * 250.0 / 500.0)
+
+
+@given(
+    when=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    n=st.integers(min_value=1, max_value=8),
+    wire=st.one_of(
+        st.just(0.0), st.just(5e-7),
+        st.floats(min_value=1e-3, max_value=1e10, allow_nan=False),
+    ),
+    bw=st.floats(min_value=1e3, max_value=1e12, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_lockstep_finish_is_the_links_own_arithmetic(
+    when, n, wire, bw
+):
+    """``lockstep_finish`` (the collective and halo closed forms' link
+    model) equals, bit for bit, what the link computes for ``n`` equal
+    flows admitted together at ``when`` — whenever it does not decline."""
+    env = Environment()
+    link = FairShareLink(env, bandwidth=bw)
+    done = []
+
+    def admit():
+        yield env.timeout(when)
+        for _ in range(n):
+            link.transfer_cb(wire, lambda: done.append(env.now))
+
+    env.process(admit())
+    env.run()
+    t = lockstep_finish(when, wire, n, bw)
+    assert t is not None
+    assert done == [t] * n

@@ -1,18 +1,21 @@
-"""Collective fast-path parity: closed form vs the simulated schedule.
+"""Fast-path parity: closed form vs the simulated schedule.
 
 The analytic short-circuit is on by default because these tests prove it
-*bit-identical*: for every kept kind the per-rank completion times of the
-closed form equal the message-by-message simulation exactly (``==`` on
-floats, no tolerance), and so do the traffic counters.  Every shape the
-fast path must not model — staggered entries, busy NICs, messages still
-in flight, trees, non-power-of-two allreduce, sub-communicators — is
-checked to decline (or never join) and to match the message schedule.
+*bit-identical*: for every kept collective kind, and for lockstep halos,
+the per-rank completion times of the closed form equal the
+message-by-message simulation exactly (``==`` on floats, no tolerance),
+and so do the traffic counters.  Every shape the fast path must not
+model — staggered entries, busy NICs, messages still in flight, trees,
+non-power-of-two allreduce, unequal flows on one pipe, unequal finish
+times, sub-communicators — is checked to decline (or never join) and to
+match the message schedule.
 """
 
 import pytest
 
 from repro.des import Environment
 from repro.des.engine import SimulationError
+from repro.des.events import JoinAll
 from repro.des.trace import Tracer
 from repro.hardware import catalog
 from repro.hardware.cluster import Cluster
@@ -20,7 +23,7 @@ from repro.hardware.network import NetworkPath
 from repro.hardware.topology import NON_BLOCKING
 from repro.mpi import collectives
 from repro.mpi.comm import SimComm
-from repro.mpi.fastpath import DECLINED
+from repro.mpi.fastpath import DECLINED, HALO, _halo_plan
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
 
@@ -420,3 +423,194 @@ def test_on_by_default():
     assert SimComm(env, cluster, rankmap, perf).fastpath is not None
     assert SimComm(env, cluster, rankmap, perf,
                    collective_fastpath=False).fastpath is None
+
+
+# -- lockstep halos ---------------------------------------------------------
+
+
+def _chain(p, nbytes):
+    """Per-rank halo sends of a 1-D chain: ``nbytes`` to each neighbour."""
+    return [
+        tuple((nb, nbytes) for nb in (r - 1, r + 1) if 0 <= nb < p)
+        for r in range(p)
+    ]
+
+
+def _halo(comm, rank, op, sends):
+    """One blocking halo as ``PhasedApp`` lowers it: offer it to the fast
+    path; on a decline (or without one) post the sends and receives and
+    wait for all of them."""
+    fp = comm.fastpath
+    ev = fp.join(HALO, rank, op, sends) if fp is not None else None
+    if ev is None or (yield ev) is DECLINED:
+        pending = []
+        for nb, nbytes in sends:
+            pending.append(comm.isend(rank, nb, op, nbytes))
+            pending.append(comm.recv(rank, nb, op))
+        yield JoinAll(comm.env, pending)
+
+
+def _run_halo(p, sends, fastpath, stagger=0.0, before=None, comm_of=None,
+              rounds=1):
+    """Per-rank finish times of ``rounds`` halos, with an allreduce
+    between consecutive ones, and the communicator."""
+    env, comm = _build(p, fastpath)
+    if before is not None:
+        before(env, comm)
+    target = comm if comm_of is None else comm_of(comm)
+    finish = [None] * len(sends)
+
+    def body(rank):
+        if stagger:
+            yield env.timeout(rank * stagger)
+        for r in range(rounds):
+            yield from _halo(target, rank, 10 * r + 1, sends[rank])
+            if r + 1 < rounds:
+                yield from collectives.allreduce(target, rank, 10 * r + 2,
+                                                 nbytes=16.0)
+        finish[rank] = env.now
+
+    for r in range(len(sends)):
+        env.process(body(r))
+    env.run()
+    return finish, comm
+
+
+def _halo_parity(p, sends, **kwargs):
+    real, real_comm = _run_halo(p, sends, fastpath=False, **kwargs)
+    fast, fast_comm = _run_halo(p, sends, fastpath=True, **kwargs)
+    assert None not in real
+    assert fast == real  # exact float equality, every endpoint
+    _same_traffic(fast_comm, real_comm)
+    return fast_comm
+
+
+def _halo_counts(fast_comm):
+    fp = fast_comm.fastpath
+    return fp.halos_short_circuited, fp.halos_declined
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 64])
+@pytest.mark.parametrize("nbytes", [0.0, 3_000.0, 40_000.0, 2.5e6])
+def test_halo_closed_form_is_bit_identical(p, nbytes):
+    """A chain halo entered together on idle NICs: per-endpoint times and
+    every traffic counter equal the message schedule's exactly (zero
+    bytes, eager and rendezvous sizes alike)."""
+    fast_comm = _halo_parity(p, _chain(p, nbytes))
+    assert _halo_counts(fast_comm) == (1, 0)
+    assert _counts(fast_comm) == (0, 0)
+    assert fast_comm.fastpath.messages_modelled == 2 * (p - 1)
+    assert fast_comm.messages_sent == 2 * (p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 5, 16])
+def test_halo_rounds_interleaved_with_collectives(p):
+    """Halos and allreduces alternating, as in a CG loop: every one
+    closes and the run still equals the message schedule."""
+    fast_comm = _halo_parity(p, _chain(p, 70_000.0), rounds=3)
+    if p & (p - 1) == 0:
+        assert _halo_counts(fast_comm) == (3, 0)
+        assert _counts(fast_comm) == (2, 0)
+    else:
+        # The fold allreduce finishes paired ranks one hop late, so the
+        # next halo's entries are staggered and it declines.
+        assert _halo_counts(fast_comm) == (1, 2)
+        assert _counts(fast_comm) == (0, 0)
+
+
+def test_halo_unequal_sizes_on_separate_links_close():
+    """Sizes may differ between pipes: 0 -> 1 carries 10 kB on tx[0] and
+    rx[1], 1 -> 0 carries 3 MB on tx[1] and rx[0].  Both endpoints wait
+    for both messages, so both finish at the later one."""
+    sends = [((1, 10_000.0),), ((0, 3e6),)]
+    fast_comm = _halo_parity(2, sends)
+    assert _halo_counts(fast_comm) == (1, 0)
+
+
+def test_halo_unequal_sizes_on_one_link_decline():
+    """rx[1] carries 10 kB from 0 and 50 kB from 2: no equal-flow closed
+    form, so the halo declines and runs as messages."""
+    sends = [((1, 10_000.0),), ((0, 8_000.0), (2, 8_000.0)), ((1, 50_000.0),)]
+    fast_comm = _halo_parity(3, sends)
+    assert _halo_counts(fast_comm) == (0, 1)
+    assert fast_comm.fastpath.messages_modelled == 0
+
+
+def test_halo_uneven_finish_declines():
+    """Two disjoint pairs exchanging different sizes: every pipe carries
+    one flow, but the pairs would finish at different instants (an early
+    finisher could load a pipe the closed form assumes idle), so the
+    halo declines."""
+    sends = [((1, 1e6),), ((0, 1e6),), ((3, 1_000.0),), ((2, 1_000.0),)]
+    fast_comm = _halo_parity(4, sends)
+    assert _halo_counts(fast_comm) == (0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 8])
+def test_halo_staggered_entries_decline(p):
+    fast_comm = _halo_parity(p, _chain(p, 40_000.0), stagger=2.1e-5)
+    assert _halo_counts(fast_comm) == (0, 1)
+
+
+def test_halo_busy_nic_from_second_communicator_declines():
+    def noisy(env, comm):
+        other = SimComm(env, comm.cluster, comm.rankmap, comm.perf,
+                        collective_fastpath=False)
+        other.isend(1, 2, tag=99, nbytes=50_000_000)
+
+    def late(env, comm):
+        noisy(env, comm)
+        # Enter the halo while the p2p flow occupies tx[1] and rx[2].
+        env.run(until=1e-4)
+        assert comm.cluster.nodes[1].nic_tx.active_flows == 1
+
+    fast_comm = _halo_parity(4, _chain(4, 20_000.0), before=late)
+    assert _halo_counts(fast_comm) == (0, 1)
+
+
+def test_halo_with_message_in_latency_stage_declines():
+    """A message still in its latency stage occupies no NIC yet; only the
+    communicator's undelivered count sees it."""
+
+    def before(env, comm):
+        comm.isend(0, 1, tag=99, nbytes=4_000_000)  # posted, not awaited
+
+    fast_comm = _halo_parity(4, _chain(4, 60_000.0), before=before)
+    assert _halo_counts(fast_comm) == (0, 1)
+
+
+def test_group_comm_halo_never_joins():
+    """A GroupComm has no fast path: its halo runs as messages and the
+    WORLD communicator's fast path never hears of it."""
+    members = [0, 1, 2]
+    fast_comm = _halo_parity(
+        4, _chain(3, 30_000.0), comm_of=lambda c: c.group(members)
+    )
+    assert fast_comm.fastpath is not None
+    assert _halo_counts(fast_comm) == (0, 0)
+    assert fast_comm.fastpath.messages_modelled == 0
+
+
+@pytest.mark.parametrize(
+    "sends",
+    [
+        [((1, 8.0),), ()],  # an endpoint with nothing to exchange
+        [((1, 8.0),), ((0, 8.0),), ((1, 8.0),)],  # 2 waits on 1, 1 never sends
+        [((1, 8.0), (1, 8.0)), ((0, 8.0), (0, 8.0))],  # duplicate neighbour
+        [((0, 8.0),), ((0, 8.0),)],  # a message to self
+        [((2, 8.0),), ((0, 8.0),)],  # neighbour outside the communicator
+    ],
+    ids=["empty", "asymmetric", "duplicate", "self", "out-of-range"],
+)
+def test_halo_plan_refuses_shapes_without_a_closed_form(sends):
+    assert _halo_plan(sends) is None
+
+
+def test_halo_and_collective_on_one_op_is_an_invariant_error():
+    env, comm = _build(3)
+    fp = comm.fastpath
+    fp.join(HALO, 0, 5, ((1, 8.0),))
+    with pytest.raises(SimulationError, match="joined as"):
+        fp.join("allreduce", 1, 5, (16.0,))
+    with pytest.raises(SimulationError, match="twice"):
+        fp.join(HALO, 0, 5, ((1, 8.0),))
