@@ -61,8 +61,12 @@ to its members' NICs) and the run must carry no fault plan (a fault can
 change a link or a rank mid-collective); the runner enforces the last.
 
 **Per-operation decision.**  Collectives and halos share one decision
-path.  The first participant to join an operation registers one
-end-of-instant callback
+path.  If a message of the communicator is still undelivered when the
+first participant joins an operation — as behind a fold allreduce,
+whose paired ranks get their result one hop late — the operation
+declines on the spot and every participant goes straight to messages,
+so an offer that cannot close costs no suspension.  Otherwise the first
+participant registers one end-of-instant callback
 (:meth:`~repro.des.engine.Environment.at_end_of_instant`).  When it
 fires — nothing left to dispatch at ``now``, before the clock advances —
 the closed form is used only if all ``p`` participants joined in that
@@ -247,14 +251,18 @@ class CollectiveFastPath:
 
         Returns the event to wait on — it fires with ``None`` at the
         closed-form completion time, or with :data:`DECLINED` at the
-        decision instant — or ``None`` when the operation was already
-        declined and this rank goes straight to messages.
+        decision instant — or ``None`` when the operation is declined
+        already (or on the spot, with a message of the communicator
+        still undelivered) and this rank goes straight to messages.
         """
         p = self._p
         sess = self._sessions.get(op)
         if sess is None:
             sess = self._sessions[op] = _Session(kind, shape, p)
-            self._env.at_end_of_instant(lambda: self._decide(op))
+            if self.comm._in_flight:
+                self._decline(sess)
+            else:
+                self._env.at_end_of_instant(lambda: self._decide(op))
         elif sess.kind != kind or (kind != HALO and sess.shape != shape):
             raise SimulationError(
                 f"collective fast path: op {op} joined as {kind} with "
@@ -287,6 +295,9 @@ class CollectiveFastPath:
                 if t is not None:
                     self._complete(sess, t)
                     return
+        self._decline(sess)
+
+    def _decline(self, sess: _Session) -> None:
         sess.declined = True
         if sess.kind == HALO:
             self.halos_declined += 1

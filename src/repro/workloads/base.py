@@ -486,10 +486,11 @@ class PhasedApp:
             comm.rankmap, ep, self.ctx.endpoint_is_node, self.topology
         )
 
-    def _halo(self, comm: SimComm, ep: int, op: int, nbytes: float):
-        """All non-blocking halo sends/receives for one phase."""
+    def _halo(self, comm: SimComm, ep: int, op: int, nbytes: float, nbrs):
+        """All non-blocking halo sends/receives with the ``(neighbour,
+        axis)`` pairs ``nbrs`` for one phase."""
         events = []
-        for nb, axis in self._neighbors(comm, ep):
+        for nb, axis in nbrs:
             send_round = axis * 2 + (0 if nb < ep else 1)
             recv_round = axis * 2 + (0 if ep < nb else 1)
             events.append(
@@ -497,17 +498,6 @@ class PhasedApp:
             )
             events.append(comm.recv(ep, nb, collective_tag(op, recv_round)))
         return events
-
-    def _join_halo(self, comm: SimComm, ep: int, op: int, nbytes: float):
-        """Offer a blocking halo to the communicator's fast path: the
-        event to wait on (see
-        :meth:`~repro.mpi.fastpath.CollectiveFastPath.join`), or
-        ``None`` when there is no fast path or nothing to exchange."""
-        fp = getattr(comm, "fastpath", None)
-        if fp is None:
-            return None
-        sends = tuple((nb, nbytes) for nb, _ in self._neighbors(comm, ep))
-        return fp.join(HALO, ep, op, sends) if sends else None
 
     def _compute_delay(self, phase: ComputePhase, ep_node: int,
                        now: float) -> float:
@@ -534,9 +524,15 @@ class PhasedApp:
             bucket = _BUCKET.get(kind)
             if kind is HaloPhase:
                 op = base + phase.op
-                ev = self._join_halo(comm, ep, op, phase.nbytes)
+                nbytes = phase.nbytes
+                nbrs = self._neighbors(comm, ep)
+                fp = comm.fastpath
+                ev = None  # no fast path, or nothing to exchange
+                if fp is not None and nbrs:
+                    sends = tuple((nb, nbytes) for nb, _ in nbrs)
+                    ev = fp.join(HALO, ep, op, sends)
                 if ev is None or (yield ev) is DECLINED:
-                    pending = self._halo(comm, ep, op, phase.nbytes)
+                    pending = self._halo(comm, ep, op, nbytes, nbrs)
                     if pending:
                         yield JoinAll(env, pending)
             elif kind is CollectivePhase:
@@ -578,7 +574,8 @@ class PhasedApp:
                 )
             elif kind is OverlapPhase:
                 pending = self._halo(
-                    comm, ep, base + phase.halo.op, phase.halo.nbytes
+                    comm, ep, base + phase.halo.op, phase.halo.nbytes,
+                    self._neighbors(comm, ep),
                 )
                 yield from self._lower(
                     comm, ep, ep_node, (phase.compute,), base,

@@ -518,6 +518,25 @@ def test_halo_rounds_interleaved_with_collectives(p):
         assert _counts(fast_comm) == (0, 0)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_halo_behind_fold_allreduce_declines_on_first_join(p, monkeypatch):
+    """Behind a fold allreduce the paired ranks' results are still in
+    flight when the first endpoint enters the next halo, so the halo
+    declines there and then: no endpoint waits for an end-of-instant
+    decision, and the run still equals the message schedule."""
+    decisions = []
+    register = Environment.at_end_of_instant
+
+    def counting(env, callback):
+        decisions.append(callback)
+        register(env, callback)
+
+    monkeypatch.setattr(Environment, "at_end_of_instant", counting)
+    fast_comm = _halo_parity(p, _chain(p, 70_000.0), rounds=3)
+    assert _halo_counts(fast_comm) == (1, 2)
+    assert len(decisions) == 1  # only the first halo awaited a decision
+
+
 def test_halo_unequal_sizes_on_separate_links_close():
     """Sizes may differ between pipes: 0 -> 1 carries 10 kB on tx[0] and
     rx[1], 1 -> 0 carries 3 MB on tx[1] and rx[0].  Both endpoints wait
