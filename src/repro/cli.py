@@ -31,6 +31,7 @@ timeline, any worker count (see ``docs/faults.md``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -522,8 +523,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.sim_steps is not None and args.sim_steps < 1:
         print("error: --sim-steps must be >= 1", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be > 0", file=sys.stderr)
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        print("error: --timeout must be > 0 and finite", file=sys.stderr)
         return 2
     if args.fault_plan is not None:
         try:

@@ -67,6 +67,7 @@ The executor survives its own failures (see ``docs/faults.md``):
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import warnings
@@ -223,10 +224,13 @@ class ExperimentExecutor:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if max_retries < 0 or retry_backoff < 0:
-            raise ValueError("max_retries and retry_backoff must be >= 0")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError("timeout must be positive and finite (or None)")
+        if max_retries < 0 or not 0 <= retry_backoff < math.inf:
+            raise ValueError(
+                "max_retries and retry_backoff must be >= 0 and finite"
+            )
         self.workers = workers
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache else None

@@ -10,34 +10,29 @@ Semantics match a rendezvous-free eager MPI: a send completes when the
 payload has been delivered, receives match by (src, tag) with FIFO order
 per pair, and ``ANY_SOURCE``/``ANY_TAG`` wildcards are supported.
 
-Hot path design.  The original implementation spawned one generator
+Hot path design.  The seed implementation spawned one generator
 :class:`~repro.des.engine.Process` per message and matched receives with
 a predicate scan over a shared :class:`~repro.des.channels.Store`.  At
 paper scale (ring collectives are O(p²) messages) the generator frames,
 per-stage :class:`Timeout`/``put`` events and linear scans dominated the
-run time.  The chain here keeps the *schedule* of simulated events
-byte-identical — same stages, same per-stage delays, same relative order
-of same-timestamp events — while removing the allocations:
+run time.  The chain here keeps every simulated result identical to
+that implementation while removing the allocations:
 
 - one pooled :class:`_Delivery` per in-flight message (recycled on
-  completion), holding one reusable :class:`_ChainTimer` that serves the
-  latency stage and both Docker bridge CPU stages;
+  completion), holding one reusable :class:`_ChainTimer` that serves
+  both Docker bridge CPU stages and the bridge deposit relay;
+- the latency stages of sends ending at the same instant share one
+  pooled :class:`_LatencyTimer`;
 - link segments (NIC tx/rx, uplinks) joined by a countdown callback
   instead of an :class:`~repro.des.events.AllOf`;
 - ``sendrecv`` joins its two halves with the allocation-light
   :class:`_Join2` instead of a results-dict condition event.
-
-The legacy Store + generator path is kept selectable
-(``legacy_delivery=True`` or :func:`set_default_delivery`) so bisection
-and the matching property tests can compare the two implementations
-inside one build.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.des.channels import Store
 from repro.des.events import PENDING, Event
 from repro.hardware.network import BRIDGE_CPU_PER_MESSAGE
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
@@ -50,41 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
     from repro.hardware.cluster import Cluster
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "GroupComm",
-    "SimComm",
-    "default_delivery_is_legacy",
-    "set_default_delivery",
-]
-
-#: Process-wide default for new communicators: ``False`` selects the
-#: indexed/callback hot path, ``True`` the original Store + generator
-#: implementation (kept for bisection and the matching property tests);
-#: per-communicator ``legacy_delivery`` overrides it.
-_DEFAULT_LEGACY_DELIVERY = False
-
-
-def set_default_delivery(legacy: bool) -> None:
-    """Set the process-wide default delivery implementation."""
-    global _DEFAULT_LEGACY_DELIVERY
-    _DEFAULT_LEGACY_DELIVERY = bool(legacy)
-
-
-def default_delivery_is_legacy() -> bool:
-    """Whether new communicators default to the legacy delivery path."""
-    return _DEFAULT_LEGACY_DELIVERY
+__all__ = ["ANY_SOURCE", "ANY_TAG", "GroupComm", "SimComm"]
 
 
 class _ChainTimer(Event):
     """A reusable timeout for one delivery chain.
 
     The chain's stages are strictly sequential, so a single event object
-    can serve every fixed-delay stage of a message: the chain re-arms it
-    by assigning the next stage's (persistent, single-element) callback
-    list and pushing it back on the queue.  Its value is permanently
-    ``None``/ok — the stage callbacks ignore it.
+    can serve every bridge stage of a message (both CPU stages and the
+    deposit relay): the chain re-arms it by assigning the next stage's
+    (persistent, single-element) callback list and pushing it back on
+    the queue.  Its value is permanently ``None``/ok — the stage
+    callbacks ignore it.
     """
 
     __slots__ = ()
@@ -130,15 +102,15 @@ class _Join2(Event):
 class _LatencyTimer(Event):
     """A pooled shared timer for one latency-stage *batch*.
 
-    On bridge-free clusters every message whose fixed latency stage ends
-    at the same instant shares one timer: the communicator buckets
-    chains by their absolute stage-end time and arms a single event per
-    distinct time.  Halo exchanges and collective rounds are issued in
-    lockstep bursts, so a burst of ``k`` messages costs one event pop
-    instead of ``k``.  Within a batch the chains advance in send order —
-    the same relative order the per-message timers had — and bridge-free
-    paths are invariant to same-timestamp ordering across batches (see
-    :class:`_Delivery`'s mirror-mode note).
+    Every message whose fixed latency stage ends at the same instant
+    shares one timer: the communicator buckets chains by their absolute
+    stage-end time and arms a single event per distinct time.  Halo
+    exchanges and collective rounds are issued in lockstep bursts, so a
+    burst of ``k`` messages costs one event pop instead of ``k``.
+    Within a batch the chains advance in send order — the same relative
+    order the per-message timers had, so bridge requests made from one
+    batch keep their FIFO order.  For what else same-instant ordering
+    decides on bridge clusters, see :class:`_Delivery`.
     """
 
     __slots__ = ("comm", "when", "_cbs")
@@ -155,16 +127,16 @@ class _LatencyTimer(Event):
         chains = comm._lat_buckets.pop(self.when)
         comm._lat_timer_pool.append(self)
         for chain in chains:
-            chain._after_latency(None)
+            chain._after_latency()
 
 
 class _Delivery:
     """One in-flight message's delivery chain (pooled, allocation-free).
 
-    Stage-for-stage equivalent to the legacy ``deliver()`` generator —
-    same delays, same event order at equal timestamps:
+    Stages, with the delays of the seed's per-message generator:
 
-    1. per-message latency (:meth:`MpiPerf.message_latency`);
+    1. per-message latency (:meth:`MpiPerf.message_latency`), batched
+       per instant by :class:`_LatencyTimer`;
     2. [bridge path only] source node's serialized softirq pipeline:
        FIFO slot, ``BRIDGE_CPU_PER_MESSAGE``, release;
     3. link segments — shm for same-node, else NIC tx+rx (and switch
@@ -173,23 +145,31 @@ class _Delivery:
     4. [bridge path only] destination node's pipeline, as (2);
     5. ``mpi.deliver`` trace record, deposit into the destination's
        :class:`MessageQueue` (scheduling any waiting receive *before*
-       the send-done event, as the Store-based path did), recycle.
+       the send-done event), recycle.
 
     None of the chain's events can fail (links and bridge requests only
     succeed), so there is no failure plumbing.
 
-    **Mirror mode.**  On clusters wired with Docker's bridge the chain
-    additionally *mirrors the legacy generator's event-sequence pattern*:
-    zero-delay relay events stand in for the process-init event, the
-    transfer ``AllOf`` and the Store ``put``/process-completion pair (all
-    served by the same reusable timer).  The bridge is a FIFO resource,
-    so the relative heap order of same-timestamp events across chains
-    determines which message enters the softirq pipeline first — the
-    relays keep that order identical to the legacy path, which keeps the
-    Fig. 1 Docker rows byte-identical.  Bridge-free clusters skip the
-    relays: there every order-sensitive structure (fair-share links,
-    per-pair FIFO matching) is provably invariant to same-timestamp
-    ordering, and the chain saves three event pops per message.
+    **Bridge clusters.**  Docker's bridge makes each node's softirq
+    pipeline a FIFO resource, so the relative order of same-instant
+    events across chains decides which message enters a pipeline first.
+    Two stages keep that order as the pinned Docker results need it:
+
+    - *Event-per-segment completions* (``cluster.transfer_segments``):
+      each segment completion is its own event pop rather than a
+      callback run inside the link wake-up.  Over 500 random Docker
+      specs, ``transfer_cb`` changed the trace (same-instant record
+      order) of 40 of the 244 traced ones and the result of one run
+      under a link-partition plan.
+    - *The deposit relay*: the send-done event fires one zero-delay pop
+      after the deposit rather than inline.  Firing it inline changed
+      the results of 149 of those 500 specs and the golden Fig. 1
+      Docker row.
+
+    Removing either needs an explicit Docker re-baseline.  Bridge-free
+    clusters skip both: there every order-sensitive structure
+    (fair-share links, per-pair FIFO matching) is invariant to
+    same-timestamp ordering.
     """
 
     __slots__ = (
@@ -198,17 +178,14 @@ class _Delivery:
         "msg",
         "done",
         "same_node",
-        "_mirror",
+        "_bridged",
         "_src_node",
         "_dst_node",
         "_pending",
         "_req",
         "_timer",
-        "_cbs_init",
-        "_cbs_latency",
         "_cbs_src_cpu",
         "_cbs_dst_cpu",
-        "_cbs_join",
         "_cbs_deposit",
         "_cb_granted_src",
         "_cb_granted_dst",
@@ -221,7 +198,7 @@ class _Delivery:
         self.msg: Optional[Message] = None
         self.done: Optional[Event] = None
         self.same_node = False
-        self._mirror = False
+        self._bridged = comm._bridged
         self._src_node = 0
         self._dst_node = 0
         self._pending = 0
@@ -229,11 +206,8 @@ class _Delivery:
         self._timer = _ChainTimer(comm.env)
         # Bound methods and single-element callback lists are created once
         # per pooled chain, not once per message.
-        self._cbs_init = [self._after_init]
-        self._cbs_latency = [self._after_latency]
         self._cbs_src_cpu = [self._src_cpu_done]
         self._cbs_dst_cpu = [self._dst_cpu_done]
-        self._cbs_join = [self._after_join]
         self._cbs_deposit = [self._deposit_done]
         self._cb_granted_src = self._src_granted
         self._cb_granted_dst = self._dst_granted
@@ -241,26 +215,17 @@ class _Delivery:
 
     def start(self, msg: Message, same_node: bool) -> Event:
         comm = self.comm
+        env = self.env
         self.msg = msg
         self.same_node = same_node
         nodes = comm._node_id
         self._src_node = nodes[msg.src]
         self._dst_node = self._src_node if same_node else nodes[msg.dst]
-        done = self.done = Event(self.env)
-        self._mirror = comm._mirror_mode
-        if self._mirror:
-            # Relay standing in for the legacy process-init event.  A
-            # zero-delay schedule always lands on the now-ring; the
-            # inlined append saves a call per relay (see _schedule).
-            timer = self._timer
-            timer.callbacks = self._cbs_init
-            self.env._ring.append(timer)
-            return done
-        # Bridge-free: batch the latency stage.  Chains whose stage ends
-        # at the same absolute time share one pooled _LatencyTimer pop;
-        # ``when`` is computed exactly as the per-message timer's
-        # ``fl(now + latency)`` was, so stage-end times are unchanged.
-        env = self.env
+        done = self.done = Event(env)
+        # Batch the latency stage.  Chains whose stage ends at the same
+        # absolute time share one pooled _LatencyTimer pop; ``when`` is
+        # computed exactly as a per-message timer's ``fl(now + latency)``
+        # would be, so stage-end times are unchanged.
         when = env._now + comm.perf.message_latency(same_node, msg.nbytes)
         buckets = comm._lat_buckets
         chains = buckets.get(when)
@@ -278,24 +243,9 @@ class _Delivery:
             env._wheel.push(when, timer)
         return done
 
-    def _after_init(self, _ev: Event) -> None:
-        timer = self._timer
-        timer.callbacks = self._cbs_latency
-        env = self.env  # inlined env._schedule(timer, latency)
-        when = env._now + self.comm.perf.message_latency(
-            self.same_node, self.msg.nbytes
-        )
-        if when <= env._now:
-            env._ring.append(timer)
-        else:
-            env._wheel.push(when, timer)
-
-    def _after_latency(self, _ev: Event) -> None:
-        if self.same_node:
-            self._transfer()
-            return
-        bridge = self.comm.cluster.nodes[self._src_node].bridge
-        if bridge is not None:
+    def _after_latency(self) -> None:
+        if self._bridged and not self.same_node:
+            bridge = self.comm.cluster.nodes[self._src_node].bridge
             req = self._req = bridge.request()
             req.callbacks.append(self._cb_granted_src)
             return
@@ -323,9 +273,8 @@ class _Delivery:
         else:
             nbytes = msg.nbytes * comm.perf.inter.per_byte_overhead
             dst_node = self._dst_node
-        if self._mirror:
-            # Event-per-segment, exactly like the legacy transfer — the
-            # completion pops keep their legacy heap positions.
+        if self._bridged:
+            # Event-per-segment completions (see the class note).
             segments = comm.cluster.transfer_segments(
                 self._src_node, dst_node, nbytes
             )
@@ -349,23 +298,8 @@ class _Delivery:
         self._pending -= 1
         if self._pending:
             return
-        if self.same_node:
-            # The legacy generator yielded the bare shm event: its tail ran
-            # during this same pop, so no join relay here even in mirror mode.
-            self._finish()
-            return
-        if self._mirror:
-            # Relay standing in for the legacy transfer ``AllOf`` event.
-            timer = self._timer
-            timer.callbacks = self._cbs_join
-            self.env._ring.append(timer)
-            return
-        # Bridge-free internode path: no FIFO downstream, run the tail now.
-        self._finish()
-
-    def _after_join(self, _ev: Event) -> None:
-        bridge = self.comm.cluster.nodes[self._dst_node].bridge
-        if bridge is not None:
+        if self._bridged and not self.same_node:
+            bridge = self.comm.cluster.nodes[self._dst_node].bridge
             req = self._req = bridge.request()
             req.callbacks.append(self._cb_granted_dst)
             return
@@ -392,18 +326,15 @@ class _Delivery:
                 self.env.now, "mpi.deliver", f"{msg.src}->{msg.dst}",
                 tag=msg.tag, nbytes=msg.nbytes,
             )
-        if self._mirror:
-            # Relay pair standing in for the legacy Store ``put`` event and
-            # the delivery process's completion event: the put-relay is
-            # scheduled first (as ``Store.put`` triggers the put event
-            # before matching a getter), the send-done event only when the
-            # relay pops — exactly the legacy seq positions.  The chain is
-            # recycled at the relay pop, not before, so the timer cannot be
-            # re-armed while the relay is still in the queue.
+        comm._in_flight -= 1
+        if self._bridged:
+            # The deposit relay (see the class note), queued before the
+            # deposit wakes any receiver; the send-done event fires when
+            # it pops.  The chain is recycled at that pop, not before, so
+            # the timer cannot be re-armed while the relay is queued.
             timer = self._timer
             timer.callbacks = self._cbs_deposit
             self.env._ring.append(timer)
-            comm._in_flight -= 1
             comm._queues[msg.dst].deliver(msg)
             self.msg = None
             return
@@ -411,17 +342,16 @@ class _Delivery:
         self.msg = None
         self.done = None
         # Deposit first, complete the send second: the receiver's event is
-        # scheduled before the sender's, matching the Store-based order.
-        comm._in_flight -= 1
+        # scheduled before the sender's waiters run.
         comm._queues[msg.dst].deliver(msg)
         comm._pool.append(self)
         # Fire the send-done event inline rather than round-tripping it
         # through the event queue: on this (bridge-free) path every
         # order-sensitive structure is invariant to same-timestamp
-        # ordering — see the mirror-mode note above — so running the
-        # waiters now, at the same simulated instant, yields the same
-        # trajectory one event pop cheaper.  Sends outnumber every other
-        # event source, making this the single largest pop saving.
+        # ordering — see the class note — so running the waiters now, at
+        # the same simulated instant, yields the same trajectory one
+        # event pop cheaper.  Sends outnumber every other event source,
+        # making this the single largest pop saving.
         done._value = None
         cbs = done.callbacks
         done.callbacks = None
@@ -454,10 +384,6 @@ class SimComm:
     tracer:
         Optional :class:`repro.des.trace.Tracer` receiving ``mpi.send``
         / ``mpi.deliver`` records.
-    legacy_delivery:
-        ``True`` selects the original Store + generator delivery path,
-        ``False`` the indexed/callback hot path; ``None`` (default)
-        follows :func:`set_default_delivery`.
     collective_fastpath:
         Allow the exact analytic collective and halo short-circuit
         (:class:`repro.mpi.fastpath.CollectiveFastPath`) when the static
@@ -474,7 +400,6 @@ class SimComm:
         rankmap: RankMap,
         perf: MpiPerf,
         tracer=None,
-        legacy_delivery: Optional[bool] = None,
         collective_fastpath: bool = True,
     ) -> None:
         if rankmap.n_nodes > len(cluster.nodes):
@@ -486,22 +411,16 @@ class SimComm:
         self.cluster = cluster
         self.rankmap = rankmap
         self.perf = perf
-        if legacy_delivery is None:
-            legacy_delivery = _DEFAULT_LEGACY_DELIVERY
-        self.legacy_delivery = bool(legacy_delivery)
-        if self.legacy_delivery:
-            self._queues = [Store(env) for _ in range(rankmap.n_ranks)]
-        else:
-            self._queues = [MessageQueue(env) for _ in range(rankmap.n_ranks)]
+        self._queues = [MessageQueue(env) for _ in range(rankmap.n_ranks)]
         #: Free list of recycled delivery chains.
         self._pool: list[_Delivery] = []
-        #: Whether chains must mirror the legacy event-sequence pattern
-        #: (bridge clusters; see :class:`_Delivery`).  The cluster's
-        #: wiring is fixed before communicators exist.
-        self._mirror_mode = cluster.nodes[0].bridge is not None
+        #: Whether chains pass the nodes' bridge pipelines and keep the
+        #: bridge ordering stages (see :class:`_Delivery`).  The
+        #: cluster's wiring is fixed before communicators exist.
+        self._bridged = cluster.nodes[0].bridge is not None
         #: Latency-stage batches: absolute stage-end time -> chains
-        #: sharing that instant (bridge-free path; see
-        #: :class:`_LatencyTimer`), plus the timer free list.
+        #: sharing that instant (see :class:`_LatencyTimer`), plus the
+        #: timer free list.
         self._lat_buckets: dict[float, list[_Delivery]] = {}
         self._lat_timer_pool: list[_LatencyTimer] = []
         #: rank -> node id, precomputed (node_of is called four times per
@@ -541,9 +460,8 @@ class SimComm:
 
     @property
     def messages_matched_fast(self) -> int:
-        """Receives matched through the O(1) exact ``(src, tag)`` index
-        (0 on the legacy Store path, which has no index)."""
-        return sum(getattr(q, "matched_fast", 0) for q in self._queues)
+        """Receives matched through the O(1) exact ``(src, tag)`` index."""
+        return sum(q.matched_fast for q in self._queues)
 
     def node_of_rank(self, rank: int) -> int:
         """Node hosting ``rank`` (communicator-local numbering)."""
@@ -577,11 +495,6 @@ class SimComm:
                 self.env.now, "mpi.send", f"{src}->{dst}",
                 tag=tag, nbytes=nbytes, same_node=same_node,
             )
-        if self.legacy_delivery:
-            return self.env.process(
-                self._legacy_deliver(msg, same_node),
-                name=f"msg {src}->{dst} t{tag}",
-            )
         pool = self._pool
         chain = pool.pop() if pool else _Delivery(self)
         return chain.start(msg, same_node)
@@ -593,14 +506,6 @@ class SimComm:
     def recv(self, dst: int, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
         """Event yielding the first matching :class:`Message`."""
         self._check_rank(dst)
-        if self.legacy_delivery:
-
-            def match(m: Message) -> bool:
-                return (src == ANY_SOURCE or m.src == src) and (
-                    tag == ANY_TAG or m.tag == tag
-                )
-
-            return self._queues[dst].get(match)
         return self._queues[dst].get(src, tag)
 
     def sendrecv(
@@ -615,10 +520,7 @@ class SimComm:
         """Concurrent exchange; generator returning the received message."""
         send_done = self.isend(me, dst, tag, nbytes, payload)
         recv_done = self.recv(me, src, tag)
-        if self.legacy_delivery:
-            yield self.env.all_of([send_done, recv_done])
-        else:
-            yield _Join2(self.env, send_done, recv_done)
+        yield _Join2(self.env, send_done, recv_done)
         return recv_done.value
 
     def exchange(
@@ -638,8 +540,6 @@ class SimComm:
         """
         send_done = self.isend(me, dst, tag, nbytes, payload)
         recv_done = self.recv(me, src, tag)
-        if self.legacy_delivery:
-            return self.env.all_of([send_done, recv_done])
         return _Join2(self.env, send_done, recv_done)
 
     # -- groups -------------------------------------------------------------------
@@ -654,42 +554,6 @@ class SimComm:
         return GroupComm(self, members)
 
     # -- internals ----------------------------------------------------------------
-    def _legacy_deliver(self, msg: Message, same_node: bool):
-        """The original per-message generator process (reference path)."""
-        src, dst = msg.src, msg.dst
-        nbytes = msg.nbytes
-        yield self.env.timeout(self.perf.message_latency(same_node, nbytes))
-        if same_node:
-            src_node = self.rankmap.node_of(src)
-            yield self.cluster.nodes[src_node].shm.transfer(nbytes)
-        else:
-            src_node = self.rankmap.node_of(src)
-            dst_node = self.rankmap.node_of(dst)
-            # Bridge+NAT (Docker): each message is processed by the
-            # node's single softirq pipeline at both ends — serialized.
-            yield from self._bridge_hop(src_node)
-            yield self.cluster.transfer(
-                src_node,
-                dst_node,
-                nbytes * self.perf.inter.per_byte_overhead,
-            )
-            yield from self._bridge_hop(dst_node)
-        if self.tracer is not None and self.tracer.wants("mpi.deliver"):
-            self.tracer.record(
-                self.env.now, "mpi.deliver", f"{src}->{dst}",
-                tag=msg.tag, nbytes=nbytes,
-            )
-        self._in_flight -= 1
-        yield self._queues[dst].put(msg)
-
-    def _bridge_hop(self, node_id: int):
-        """Pass the node's serialized bridge pipeline, if one exists."""
-        bridge = self.cluster.nodes[node_id].bridge
-        if bridge is None:
-            return
-        with (yield bridge.request()):
-            yield self.env.timeout(BRIDGE_CPU_PER_MESSAGE)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.rankmap.n_ranks:
             raise ValueError(
@@ -774,15 +638,10 @@ class GroupComm:
     def sendrecv(self, me, dst, src, tag, nbytes, payload=None):
         send_done = self.isend(me, dst, tag, nbytes, payload)
         recv_done = self.recv(me, src, tag)
-        if self.parent.legacy_delivery:
-            yield self.env.all_of([send_done, recv_done])
-        else:
-            yield _Join2(self.env, send_done, recv_done)
+        yield _Join2(self.env, send_done, recv_done)
         return recv_done.value
 
     def exchange(self, me, dst, src, tag, nbytes, payload=None) -> Event:
         send_done = self.isend(me, dst, tag, nbytes, payload)
         recv_done = self.recv(me, src, tag)
-        if self.parent.legacy_delivery:
-            return self.env.all_of([send_done, recv_done])
         return _Join2(self.env, send_done, recv_done)

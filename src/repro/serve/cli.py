@@ -312,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     if args.zipf is not None and (
-        args.zipf < 0 or args.requests < 1 or args.universe < 1
+        not args.zipf >= 0 or args.requests < 1 or args.universe < 1
         or args.concurrency < 1
     ):
         print(

@@ -73,7 +73,7 @@ def zipfian_sequence(
         raise ValueError("n_items must be >= 1")
     if n_requests < 0:
         raise ValueError("n_requests must be >= 0")
-    if s < 0:
+    if not s >= 0:  # NaN fails this too
         raise ValueError("zipf exponent must be >= 0")
     weights = [1.0 / (i + 1) ** s for i in range(n_items)]
     total = sum(weights)

@@ -41,6 +41,16 @@ def test_workers_must_be_positive():
         ExperimentExecutor(workers=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("timeout", 0), ("timeout", float("nan")), ("timeout", float("inf")),
+    ("retry_backoff", -0.5), ("retry_backoff", float("nan")),
+    ("retry_backoff", float("inf")),
+])
+def test_timeout_and_backoff_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentExecutor(workers=2, **{field: value})
+
+
 def test_default_workers_is_cpu_count():
     import os
 

@@ -193,26 +193,20 @@ def test_rankmap_must_fit_cluster(make_comm):
         SimComm(env, cluster, rm, perf)
 
 
-def _make_comm_mode(n_ranks, n_nodes, legacy):
-    from repro.des import Environment
-    from repro.hardware.cluster import Cluster
-    from repro.mpi.comm import SimComm
-    from repro.mpi.topology import RankMap
-
-    env = Environment()
-    spec = catalog.MARENOSTRUM4
-    cluster = Cluster(env, spec, num_nodes=n_nodes)
-    cluster.wire_network(NetworkPath.HOST_NATIVE)
-    rm = RankMap(n_ranks=n_ranks, n_nodes=n_nodes)
-    perf = MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE)
-    return env, SimComm(env, cluster, rm, perf, legacy_delivery=legacy)
+# The delivery chain has two variants: the native path, and Docker's
+# bridge, which adds the per-node softirq stages and keeps its two
+# ordering stages (see ``repro.mpi.comm._Delivery``).
+PATHS = pytest.mark.parametrize(
+    "path", [NetworkPath.HOST_NATIVE, NetworkPath.BRIDGE_NAT],
+    ids=["fast", "bridge"],
+)
 
 
-@pytest.mark.parametrize("legacy", [False, True], ids=["fast", "legacy"])
-def test_self_send_accounting(legacy):
+@PATHS
+def test_self_send_accounting(make_comm, path):
     """src == dst sends take the shm path and are pinned as self
-    messages — never internode, regardless of delivery implementation."""
-    env, comm = _make_comm_mode(2, 2, legacy)
+    messages — never internode, on either delivery variant."""
+    env, comm = make_comm(2, 2, path)
     got = {}
 
     def body(r):
@@ -229,14 +223,14 @@ def test_self_send_accounting(legacy):
     assert comm.internode_messages == 0
 
 
-@pytest.mark.parametrize("legacy", [False, True], ids=["fast", "legacy"])
-def test_collective_traffic_accounting_pinned(legacy):
+@PATHS
+def test_collective_traffic_accounting_pinned(make_comm, path):
     """Ring allgather on 4 ranks over 2 nodes: exactly p(p-1) = 12
     messages, 6 of them crossing nodes, none of them self-sends."""
     from repro.mpi import collectives
     from repro.mpi.launcher import run_spmd
 
-    env, comm = _make_comm_mode(4, 2, legacy)
+    env, comm = make_comm(4, 2, path)
 
     def body(c, rank):
         yield from collectives.allgather(c, rank, op=1, nbytes_per_rank=250)
@@ -249,11 +243,10 @@ def test_collective_traffic_accounting_pinned(legacy):
     assert comm.self_messages == 0
 
 
-@pytest.mark.parametrize("legacy", [False, True], ids=["fast", "legacy"])
-def test_matched_fast_counter(legacy):
-    """The exact-match counter reflects the indexed hot path (and stays
-    zero on the legacy Store path, which has no index)."""
-    env, comm = _make_comm_mode(2, 2, legacy)
+@PATHS
+def test_matched_fast_counter(make_comm, path):
+    """The exact-match counter reflects the indexed hot path."""
+    env, comm = make_comm(2, 2, path)
 
     def sender(c, r):
         yield from c.send(0, 1, tag=4, nbytes=100)
@@ -264,29 +257,87 @@ def test_matched_fast_counter(legacy):
     env.process(sender(comm, 0))
     env.process(receiver(comm, 1))
     env.run()
-    assert comm.messages_matched_fast == (0 if legacy else 1)
+    assert comm.messages_matched_fast == 1
 
 
-def test_delivery_modes_agree_on_timing():
-    """Legacy and fast delivery produce identical completion times."""
-    times = {}
-    for legacy in (False, True):
-        env, comm = _make_comm_mode(6, 3, legacy)
-        finish = {}
+# ------------------------- literal delivery pins -----------------------------
+#
+# Both pins were recorded from the seed's Store + generator delivery
+# path, which the callback chain replaced; the chain matched them
+# before that path was deleted.
 
-        def body(r, env=env, comm=comm, finish=finish):
-            for step in range(3):
-                evs = []
-                for nb in ((r - 1) % 6, (r + 1) % 6):
-                    tag = step * 10 + (0 if nb < r else 1)
-                    evs.append(comm.isend(r, nb, tag, 40_000))
-                    tag = step * 10 + (0 if r < nb else 1)
-                    evs.append(comm.recv(r, nb, tag))
-                yield env.all_of(evs)
-            finish[r] = env.now
 
-        for r in range(6):
-            env.process(body(r))
-        env.run()
-        times[legacy] = finish
-    assert times[False] == times[True]
+def test_halo_finish_times_pinned_on_the_native_path(make_comm):
+    """A 3-step ring halo of mixed sizes on 6 MareNostrum4 ranks over 3
+    nodes: batched latency stages, countdown-joined segments and
+    inline send completions."""
+    env, comm = make_comm(6, 3, NetworkPath.HOST_NATIVE)
+    finish = {}
+
+    def body(r):
+        for step in range(3):
+            evs = []
+            for nb in ((r - 1) % 6, (r + 1) % 6):
+                tag = step * 10 + (0 if nb < r else 1)
+                nbytes = 250_000 * (1 + (r + step) % 3)
+                evs.append(comm.isend(r, nb, tag, nbytes))
+                tag = step * 10 + (0 if r < nb else 1)
+                evs.append(comm.recv(r, nb, tag))
+            yield env.all_of(evs)
+        finish[r] = env.now
+
+    for r in range(6):
+        env.process(body(r))
+    env.run()
+    assert [finish[r] for r in range(6)] == [
+        0.0003082, 0.0002923, 0.0002923,
+        0.00028409999999999997, 0.00028409999999999997, 0.0003082,
+    ]
+
+
+def test_bridge_delivery_order_pinned(make_comm):
+    """A burst of mixed-size isends (zero bytes included) matched by
+    ``ANY_SOURCE`` receives, then a ring exchange, on 8 Lenox ranks over
+    2 Docker-bridged nodes.  The ``(time, label)`` sequence of
+    ``mpi.deliver`` records pins which message passes a bridge first;
+    it changes if either bridge ordering stage goes (event-per-segment
+    completions, the deposit relay)."""
+    import hashlib
+
+    from repro.des.trace import Tracer
+
+    n = 8
+    sizes = (0, 64, 4096, 65_536, 1_000_000)
+    tracer = Tracer(categories=["mpi.deliver"])
+    env, comm = make_comm(
+        n, 2, NetworkPath.BRIDGE_NAT, spec=catalog.LENOX, tracer=tracer
+    )
+    finish = {}
+
+    def body(r):
+        sends = [
+            comm.isend(r, (r + k) % n, 1, sizes[(r + k) % len(sizes)])
+            for k in range(1, len(sizes) + 1)
+        ]
+        for _ in sends:
+            yield comm.recv(r, ANY_SOURCE, 1)
+        yield env.all_of(sends)
+        for step in range(3):
+            yield from comm.sendrecv(
+                r, (r + 1) % n, (r - 1) % n, 10 + step, 32_768
+            )
+        finish[r] = env.now
+
+    for r in range(n):
+        env.process(body(r))
+    env.run()
+    seq = [(rec.time, rec.label) for rec in tracer.by_category("mpi.deliver")]
+    assert len(seq) == 64
+    assert hashlib.sha256(repr(seq).encode()).hexdigest() == (
+        "bb3dcafe84a5743abe663730c283afcb7768ff8785aafe01b3c37bc4a3f1bcf0"
+    )
+    assert [finish[r] for r in range(n)] == [
+        0.043920115947613664, 0.04326473451821645, 0.04260935308881923,
+        0.042610289317390665, 0.042610289317390665, 0.04171397165942201,
+        0.041833971659422015, 0.043920115947613664,
+    ]

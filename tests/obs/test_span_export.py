@@ -188,7 +188,7 @@ def test_engine_hook_pins_queue_depth_on_docker_run():
     )
     obs = Observability()
     ExperimentRunner().run(spec, obs=obs)
-    assert _gauge_pin(obs) == (0, 31, 0, 11879)
+    assert _gauge_pin(obs) == (0, 24, 0, 9608)
 
 # -- exporters ----------------------------------------------------------------
 def _sample_obs() -> Observability:

@@ -166,6 +166,7 @@ def test_zipf_digest_is_seed_stable(tmp_path):
 def test_zipf_validation_and_mode_exclusivity(capsys):
     assert main(["--zipf", "1.1", "--burst", "4"]) == 2
     assert main(["--zipf", "-0.5"]) == 2
+    assert main(["--zipf", "nan"]) == 2
     assert main(["--zipf", "1.1", "--requests", "0"]) == 2
     assert main(["--burst", "4", "--shards", "-1"]) == 2
     assert main(["--zipf", "1.1", "--max-retries", "-1"]) == 2

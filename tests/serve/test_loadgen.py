@@ -72,8 +72,9 @@ def test_sequence_validation():
         zipfian_sequence(0, 10)
     with pytest.raises(ValueError):
         zipfian_sequence(4, -1)
-    with pytest.raises(ValueError):
-        zipfian_sequence(4, 10, s=-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            zipfian_sequence(4, 10, s=bad)
     assert zipfian_sequence(4, 0) == []
 
 

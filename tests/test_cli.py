@@ -111,7 +111,9 @@ def test_scaling_command_gates_on_documented_bounds(capsys):
 
 
 def test_timeout_validation(capsys):
-    assert main(["fig1", "--timeout", "0"]) == 2
+    for bad in ("0", "nan", "inf", "-inf"):
+        assert main(["fig1", f"--timeout={bad}"]) == 2
+        assert "error: --timeout" in capsys.readouterr().err
 
 
 def test_faults_command_runs(capsys):
