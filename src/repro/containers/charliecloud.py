@@ -16,18 +16,10 @@ without privileged components.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.containers.image import SIFImage
-from repro.containers.recipes import BuildTechnique
-from repro.containers.runtime import (
-    ContainerRuntime,
-    DeployedContainer,
-    DeploymentReport,
-)
 from repro.containers.compat import network_path_for
+from repro.containers.image import SIFImage
+from repro.containers.runtime import ContainerRuntime
 from repro.oskernel.namespaces import NamespaceKind, NamespaceSet
-from repro.oskernel.nodeos import HOST_FABRIC_DIR, HOST_MPI_DIR, NodeOS
 from repro.oskernel.processes import Credentials
 
 #: Unprivileged kinds: USER makes MOUNT+PID legal without SUID.
@@ -37,8 +29,6 @@ CHARLIE_KINDS = frozenset(
 
 HEADER_READ_BYTES = 1.0e6
 FUSE_MOUNT = 0.055  # squashfuse: slower than a kernel loop mount
-BIND_MOUNT = 0.002
-CONTAINER_ROOT = "/var/tmp/charliecloud"
 
 
 class CharliecloudRuntime(ContainerRuntime):
@@ -47,94 +37,44 @@ class CharliecloudRuntime(ContainerRuntime):
     name = "charliecloud"
     cpu_overhead = 1.0
     launch_overhead_per_rank = 0.06
+    container_root = "/var/tmp/charliecloud"
 
     def network_path(self, image, fabric):
         technique = image.technique if image is not None else None
         return network_path_for("singularity", technique, fabric)
 
-    def deploy(
-        self,
-        env,
-        cluster,
-        node_os: Sequence[NodeOS],
-        image: Optional[SIFImage] = None,
-        registry=None,
-        gateway=None,
-        obs=None,
-    ):
+    def _check_inputs(self, image, registry, gateway) -> None:
         if not isinstance(image, SIFImage):
             raise TypeError("Charliecloud consumes flattened squashfs images")
-        self.check(cluster.spec, image)
-        t0 = env.now
-        steps: dict[str, float] = {}
-        containers: list[Optional[DeployedContainer]] = [None] * len(node_os)
 
-        def per_node(i: int, os_: NodeOS):
-            node = cluster.node(os_.node_id)
-            track = f"node-{os_.node_id}"
-            # 1. Image header off the parallel filesystem.
-            with self._step(env, steps, "header_read", obs, track):
-                yield cluster.shared_fs.transfer(HEADER_READ_BYTES)
+    def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
+        # 1. Image header off the parallel filesystem.
+        with step("header_read"):
+            yield cluster.shared_fs.transfer(HEADER_READ_BYTES)
 
-            # 2. Rootless namespace assembly: NO SUID, NO daemon — the
-            #    user process unshares USER+MOUNT+PID directly.
-            with self._step(env, steps, "namespaces", obs, track):
-                user = os_.processes.fork(
-                    os_.processes.init_pid,
-                    argv=("slurm-task",),
-                    creds=Credentials.user(1000),
-                )
-                container_proc = os_.processes.fork(
-                    user.global_pid,
-                    argv=(image.entrypoint,),
-                    unshare=CHARLIE_KINDS,
-                )
-                assert not container_proc.creds.is_privileged
-                yield env.timeout(NamespaceSet.setup_cost(CHARLIE_KINDS))
-
-            # 3. FUSE mount of the squashfs.
-            with self._step(env, steps, "fuse_mount", obs, track):
-                table = container_proc.mount_table
-                table.mount_squashfs(image.tree, CONTAINER_ROOT)
-                yield env.timeout(FUSE_MOUNT)
-                yield node.disk.transfer(HEADER_READ_BYTES)
-
-            # 4. Bind mounts (same policy as the other HPC runtimes).
-            with self._step(env, steps, "bind_mounts", obs, track):
-                binds = [("/home/user", f"{CONTAINER_ROOT}/home/user"),
-                         ("/gpfs/scratch", f"{CONTAINER_ROOT}/scratch")]
-                if image.technique is BuildTechnique.SYSTEM_SPECIFIC:
-                    binds.append((HOST_MPI_DIR, f"{CONTAINER_ROOT}/host/mpi"))
-                    if os_.has_fabric_userspace:
-                        binds.append(
-                            (HOST_FABRIC_DIR, f"{CONTAINER_ROOT}/host/fabric")
-                        )
-                for src, dst in binds:
-                    table.bind(os_.rootfs, src, dst)
-                    yield env.timeout(BIND_MOUNT)
-
-            containers[i] = DeployedContainer(
-                runtime_name=self.name,
-                node_id=os_.node_id,
-                image=image,
-                network_path=self.network_path(image, cluster.spec.fabric),
-                namespaces=container_proc.namespaces,
-                mount_table=table,
-                root_path=CONTAINER_ROOT,
-                cpu_overhead=self.cpu_overhead,
-                launch_overhead_per_rank=self.launch_overhead_per_rank,
+        # 2. Rootless namespace assembly: NO SUID, NO daemon — the user
+        #    process unshares USER+MOUNT+PID directly.
+        with step("namespaces"):
+            user = os_.processes.fork(
+                os_.processes.init_pid,
+                argv=("slurm-task",),
+                creds=Credentials.user(1000),
             )
+            container_proc = os_.processes.fork(
+                user.global_pid,
+                argv=(image.entrypoint,),
+                unshare=CHARLIE_KINDS,
+            )
+            assert not container_proc.creds.is_privileged
+            yield env.timeout(NamespaceSet.setup_cost(CHARLIE_KINDS))
 
-        procs = [
-            env.process(per_node(i, os_), name=f"charliecloud-deploy-{i}")
-            for i, os_ in enumerate(node_os)
-        ]
-        yield env.all_of(procs)
-        report = DeploymentReport(
-            runtime_name=self.name,
-            image_name=image.name,
-            node_count=len(node_os),
-            total_seconds=env.now - t0,
-            steps=steps,
-        )
-        return list(containers), report
+        # 3. FUSE mount of the squashfs.
+        with step("fuse_mount"):
+            table = container_proc.mount_table
+            table.mount_squashfs(image.tree, self.container_root)
+            yield env.timeout(FUSE_MOUNT)
+            yield cluster.node(os_.node_id).disk.transfer(HEADER_READ_BYTES)
+
+        # 4. Site bind mounts.
+        yield from self._bind_site_dirs(env, os_, image, table, step)
+        return container_proc

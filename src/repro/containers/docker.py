@@ -18,17 +18,10 @@ growing rank counts in Fig. 1.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.containers.image import OCIImage
-from repro.containers.runtime import (
-    ContainerRuntime,
-    DeployedContainer,
-    DeploymentReport,
-)
 from repro.containers.compat import network_path_for
+from repro.containers.image import OCIImage
+from repro.containers.runtime import ContainerRuntime
 from repro.oskernel.namespaces import DOCKER_KINDS, NamespaceKind, NamespaceSet
-from repro.oskernel.nodeos import NodeOS
 
 #: Fixed costs (seconds).
 DAEMON_START = 0.9
@@ -57,6 +50,7 @@ class DockerRuntime(ContainerRuntime):
     cpu_overhead = 1.005  # cgroup accounting + seccomp, sub-1%
     launch_overhead_per_rank = 0.12  # docker exec API round-trip
     teardown_cost = 0.35  # docker stop/rm API + netns destruction
+    container_root = "/var/lib/docker/merged"
 
     def __init__(self, version=None, host_network: bool = False) -> None:
         super().__init__(version)
@@ -68,94 +62,54 @@ class DockerRuntime(ContainerRuntime):
             return network_path_for("singularity", technique, fabric)
         return super().network_path(image, fabric)
 
-    def deploy(
-        self,
-        env,
-        cluster,
-        node_os: Sequence[NodeOS],
-        image: Optional[OCIImage] = None,
-        registry=None,
-        gateway=None,
-        obs=None,
-    ):
+    def _check_inputs(self, image, registry, gateway) -> None:
         if not isinstance(image, OCIImage):
             raise TypeError("Docker deploys OCI images")
         if registry is None:
             raise ValueError("Docker deployment needs a registry to pull from")
-        self.check(cluster.spec, image)
-        t0 = env.now
-        steps: dict[str, float] = {}
-        containers: list[Optional[DeployedContainer]] = [None] * len(node_os)
 
-        def per_node(i: int, os_: NodeOS):
-            node = cluster.node(os_.node_id)
-            track = f"node-{os_.node_id}"
-            # 1. Daemon.
-            with self._step(env, steps, "daemon_start", obs, track):
-                yield env.timeout(DAEMON_START)
+    def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
+        # 1. Daemon.
+        with step("daemon_start"):
+            yield env.timeout(DAEMON_START)
 
-            # 2. Pull: compressed layers over the shared registry egress,
-            #    then extraction (gunzip CPU and disk write overlap).
-            #    A warm layer cache skips both.
-            if image.digest not in os_.image_cache:
-                with self._step(env, steps, "pull", obs, track,
-                                nbytes=image.transfer_size):
-                    yield from registry.pull_retry(image.name)
-                with self._step(env, steps, "extract", obs, track,
-                                nbytes=image.content_size):
-                    gunzip = env.timeout(image.content_size / GUNZIP_THROUGHPUT)
-                    disk = node.disk.transfer(image.content_size)
-                    yield env.all_of([gunzip, disk])
-                os_.image_cache.add(image.digest)
-
-            # 3. Create: namespaces + cgroup + overlay (+ veth unless
-            #    --net=host), via daemon.
-            with self._step(env, steps, "create", obs, track):
-                init = os_.processes.init_pid  # the daemon runs as root
-                kinds = (
-                    DOCKER_KINDS - {NamespaceKind.NET}
-                    if self.host_network
-                    else DOCKER_KINDS
+        # 2. Pull: compressed layers over the shared registry egress, then
+        #    extraction (gunzip CPU and disk write overlap).  A warm layer
+        #    cache skips both.
+        if image.digest not in os_.image_cache:
+            with step("pull", nbytes=image.transfer_size):
+                yield from registry.pull_retry(image.name)
+            with step("extract", nbytes=image.content_size):
+                gunzip = env.timeout(image.content_size / GUNZIP_THROUGHPUT)
+                disk = cluster.node(os_.node_id).disk.transfer(
+                    image.content_size
                 )
-                container_proc = os_.processes.fork(
-                    init, argv=(image.entrypoint,), unshare=kinds
-                )
-                cgroup = os_.cgroups.create(f"/docker/{image.name}-{os_.node_id}")
-                os_.cgroups.attach(container_proc.global_pid, cgroup)
-                container_proc.cgroup = cgroup
-                table = container_proc.mount_table
-                table.mount_overlay(image.layer_trees(), "/var/lib/docker/merged")
-                yield env.timeout(
-                    DAEMON_API
-                    + NamespaceSet.setup_cost(kinds)
-                    + CGROUP_SETUP
-                    + OVERLAY_MOUNT
-                    + (0.0 if self.host_network else VETH_BRIDGE_ATTACH)
-                )
+                yield env.all_of([gunzip, disk])
+            os_.image_cache.add(image.digest)
 
-            containers[i] = DeployedContainer(
-                runtime_name=self.name,
-                node_id=os_.node_id,
-                image=image,
-                network_path=self.network_path(image, cluster.spec.fabric),
-                namespaces=container_proc.namespaces,
-                mount_table=table,
-                cgroup=cgroup,
-                root_path="/var/lib/docker/merged",
-                cpu_overhead=self.cpu_overhead,
-                launch_overhead_per_rank=self.launch_overhead_per_rank,
+        # 3. Create: namespaces + cgroup + overlay (+ veth unless
+        #    --net=host), via daemon.
+        with step("create"):
+            init = os_.processes.init_pid  # the daemon runs as root
+            kinds = (
+                DOCKER_KINDS - {NamespaceKind.NET}
+                if self.host_network
+                else DOCKER_KINDS
             )
-
-        procs = [
-            env.process(per_node(i, os_), name=f"docker-deploy-{i}")
-            for i, os_ in enumerate(node_os)
-        ]
-        yield env.all_of(procs)
-        report = DeploymentReport(
-            runtime_name=self.name,
-            image_name=image.name,
-            node_count=len(node_os),
-            total_seconds=env.now - t0,
-            steps=steps,
-        )
-        return list(containers), report
+            container_proc = os_.processes.fork(
+                init, argv=(image.entrypoint,), unshare=kinds
+            )
+            cgroup = os_.cgroups.create(f"/docker/{image.name}-{os_.node_id}")
+            os_.cgroups.attach(container_proc.global_pid, cgroup)
+            container_proc.cgroup = cgroup
+            container_proc.mount_table.mount_overlay(
+                image.layer_trees(), self.container_root
+            )
+            yield env.timeout(
+                DAEMON_API
+                + NamespaceSet.setup_cost(kinds)
+                + CGROUP_SETUP
+                + OVERLAY_MOUNT
+                + (0.0 if self.host_network else VETH_BRIDGE_ATTACH)
+            )
+        return container_proc

@@ -9,23 +9,13 @@ class as Singularity, which is why both track bare-metal in Fig. 1.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.containers.image import FlatImage, OCIImage
-from repro.containers.runtime import (
-    ContainerRuntime,
-    DeployedContainer,
-    DeploymentReport,
-)
-from repro.containers.recipes import BuildTechnique
+from repro.containers.image import OCIImage
+from repro.containers.runtime import ContainerRuntime
 from repro.oskernel.namespaces import HPC_KINDS, NamespaceSet
-from repro.oskernel.nodeos import HOST_FABRIC_DIR, HOST_MPI_DIR, NodeOS
 from repro.oskernel.processes import Credentials
 
 LOOP_MOUNT = 0.015
-BIND_MOUNT = 0.002
 UDIROOT_SETUP = 0.030  # Shifter's udiRoot environment preparation
-CONTAINER_ROOT = "/var/udiMount"
 
 
 class ShifterRuntime(ContainerRuntime):
@@ -34,102 +24,51 @@ class ShifterRuntime(ContainerRuntime):
     name = "shifter"
     cpu_overhead = 1.0
     launch_overhead_per_rank = 0.05
+    container_root = "/var/udiMount"
 
-    def deploy(
-        self,
-        env,
-        cluster,
-        node_os: Sequence[NodeOS],
-        image: Optional[OCIImage] = None,
-        registry=None,
-        gateway=None,
-        obs=None,
-    ):
+    def _check_inputs(self, image, registry, gateway) -> None:
         if not isinstance(image, OCIImage):
             raise TypeError(
                 "Shifter consumes Docker (OCI) images via its gateway"
             )
         if gateway is None:
             raise ValueError("Shifter deployment needs an image gateway")
-        self.check(cluster.spec, image)
-        t0 = env.now
-        steps: dict[str, float] = {}
 
+    def _prepare(self, env, image, gateway, step):
         # 1. Gateway conversion (cached across jobs and nodes).
-        with self._step(env, steps, "gateway_convert", obs, track="gateway",
-                        cached=gateway.is_cached(image)):
-            flat: FlatImage = yield env.process(gateway.convert(image))
+        with step("gateway_convert", cached=gateway.is_cached(image)):
+            flat = yield env.process(gateway.convert(image))
+        return flat
 
-        containers: list[Optional[DeployedContainer]] = [None] * len(node_os)
-
-        def per_node(i: int, os_: NodeOS):
-            node = cluster.node(os_.node_id)
-            track = f"node-{os_.node_id}"
-            # 2. udiRoot setup + namespaces via the SUID helper.
-            with self._step(env, steps, "namespaces", obs, track):
-                user = os_.processes.fork(
-                    os_.processes.init_pid,
-                    argv=("slurm-task",),
-                    creds=Credentials.user(1000),
-                )
-                helper_creds = user.creds.escalate_suid()
-                helper = os_.processes.fork(
-                    user.global_pid, argv=("shifter-suid",), creds=helper_creds
-                )
-                container_proc = os_.processes.fork(
-                    helper.global_pid,
-                    argv=(image.entrypoint,),
-                    unshare=HPC_KINDS,
-                    creds=helper_creds,
-                )
-                yield env.timeout(
-                    UDIROOT_SETUP + NamespaceSet.setup_cost(HPC_KINDS)
-                )
-
-            # 3. Loop-mount the flattened image from the parallel FS.
-            with self._step(env, steps, "loop_mount", obs, track):
-                table = container_proc.mount_table
-                table.mount_squashfs(flat.tree, CONTAINER_ROOT)
-                yield env.timeout(LOOP_MOUNT)
-                yield cluster.shared_fs.transfer(1.0e6)  # superblock + metadata
-
-            # 4. Site-configured bind mounts.
-            with self._step(env, steps, "bind_mounts", obs, track):
-                binds = [("/home/user", f"{CONTAINER_ROOT}/home/user"),
-                         ("/gpfs/scratch", f"{CONTAINER_ROOT}/scratch")]
-                if image.technique is BuildTechnique.SYSTEM_SPECIFIC:
-                    binds.append((HOST_MPI_DIR, f"{CONTAINER_ROOT}/host/mpi"))
-                    if os_.has_fabric_userspace:
-                        binds.append(
-                            (HOST_FABRIC_DIR, f"{CONTAINER_ROOT}/host/fabric")
-                        )
-                for src, dst in binds:
-                    table.bind(os_.rootfs, src, dst)
-                    yield env.timeout(BIND_MOUNT)
-
-            container_proc.creds = helper_creds.drop_privileges()
-            containers[i] = DeployedContainer(
-                runtime_name=self.name,
-                node_id=os_.node_id,
-                image=image,
-                network_path=self.network_path(image, cluster.spec.fabric),
-                namespaces=container_proc.namespaces,
-                mount_table=table,
-                root_path=CONTAINER_ROOT,
-                cpu_overhead=self.cpu_overhead,
-                launch_overhead_per_rank=self.launch_overhead_per_rank,
+    def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
+        # 2. udiRoot setup + namespaces via the SUID helper.
+        with step("namespaces"):
+            user = os_.processes.fork(
+                os_.processes.init_pid,
+                argv=("slurm-task",),
+                creds=Credentials.user(1000),
             )
+            helper_creds = user.creds.escalate_suid()
+            helper = os_.processes.fork(
+                user.global_pid, argv=("shifter-suid",), creds=helper_creds
+            )
+            container_proc = os_.processes.fork(
+                helper.global_pid,
+                argv=(image.entrypoint,),
+                unshare=HPC_KINDS,
+                creds=helper_creds,
+            )
+            yield env.timeout(UDIROOT_SETUP + NamespaceSet.setup_cost(HPC_KINDS))
 
-        procs = [
-            env.process(per_node(i, os_), name=f"shifter-deploy-{i}")
-            for i, os_ in enumerate(node_os)
-        ]
-        yield env.all_of(procs)
-        report = DeploymentReport(
-            runtime_name=self.name,
-            image_name=image.name,
-            node_count=len(node_os),
-            total_seconds=env.now - t0,
-            steps=steps,
-        )
-        return list(containers), report
+        # 3. Loop-mount the flattened image from the parallel FS.
+        with step("loop_mount"):
+            table = container_proc.mount_table
+            table.mount_squashfs(prepared.tree, self.container_root)
+            yield env.timeout(LOOP_MOUNT)
+            yield cluster.shared_fs.transfer(1.0e6)  # superblock + metadata
+
+        # 4. Site bind mounts.
+        yield from self._bind_site_dirs(env, os_, image, table, step)
+
+        container_proc.creds = helper_creds.drop_privileges()
+        return container_proc

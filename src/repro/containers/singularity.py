@@ -5,7 +5,7 @@ Deployment of a SIF image on a node (Singularity 2.x, as in the paper):
 1. the single image file already lives on the parallel filesystem — only
    its header is read at start (no pull, no extraction);
 2. the SUID starter escalates, unshares **Mount + PID only**, loop-mounts
-   the squashfs partition read-only, performs the configured bind mounts
+   the squashfs partition read-only, performs the site bind mounts
    (``$HOME``, scratch — plus host MPI/fabric directories for a
    system-specific image), then drops privileges and execs the payload.
 
@@ -16,25 +16,15 @@ decided by the image's build technique (:mod:`repro.containers.compat`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.containers.image import SIFImage
-from repro.containers.runtime import (
-    ContainerRuntime,
-    DeployedContainer,
-    DeploymentReport,
-)
-from repro.containers.recipes import BuildTechnique
+from repro.containers.runtime import ContainerRuntime
 from repro.oskernel.namespaces import HPC_KINDS, NamespaceSet
-from repro.oskernel.nodeos import HOST_FABRIC_DIR, HOST_MPI_DIR, NodeOS
 from repro.oskernel.processes import Credentials
 
 #: Fixed costs (seconds), from published Singularity 2.x startup traces.
 HEADER_READ_BYTES = 1.0e6
 STARTER_EXEC = 0.020
 LOOP_MOUNT = 0.015
-BIND_MOUNT = 0.002
-CONTAINER_ROOT = "/var/singularity/mnt"
 
 
 class SingularityRuntime(ContainerRuntime):
@@ -43,99 +33,47 @@ class SingularityRuntime(ContainerRuntime):
     name = "singularity"
     cpu_overhead = 1.0  # §C: "close to bare-metal performances"
     launch_overhead_per_rank = 0.08  # starter + loop setup per exec
+    container_root = "/var/singularity/mnt"
 
-    def deploy(
-        self,
-        env,
-        cluster,
-        node_os: Sequence[NodeOS],
-        image: Optional[SIFImage] = None,
-        registry=None,
-        gateway=None,
-        obs=None,
-    ):
+    def _check_inputs(self, image, registry, gateway) -> None:
         if not isinstance(image, SIFImage):
             raise TypeError("Singularity deploys SIF images")
-        self.check(cluster.spec, image)
-        t0 = env.now
-        steps: dict[str, float] = {}
-        containers: list[Optional[DeployedContainer]] = [None] * len(node_os)
 
-        def per_node(i: int, os_: NodeOS):
-            node = cluster.node(os_.node_id)
-            track = f"node-{os_.node_id}"
-            # 1. Read the SIF header off the parallel filesystem.
-            with self._step(env, steps, "header_read", obs, track):
-                yield cluster.shared_fs.transfer(HEADER_READ_BYTES)
+    def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
+        # 1. Read the SIF header off the parallel filesystem.
+        with step("header_read"):
+            yield cluster.shared_fs.transfer(HEADER_READ_BYTES)
 
-            # 2. SUID starter: user creds escalate, unshare Mount+PID.
-            with self._step(env, steps, "namespaces", obs, track):
-                user = os_.processes.fork(
-                    os_.processes.init_pid,
-                    argv=("sbatch-shell",),
-                    creds=Credentials.user(1000),
-                )
-                starter_creds = user.creds.escalate_suid()
-                starter = os_.processes.fork(
-                    user.global_pid, argv=("starter-suid",), creds=starter_creds
-                )
-                container_proc = os_.processes.fork(
-                    starter.global_pid,
-                    argv=(image.entrypoint,),
-                    unshare=HPC_KINDS,
-                    creds=starter_creds,
-                )
-                yield env.timeout(
-                    STARTER_EXEC + NamespaceSet.setup_cost(HPC_KINDS)
-                )
-
-            # 3. Loop-mount the squashfs partition (read-only).
-            with self._step(env, steps, "loop_mount", obs, track):
-                table = container_proc.mount_table
-                table.mount_squashfs(image.tree, CONTAINER_ROOT)
-                yield env.timeout(LOOP_MOUNT)
-                yield node.disk.transfer(HEADER_READ_BYTES)  # superblock read
-
-            # 4. Bind mounts: $HOME, scratch, and the host MPI stack for
-            #    system-specific images.
-            with self._step(env, steps, "bind_mounts", obs, track):
-                binds = [("/home/user", f"{CONTAINER_ROOT}/home/user"),
-                         ("/gpfs/scratch", f"{CONTAINER_ROOT}/scratch")]
-                if image.technique is BuildTechnique.SYSTEM_SPECIFIC:
-                    binds.append((HOST_MPI_DIR, f"{CONTAINER_ROOT}/host/mpi"))
-                    if os_.has_fabric_userspace:
-                        binds.append(
-                            (HOST_FABRIC_DIR, f"{CONTAINER_ROOT}/host/fabric")
-                        )
-                for src, dst in binds:
-                    table.bind(os_.rootfs, src, dst)
-                    yield env.timeout(BIND_MOUNT)
-
-            # 5. Drop privileges; the payload runs as the invoking user.
-            container_proc.creds = starter_creds.drop_privileges()
-
-            containers[i] = DeployedContainer(
-                runtime_name=self.name,
-                node_id=os_.node_id,
-                image=image,
-                network_path=self.network_path(image, cluster.spec.fabric),
-                namespaces=container_proc.namespaces,
-                mount_table=table,
-                root_path=CONTAINER_ROOT,
-                cpu_overhead=self.cpu_overhead,
-                launch_overhead_per_rank=self.launch_overhead_per_rank,
+        # 2. SUID starter: user creds escalate, unshare Mount+PID.
+        with step("namespaces"):
+            user = os_.processes.fork(
+                os_.processes.init_pid,
+                argv=("sbatch-shell",),
+                creds=Credentials.user(1000),
             )
+            starter_creds = user.creds.escalate_suid()
+            starter = os_.processes.fork(
+                user.global_pid, argv=("starter-suid",), creds=starter_creds
+            )
+            container_proc = os_.processes.fork(
+                starter.global_pid,
+                argv=(image.entrypoint,),
+                unshare=HPC_KINDS,
+                creds=starter_creds,
+            )
+            yield env.timeout(STARTER_EXEC + NamespaceSet.setup_cost(HPC_KINDS))
 
-        procs = [
-            env.process(per_node(i, os_), name=f"singularity-deploy-{i}")
-            for i, os_ in enumerate(node_os)
-        ]
-        yield env.all_of(procs)
-        report = DeploymentReport(
-            runtime_name=self.name,
-            image_name=image.name,
-            node_count=len(node_os),
-            total_seconds=env.now - t0,
-            steps=steps,
-        )
-        return list(containers), report
+        # 3. Loop-mount the squashfs partition (read-only).
+        with step("loop_mount"):
+            table = container_proc.mount_table
+            table.mount_squashfs(image.tree, self.container_root)
+            yield env.timeout(LOOP_MOUNT)
+            # superblock read
+            yield cluster.node(os_.node_id).disk.transfer(HEADER_READ_BYTES)
+
+        # 4. Site bind mounts.
+        yield from self._bind_site_dirs(env, os_, image, table, step)
+
+        # 5. Drop privileges; the payload runs as the invoking user.
+        container_proc.creds = starter_creds.drop_privileges()
+        return container_proc

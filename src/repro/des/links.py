@@ -52,25 +52,6 @@ def lockstep_finish(
     return t if resid <= threshold else None
 
 
-class _Gate(Event):
-    """A pooled latency gate for :meth:`FairShareLink.transfer_cb`.
-
-    Plays the role of the ``Timeout`` that delays admission by the link
-    latency, without allocating a ``Timeout`` plus closure per segment.
-    Scheduled at the same ``(time, seq)`` the timeout would occupy, so
-    heap order — and therefore simulated behaviour — is unchanged.
-    """
-
-    __slots__ = ("wire_bytes", "notify", "_cbs")
-
-    def __init__(self, link: "FairShareLink") -> None:
-        super().__init__(link.env)
-        self._value = None  # never PENDING: armed manually on reuse
-        self.wire_bytes = 0.0
-        self.notify = None
-        self._cbs = [link._on_gate]
-
-
 class _Wake(Event):
     """A pooled link wake-up timer.
 
@@ -151,7 +132,6 @@ class FairShareLink:
         self._last_update = env.now
         self._wake_gen = 0
         self._wake_pool: list[_Wake] = []
-        self._gate_pool: list[_Gate] = []
         #: Smallest ``remaining`` across active flows, maintained
         #: incrementally (exact: see :meth:`_advance`); ``inf`` when idle.
         self._min_remaining = math.inf
@@ -166,17 +146,8 @@ class FairShareLink:
 
     def transfer(self, nbytes: float) -> Event:
         """Start a transfer of ``nbytes``; the event fires on completion."""
-        if not 0 <= nbytes < math.inf:
-            raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         done = Event(self.env)
-        wire_bytes = nbytes * self.per_byte_overhead
-        if self.latency > 0:
-            gate = self.env.timeout(self.latency)
-            gate.callbacks.append(
-                lambda _ev: self._admit(wire_bytes, done.succeed)
-            )
-        else:
-            self._admit(wire_bytes, done.succeed)
+        self.transfer_cb(nbytes, done.succeed)
         return done
 
     def transfer_cb(self, nbytes: float, notify) -> None:
@@ -184,9 +155,10 @@ class FairShareLink:
         on completion (during the completing wake-up, or immediately for
         zero-byte transfers) instead of scheduling a completion event.
 
-        This is the delivery chain's allocation-free variant of
-        :meth:`transfer`: same admission time, same completion time, one
-        event pop and one :class:`Event` less per segment.  Callers own
+        This is the delivery chain's variant of :meth:`transfer`: same
+        admission time, same completion time, one event pop and one
+        :class:`Event` less per segment.  A latency is paid through a
+        ``Timeout`` before admission, as in :meth:`transfer`.  Callers own
         the ordering consequences — ``notify`` runs within the wake's
         callback, so it must not re-enter this link synchronously.
         """
@@ -194,17 +166,8 @@ class FairShareLink:
             raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         wire_bytes = nbytes * self.per_byte_overhead
         if self.latency > 0:
-            pool = self._gate_pool
-            gate = pool.pop() if pool else _Gate(self)
-            gate.wire_bytes = wire_bytes
-            gate.notify = notify
-            gate.callbacks = gate._cbs
-            env = self.env  # inlined env._schedule(gate, latency)
-            when = env._now + self.latency
-            if when <= env._now:
-                env._ring.append(gate)
-            else:
-                env._wheel.push(when, gate)
+            gate = self.env.timeout(self.latency)
+            gate.callbacks.append(lambda _ev: self._admit(wire_bytes, notify))
         else:
             self._admit(wire_bytes, notify)
 
@@ -294,13 +257,6 @@ class FairShareLink:
             env._ring.append(wake)
         else:
             env._wheel.push(when, wake)
-
-    def _on_gate(self, gate: _Gate) -> None:
-        notify = gate.notify
-        wire_bytes = gate.wire_bytes
-        gate.notify = None  # drop the ref before pooling
-        self._gate_pool.append(gate)
-        self._admit(wire_bytes, notify)
 
     def _on_wake_ev(self, wake: _Wake) -> None:
         self._wake_pool.append(wake)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -89,15 +90,15 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be >= 0")
-        if self.duration < 0:
-            raise ValueError("fault duration must be >= 0")
-        if self.factor < 0:
-            raise ValueError("fault factor must be >= 0")
-        if self.kind is FaultKind.STRAGGLER and self.factor < 1.0:
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError("fault time must be finite and >= 0")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("fault duration must be finite and >= 0")
+        if not 0.0 <= self.factor < math.inf:
+            raise ValueError("fault factor must be finite and >= 0")
+        if self.kind is FaultKind.STRAGGLER and not 1.0 <= self.factor:
             raise ValueError("a straggler factor must be >= 1 (slowdown)")
-        if self.kind is FaultKind.LINK_DEGRADE and self.factor >= 1.0:
+        if self.kind is FaultKind.LINK_DEGRADE and not self.factor < 1.0:
             raise ValueError("a degrade factor must be < 1")
 
     def to_json_dict(self) -> dict:
@@ -149,12 +150,16 @@ class Tolerance:
     pull_backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.detect_timeout < 0 or self.requeue_backoff < 0:
-            raise ValueError("timeouts/backoffs must be >= 0")
+        if not (0.0 <= self.detect_timeout < math.inf
+                and 0.0 <= self.requeue_backoff < math.inf):
+            raise ValueError("timeouts/backoffs must be finite and >= 0")
         if self.max_requeues < 0 or self.pull_max_retries < 0:
             raise ValueError("retry counts must be >= 0")
-        if self.pull_backoff < 0 or self.pull_backoff_factor < 1.0:
-            raise ValueError("pull backoff must be >= 0, factor >= 1")
+        if not (0.0 <= self.pull_backoff < math.inf
+                and 1.0 <= self.pull_backoff_factor < math.inf):
+            raise ValueError(
+                "pull backoff must be finite, backoff >= 0, factor >= 1"
+            )
 
     def requeue_delay(self, attempt: int) -> float:
         """Backoff before requeue number ``attempt`` (1-based)."""
@@ -213,24 +218,24 @@ class FaultPlan:
     tolerance: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
         rates = (
             self.link_degrade_rate,
             self.link_partition_rate,
             self.crash_rate,
             self.straggler_rate,
         )
-        if any(r < 0 for r in rates):
-            raise ValueError("fault rates must be >= 0")
+        if not all(0.0 <= r < math.inf for r in rates):
+            raise ValueError("fault rates must be finite and >= 0")
         if self.pull_fail_count < 0:
             raise ValueError("pull_fail_count must be >= 0")
         if not 0.0 <= self.degrade_factor < 1.0:
             raise ValueError("degrade_factor must be in [0, 1)")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
-        if self.fault_duration <= 0:
-            raise ValueError("fault_duration must be positive")
+        if not 1.0 <= self.straggler_factor < math.inf:
+            raise ValueError("straggler_factor must be finite and >= 1")
+        if not 0.0 < self.fault_duration < math.inf:
+            raise ValueError("fault_duration must be finite and positive")
         if self.seed is None and (any(r > 0 for r in rates)):
             raise ValueError(
                 "rate-based fault generation needs an explicit seed"

@@ -8,8 +8,12 @@ from repro.des import Environment, FairShareLink
 from repro.des.links import lockstep_finish
 
 
-def run_transfers(bandwidth, latency, sizes, starts=None, overhead=1.0):
-    """Run transfers and return their completion times (in start order)."""
+def run_transfers(bandwidth, latency, sizes, starts=None, overhead=1.0,
+                  api="event"):
+    """Run transfers and return their completion times (in start order).
+
+    ``api`` picks the entry point: ``"event"`` yields :meth:`transfer`'s
+    event, ``"cb"`` passes a completion callback to ``transfer_cb``."""
     env = Environment()
     link = FairShareLink(env, bandwidth=bandwidth, latency=latency,
                          per_byte_overhead=overhead)
@@ -18,6 +22,10 @@ def run_transfers(bandwidth, latency, sizes, starts=None, overhead=1.0):
 
     def sender(i):
         yield env.timeout(starts[i])
+        if api == "cb":
+            link.transfer_cb(sizes[i],
+                             lambda: done_times.__setitem__(i, env.now))
+            return
         yield link.transfer(sizes[i])
         done_times[i] = env.now
 
@@ -27,14 +35,23 @@ def run_transfers(bandwidth, latency, sizes, starts=None, overhead=1.0):
     return done_times, link
 
 
+# The latency cases run through both entry points: ``transfer_cb`` pays a
+# latency exactly as ``transfer`` does.
+APIS = ("event", "cb")
+
+
 def test_single_transfer_latency_plus_bandwidth():
-    done, _ = run_transfers(bandwidth=100.0, latency=2.0, sizes=[500.0])
-    assert done[0] == pytest.approx(2.0 + 5.0)
+    for api in APIS:
+        done, _ = run_transfers(bandwidth=100.0, latency=2.0,
+                                sizes=[500.0], api=api)
+        assert done[0] == pytest.approx(2.0 + 5.0), api
 
 
 def test_zero_byte_transfer_costs_latency_only():
-    done, _ = run_transfers(bandwidth=100.0, latency=1.5, sizes=[0.0])
-    assert done[0] == pytest.approx(1.5)
+    for api in APIS:
+        done, _ = run_transfers(bandwidth=100.0, latency=1.5, sizes=[0.0],
+                                api=api)
+        assert done[0] == pytest.approx(1.5), api
 
 
 def test_two_equal_flows_share_bandwidth():

@@ -1,6 +1,7 @@
 """FaultPlan: validation, deterministic compilation, serialisation."""
 
 import json
+import math
 
 import pytest
 
@@ -33,6 +34,51 @@ def test_degrade_factor_must_be_below_one():
 def test_straggler_event_factor_is_a_slowdown():
     with pytest.raises(ValueError, match="straggler"):
         FaultEvent(1.0, FaultKind.STRAGGLER, node=0, duration=1.0, factor=0.5)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", [
+    "horizon", "link_degrade_rate", "link_partition_rate", "crash_rate",
+    "straggler_rate", "degrade_factor", "straggler_factor", "fault_duration",
+])
+def test_non_finite_plan_fields_rejected(field, value):
+    with pytest.raises(ValueError, match="must be"):
+        FaultPlan(seed=1, **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["time", "duration", "factor"])
+@pytest.mark.parametrize("kind, factor", [
+    (FaultKind.LINK_DEGRADE, 0.5), (FaultKind.STRAGGLER, 2.0),
+])
+def test_non_finite_event_fields_rejected(kind, factor, field, value):
+    valid = dict(time=1.0, node=0, duration=1.0, factor=factor)
+    FaultEvent(kind=kind, **valid)  # the valid event is accepted
+    with pytest.raises(ValueError, match="must be"):
+        FaultEvent(kind=kind, **{**valid, field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", [
+    "detect_timeout", "requeue_backoff", "pull_backoff",
+    "pull_backoff_factor",
+])
+def test_non_finite_tolerance_fields_rejected(field, value):
+    with pytest.raises(ValueError, match="must be"):
+        Tolerance(**{field: value})
+
+
+def test_non_finite_spec_values_rejected_at_parse():
+    """The CLI's ``--fault-plan`` string parses through the same checks."""
+    for spec in ("seed=1,link_rate=nan,horizon=0.3",
+                 "seed=1,link_rate=inf,horizon=0.3",
+                 "seed=1,straggler_factor=nan",
+                 "seed=1,duration=inf"):
+        with pytest.raises(ValueError, match="must be"):
+            FaultPlan.load(spec)
 
 
 def test_is_empty():

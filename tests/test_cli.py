@@ -146,6 +146,15 @@ def test_bad_fault_plan_spec_is_an_error(capsys):
     assert "bad --fault-plan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_fault_plan_is_an_error(capsys, value):
+    rc = main(["fig1", "--fault-plan",
+               f"seed=1,link_rate={value},horizon=0.3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad --fault-plan" in err and "finite" in err
+
+
 def test_keep_going_and_resume_reach_the_executor(tmp_path):
     from repro.cli import _executor, build_parser
 
