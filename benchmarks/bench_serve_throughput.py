@@ -37,7 +37,7 @@ SIGSTOPs (wedges) another mid-replay.  Its gates are the self-healing
 story's acceptance criteria:
 
 - zero lost requests — both arms finish with zero errors and a full
-  payload per request; no caller ever sees ``ShardDown``;
+  payload per request; no caller ever sees a worker death;
 - digest parity — the chaos arm's scoreboard digest is byte-identical
   to the calm arm's (replayed responses are indistinguishable);
 - healing happened — the chaos arm records >= 1 respawn and a full

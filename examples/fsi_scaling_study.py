@@ -1,43 +1,20 @@
 #!/usr/bin/env python3
-"""FSI: the coupled solver for real, then its scalability at cluster scale.
+"""FSI: the coupled case's scalability at cluster scale.
 
-Part 1 runs the *executable* fluid-structure interaction miniature: blood
-flow deforms the elastic artery wall, whose motion feeds back into the
-flow as a transpiration boundary condition.
-
-Part 2 reproduces Fig. 3's shape on the simulated MareNostrum4 at reduced
-node counts: bare-metal and the system-specific container keep scaling;
-the self-contained container stops at ~32 nodes because its bundled MPI
+Reproduces Fig. 3's shape on the simulated MareNostrum4 at reduced node
+counts: bare-metal and the system-specific container keep scaling; the
+self-contained container stops at ~32 nodes because its bundled MPI
 cannot drive Omni-Path.
 
 Run:  python examples/fsi_scaling_study.py
 """
 
-import numpy as np
-
-from repro.alya.fsi import FsiCoupledSolver
-from repro.alya.geometry import ArteryGeometry
-from repro.alya.mesh import StructuredMesh
 from repro.core.figures import fig3_table
-from repro.core.report import check_fig3, verdict_lines
 from repro.core.study import ScalabilityStudy
 
 
 def main() -> None:
-    print("== Part 1: executable FSI miniature ==")
-    mesh = StructuredMesh(ArteryGeometry(), nx=96, ny=24)
-    fsi = FsiCoupledSolver(mesh)
-    stats = fsi.run(250)
-    radius = mesh.geometry.radius
-    print(f"coupled steps:            {stats.steps}")
-    print(f"peak wall displacement:   {stats.max_displacement * 1e6:8.2f} um "
-          f"({100 * stats.max_displacement / radius:.2f}% of radius)")
-    print(f"interface residual:       {stats.interface_residuals[-1]:.2e}")
-    eq = fsi.wall_top.equilibrium_displacement(fsi._load_top)
-    err = np.abs(fsi.wall_top.displacement - eq).max()
-    print(f"distance to equilibrium:  {err:.2e} m (wall tracks p/k)")
-
-    print("\n== Part 2: Fig. 3 shape at reduced scale (4..64 nodes) ==")
+    print("== Fig. 3 shape at reduced scale (4..64 nodes) ==")
     study = ScalabilityStudy(nodes=(4, 8, 16, 32, 64), sim_steps=2)
     outcome = study.run()
     print(fig3_table(outcome))

@@ -1,18 +1,13 @@
 #!/usr/bin/env python3
-"""Quickstart: the two halves of the reproduction in two minutes.
+"""Quickstart: one Alya case on the simulated cluster in seconds.
 
-1. Run the *executable* mini-Alya: blood flow through an artery channel,
-   solved for real (Navier-Stokes, projection method), and measure the
-   workload's per-step behaviour.
-2. Feed that measured behaviour into the *simulated* cluster: the same
-   case containerised with Singularity on MareNostrum4 versus bare-metal.
+A 10-million-cell artery CFD case, described by its work model, runs on
+the simulated MareNostrum4 at 8 nodes: bare-metal against Singularity
+with a system-specific and a self-contained image.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.alya.geometry import ArteryGeometry
-from repro.alya.mesh import StructuredMesh
-from repro.alya.navier_stokes import ChannelFlowSolver
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
@@ -21,27 +16,10 @@ from repro.hardware import catalog
 
 
 def main() -> None:
-    # ---- 1. the real solver -------------------------------------------------
-    print("== Executable mini-Alya: artery CFD ==")
-    mesh = StructuredMesh(ArteryGeometry(stenosis_severity=0.3), nx=96, ny=24)
-    solver = ChannelFlowSolver(mesh, u_max=0.4)
-    stats = solver.run(120)
-    print(f"mesh: {mesh.nx}x{mesh.ny} cells ({mesh.n_fluid_cells} fluid)")
-    print(f"time step: {solver.dt * 1e3:.3f} ms of simulated blood flow")
-    print(f"pressure solver: {stats.mean_cg_iterations:.1f} CG iterations/step")
-    print(f"divergence residual: {stats.divergence_norms[-1]:.2e}")
-    print(f"peak centreline velocity: {solver.centerline_velocity().max():.3f} m/s")
-
-    # ---- 2. the measured work model, scaled to a production mesh -------------
-    work = AlyaWorkModel.measured_from(
-        mesh,
-        stats,
-        case=CaseKind.CFD,
-        scale_cells=10_000_000,
-        cg_iters_per_step=25,  # production solvers are preconditioned
-        nominal_timesteps=200,
+    work = AlyaWorkModel(
+        case=CaseKind.CFD, n_cells=10_000_000, nominal_timesteps=200
     )
-    print("\n== Simulated cluster run: MareNostrum4, 8 nodes ==")
+    print("== Simulated cluster run: MareNostrum4, 8 nodes ==")
     runner = ExperimentRunner()
     for runtime, technique in (
         ("bare-metal", None),

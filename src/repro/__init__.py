@@ -13,8 +13,8 @@ The package is organised bottom-up:
 - :mod:`repro.mpi` / :mod:`repro.openmp` — simulated MPI ranks with real
   collective algorithms, and a fork-join threading model.
 - :mod:`repro.scheduler` — SLURM-like batch scheduler.
-- :mod:`repro.alya` — the Alya-like workload: an executable mini
-  Navier–Stokes / FSI solver plus the work model that drives the simulator.
+- :mod:`repro.alya` — the Alya-like workload: the work model (per-step
+  flops, halo bytes, collectives) that drives the simulator.
 - :mod:`repro.core` — the paper's study framework: experiments, runner,
   metrics, and the three evaluations (solutions, portability, scalability).
 """

@@ -9,6 +9,7 @@ shared :class:`~repro.workloads.base.PhasedApp`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.openmp.model import OpenMPModel
@@ -46,14 +47,15 @@ class ComputeContext:
     ranks_per_node: int = 1
 
     def __post_init__(self) -> None:
-        if self.core_peak_flops <= 0:
-            raise ValueError("core_peak_flops must be positive")
+        # Written as ``not lo <= x < inf`` so that NaN fails every check.
+        if not 0 < self.core_peak_flops < math.inf:
+            raise ValueError("core_peak_flops must be positive and finite")
         if not 0 < self.sustained_fraction <= 1:
             raise ValueError("sustained_fraction must be in (0, 1]")
         if self.threads_per_rank < 1 or self.ranks_per_node < 1:
             raise ValueError("threads and ranks must be >= 1")
-        if self.cpu_overhead < 1.0:
-            raise ValueError("cpu_overhead must be >= 1")
+        if not 1.0 <= self.cpu_overhead < math.inf:
+            raise ValueError("cpu_overhead must be >= 1 and finite")
 
     @property
     def sustained_core_flops(self) -> float:

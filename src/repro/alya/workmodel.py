@@ -1,18 +1,26 @@
 """Work model: what one Alya time step costs, per subdomain.
 
-The executable mini-solver runs a 2-D problem at laptop scale; the paper's
-runs use three-dimensional arterial meshes with up to tens of millions of
-elements.  The work model carries the *shape* of the workload across that
-gap:
+The paper's runs use three-dimensional arterial meshes with up to tens
+of millions of elements.  The simulator does not solve them; it needs
+only the *shape* of one time step, and this model carries it:
 
 - flops per cell per step, split into the predictor/projection part and
-  the per-CG-iteration part — measured from
-  :class:`~repro.alya.navier_stokes.ChannelFlowSolver` instrumentation;
-- CG iterations per step (measured likewise);
+  the per-CG-iteration part;
+- CG iterations per step;
 - halo sizes from 3-D surface-to-volume scaling,
   ``halo_cells ≈ c · (cells_per_part)^(2/3)``;
 - for FSI, the solid sub-problem's size and the interface traffic between
   the two codes.
+
+The flop and iteration constants are calibration choices, not
+measurements.  ``PREDICTOR_FLOPS_PER_CELL`` (52) counts a 5-point
+projection step: two upwind advections (14 flops each), two Laplacians
+(6 each), 8 for the explicit update and a divergence (4).
+``CG_FLOPS_PER_CELL_ITER`` (16) counts one unpreconditioned CG
+iteration: a Laplacian, three axpys and two dot products.  The 25 CG
+iterations per step stand for a preconditioned production solver.  No
+solver run fits these numbers (DESIGN.md, decision 4); the golden
+traces, study CSVs and paper checks are pinned to them.
 """
 
 from __future__ import annotations
@@ -20,10 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.alya.mesh import StructuredMesh
-from repro.alya.navier_stokes import SolverStats
 
 
 class CaseKind(enum.Enum):
@@ -33,8 +37,8 @@ class CaseKind(enum.Enum):
     FSI = "fsi"
 
 
-#: Per-cell flop costs of one step of the projection scheme, matching the
-#: instrumentation constants of :mod:`repro.alya.kernels`.
+#: Per-cell flop costs of one step of the projection scheme (see the
+#: module docstring for how each is counted).
 PREDICTOR_FLOPS_PER_CELL = 52.0
 CG_FLOPS_PER_CELL_ITER = 16.0
 
@@ -158,40 +162,3 @@ class AlyaWorkModel:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         return self.n_cells / n_nodes * self.memory_bytes_per_cell * 1.05
-
-    # -- construction --------------------------------------------------------------
-    @classmethod
-    def measured_from(
-        cls,
-        mesh: StructuredMesh,
-        stats: SolverStats,
-        case: CaseKind = CaseKind.CFD,
-        nominal_timesteps: int = 600,
-        scale_cells: Optional[int] = None,
-        **overrides,
-    ) -> "AlyaWorkModel":
-        """Build a model from an instrumented mini-solver run.
-
-        ``scale_cells`` re-targets the measured per-cell behaviour to a
-        production-size mesh (the 2-D miniature's CG iteration counts and
-        per-cell flops carry over; the cell count does not).
-        """
-        if stats.steps < 1:
-            raise ValueError("stats must cover at least one step")
-        n_cells = scale_cells if scale_cells is not None else mesh.n_fluid_cells
-        flops_per_cell = stats.flops / stats.steps / mesh.n_cells
-        cg = max(1, round(stats.mean_cg_iterations))
-        cg_part = cg * CG_FLOPS_PER_CELL_ITER
-        kwargs = dict(
-            case=case,
-            n_cells=n_cells,
-            flops_per_cell_step=max(flops_per_cell - cg_part, 1.0),
-            flops_per_cell_cg_iter=CG_FLOPS_PER_CELL_ITER,
-            cg_iters_per_step=cg,
-            nominal_timesteps=nominal_timesteps,
-        )
-        if case is CaseKind.FSI:
-            kwargs.setdefault("solid_flops_per_step", 8.0 * mesh.nx * 100)
-            kwargs.setdefault("interface_cells", mesh.nx)
-        kwargs.update(overrides)
-        return cls(**kwargs)

@@ -11,6 +11,7 @@ applied by the work model, not here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -59,12 +60,13 @@ class CpuSpec:
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ValueError(f"cores must be positive, got {self.cores}")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency_hz must be positive")
-        if self.flops_per_cycle <= 0:
-            raise ValueError("flops_per_cycle must be positive")
-        if self.mem_bandwidth <= 0:
-            raise ValueError("mem_bandwidth must be positive")
+        # Written as ``not 0 < x < inf`` so that NaN fails every check.
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency_hz must be positive and finite")
+        if not 0 < self.flops_per_cycle < math.inf:
+            raise ValueError("flops_per_cycle must be positive and finite")
+        if not 0 < self.mem_bandwidth < math.inf:
+            raise ValueError("mem_bandwidth must be positive and finite")
         if self.smt < 1:
             raise ValueError("smt must be >= 1")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.hardware.cpu import Architecture, CpuSpec
@@ -34,8 +35,10 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.sockets < 1:
             raise ValueError("sockets must be >= 1")
-        if self.local_disk_bandwidth <= 0:
-            raise ValueError("local_disk_bandwidth must be positive")
+        if not 0 < self.local_disk_bandwidth < math.inf:
+            raise ValueError(
+                "local_disk_bandwidth must be positive and finite"
+            )
 
     @property
     def cores(self) -> int:

@@ -44,7 +44,6 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.cluster import (
     ClusterStats,
     ShardConfig,
-    ShardDown,
     StudyCluster,
 )
 from repro.serve.loadgen import (
@@ -84,7 +83,6 @@ __all__ = [
     "ServeStats",
     "ServiceClosed",
     "ShardConfig",
-    "ShardDown",
     "ShardRouter",
     "StudyCluster",
     "StudyService",

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from repro.core.figures import ascii_table
 from repro.exec import ExperimentExecutor
-from repro.serve.cluster import ShardDown, StudyCluster
+from repro.serve.cluster import StudyCluster
 from repro.serve.loadgen import (
     MAX_RETRIES,
     ZipfianMix,
@@ -70,7 +70,7 @@ async def _replay(service, groups: "list[RequestGroup]") -> dict:
             tally["rejected"] += 1
         except ServiceClosed:
             tally["closed"] += 1
-        except (RequestFailed, ShardDown):
+        except RequestFailed:
             tally["failed"] += 1
 
     async with service:
@@ -121,16 +121,15 @@ def _scoreboard(target, tally: Optional[dict]) -> str:
             ["shard balance (max/min)",
              "inf" if ratio == float("inf") else round(ratio, 3)]
         )
-        if target.self_heal:
-            rows += [
-                ["shard crashes", target.stats.shard_crashes],
-                ["  respawned", target.stats.respawns],
-                ["  flights replayed", target.stats.replayed],
-                ["  served via fallback", target.stats.fallbacks],
-                ["  breaker opens/closes",
-                 f"{target.stats.breaker_opens}/"
-                 f"{target.stats.breaker_closes}"],
-            ]
+        rows += [
+            ["shard crashes", target.stats.shard_crashes],
+            ["  respawned", target.stats.respawns],
+            ["  flights replayed", target.stats.replayed],
+            ["  served via fallback", target.stats.fallbacks],
+            ["  breaker opens/closes",
+             f"{target.stats.breaker_opens}/"
+             f"{target.stats.breaker_closes}"],
+        ]
     return ascii_table(["serve", "value"], rows)
 
 
@@ -236,13 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="result-cache directory (default .repro-cache)",
     )
-    svc.add_argument(
-        "--self-heal", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cluster only: supervise workers, respawn the dead and "
-             "replay their in-flight requests (default on; "
-             "--no-self-heal restores fail-fast ShardDown containment)",
-    )
     chk = parser.add_argument_group("checks (exit 1 on violation)")
     chk.add_argument(
         "--expect-dedupe", type=int, default=None, metavar="N",
@@ -273,7 +265,6 @@ def _build_target(args):
             l1=l1,
             max_pending=args.max_pending,
             max_batch=args.max_batch,
-            self_heal=args.self_heal,
         )
     return StudyService(
         executor=ExperimentExecutor(

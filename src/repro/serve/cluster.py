@@ -26,11 +26,10 @@ in-process lane becomes the *fallback* lane.
   specs in flight per shard (and on the fallback lane).  A new key is
   refused only when every healthy shard is full; a placed key is
   refused while its own shard is full.
-- **Self-healing** (``self_heal=True``, the default).  A supervisor
-  task detects dead workers two ways — pipe EOF for a process that
-  exited, and missed heartbeats (a ``ping``/``pong`` RPC on the same
-  duplex pipe) for a *wedged* process that is alive but unresponsive,
-  which is then killed.  Dead workers are respawned with a fresh
+- **Self-healing.**  A supervisor task detects dead workers two ways —
+  pipe EOF for a process that exited, and missed heartbeats (a
+  ``ping``/``pong`` RPC on the same duplex pipe) for a *wedged* process
+  that is alive but unresponsive, which is then killed.  Dead workers are respawned with a fresh
   executor (placement never moves a key, so every key goes back to the
   original shard id), and the in-flight requests that died with the old
   worker are **replayed** transparently: responses stay byte-identical
@@ -40,9 +39,9 @@ in-process lane becomes the *fallback* lane.
   half-open with seeded decorrelated-jitter backoff) degrades
   gracefully — new keys for that shard take the fallback lane, an
   in-process executor backed by the same L2 — and traffic recovers to
-  the ring when the breaker half-opens.  With ``self_heal=False`` the
-  cluster keeps the original crash-containment contract: a dying worker
-  fails only *its* requests with :class:`ShardDown` and stays down.
+  the ring when the breaker half-opens.  A shard past its respawn
+  budget (``max_respawns``; ``0`` leaves a dead shard down at once)
+  serves its keys through the fallback lane.
 - **Deadlines** work as in the service; in addition the remaining
   budget travels with the batch, so the worker cancels a spec whose
   budget lapsed while earlier batchmates executed (worker-side
@@ -94,22 +93,11 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.router import ShardRouter
 from repro.serve.service import (
     DeadlineExceeded,
-    ServeError,
     ServeStats,
     ServiceClosed,
     StudyService,
     _LocalLane,
 )
-
-
-class ShardDown(ServeError):
-    """The shard serving this request's key has died (``self_heal=False``
-    clusters only — a self-healing cluster replays or degrades instead
-    of surfacing this to callers)."""
-
-    def __init__(self, shard: int, detail: str) -> None:
-        super().__init__(f"shard {shard} is down: {detail}")
-        self.shard = shard
 
 
 @dataclass
@@ -285,9 +273,9 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
             l1_c.inc(delta["l1_hits"])
             l2_c.inc(delta["l2_hits"])
             conn.send(("done", replies, delta))
-    except Exception as exc:  # infra failure: tell the parent, then die
+    except Exception:  # infra failure: tell the parent, then die
         try:
-            conn.send(("crash", f"{type(exc).__name__}: {exc}"))
+            conn.send(("crash",))
         except (OSError, ValueError):  # pragma: no cover
             pass
         raise
@@ -338,8 +326,8 @@ class _Shard:
             self.conn.send(("run", wire))
         except (OSError, ValueError):
             # The batch's flights are still on this lane: the death
-            # path replays or fails them.
-            cluster._shard_died(self.id, "pipe write failed")
+            # path replays them.
+            cluster._shard_died(self.id)
 
 
 def _healthy(shard: _Shard) -> bool:
@@ -363,9 +351,8 @@ class StudyCluster(StudyService):
     The request API is :class:`~repro.serve.service.StudyService`'s
     (``await submit(spec, deadline=None)`` → :class:`ExperimentResult`,
     raising :class:`Overloaded` / :class:`ServiceClosed` /
-    :class:`RequestFailed` / :class:`DeadlineExceeded` plus — with
-    ``self_heal=False`` — the cluster-specific :class:`ShardDown`), so
-    load generators, the CLI and the parity tests drive either
+    :class:`RequestFailed` / :class:`DeadlineExceeded`), so load
+    generators, the CLI and the parity tests drive either
     interchangeably.
 
     Parameters
@@ -382,9 +369,9 @@ class StudyCluster(StudyService):
         itself is the parallelism unit).
     cache / cache_dir:
         Give every worker (and the fallback lane) the shared on-disk
-        result cache as L2.  Strongly recommended with ``self_heal``:
-        it is what makes replays and degraded-path responses cost a
-        cache hit instead of a re-execution.
+        result cache as L2.  Strongly recommended: it is what makes
+        replays and degraded-path responses cost a cache hit instead of
+        a re-execution.
     l1:
         Per-worker in-memory result memo (default on — it is what makes
         repeats of a served spec cost one dict lookup).
@@ -396,10 +383,6 @@ class StudyCluster(StudyService):
     obs:
         Front-end metrics/span sink; worker-side ``serve.shard.*``
         metrics are folded in at drain.
-    self_heal:
-        Supervise, respawn and replay (default).  ``False`` restores
-        the original contract: crashes surface as :class:`ShardDown`
-        and the shard stays down.
     heartbeat_interval / heartbeat_misses:
         Supervisor tick in seconds, and consecutive unanswered ticks
         before a live-but-silent worker is declared wedged and killed.
@@ -429,7 +412,6 @@ class StudyCluster(StudyService):
         max_pending: int = 64,
         max_batch: int = 16,
         obs: Optional[Observability] = None,
-        self_heal: bool = True,
         heartbeat_interval: float = 0.5,
         heartbeat_misses: int = 6,
         max_respawns: Optional[int] = 8,
@@ -464,7 +446,6 @@ class StudyCluster(StudyService):
         self.cache = cache
         self.cache_dir = cache_dir
         self.l1 = l1
-        self.self_heal = self_heal
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.max_respawns = max_respawns
@@ -496,8 +477,8 @@ class StudyCluster(StudyService):
         return self.router.n_shards
 
     async def start(self) -> "StudyCluster":
-        """Spawn the worker processes, their pipe readers, and — with
-        ``self_heal`` — the supervisor task."""
+        """Spawn the worker processes, their pipe readers and the
+        supervisor task."""
         if self._started:
             return self
         if self._closed:
@@ -526,10 +507,9 @@ class StudyCluster(StudyService):
             self._start_reader(shard)
         self._started = True
         self.obs.metrics.gauge("serve.cluster.shards").set(self.n_shards)
-        if self.self_heal:
-            self._supervisor = self._loop.create_task(
-                self._supervise(), name="repro-serve-supervisor"
-            )
+        self._supervisor = self._loop.create_task(
+            self._supervise(), name="repro-serve-supervisor"
+        )
         return self
 
     def _spawn_proc(self, shard_id: int):
@@ -700,12 +680,6 @@ class StudyCluster(StudyService):
                 return pick, pick.id
             shard_id = owner.id
         shard = self._shards[shard_id]
-        if not self.self_heal:
-            if not shard.alive:
-                self.stats.failures += 1
-                self.obs.metrics.counter("serve.failures").inc()
-                raise ShardDown(shard_id, "worker process has exited")
-            return shard, shard_id
         if not shard.alive and not self._respawn_budget_left(shard):
             return self._lane, shard_id  # permanently down; breaker moot
         # A HALF_OPEN probe may target a dead-but-respawnable shard: the
@@ -738,7 +712,7 @@ class StudyCluster(StudyService):
             if not shard.proc.is_alive():
                 # EOF normally beats us to it; belt and braces for a
                 # pipe end kept open by an inherited descriptor.
-                self._shard_died(shard.id, "worker process exited")
+                self._shard_died(shard.id)
             elif shard.awaiting_pong:
                 shard.missed += 1
                 self.stats.heartbeat_misses += 1
@@ -746,15 +720,13 @@ class StudyCluster(StudyService):
                     "serve.shard.heartbeat_misses"
                 ).inc()
                 if shard.missed >= self.heartbeat_misses:
-                    self._kill_shard(
-                        shard, f"wedged: {shard.missed} heartbeats missed"
-                    )
+                    self._kill_shard(shard)  # wedged
             else:
                 try:
                     shard.conn.send(("ping", next(self._ping_tokens)))
                     shard.awaiting_pong = True
                 except (OSError, ValueError):
-                    self._shard_died(shard.id, "pipe write failed (ping)")
+                    self._shard_died(shard.id)
         elif not self._draining or shard.queue:
             if self._respawn_budget_left(shard):
                 self._respawn(shard)
@@ -762,14 +734,14 @@ class StudyCluster(StudyService):
                 while shard.queue:
                     self._enqueue(shard.queue.popleft(), self._lane)
 
-    def _kill_shard(self, shard: _Shard, detail: str) -> None:
+    def _kill_shard(self, shard: _Shard) -> None:
         """Forcibly terminate a wedged worker, then run the death path
         (replay + breaker) exactly as if it had crashed."""
         try:
             shard.proc.kill()
         except (OSError, ValueError, AttributeError):  # pragma: no cover
             pass
-        self._shard_died(shard.id, detail)
+        self._shard_died(shard.id)
 
     def _respawn(self, shard: _Shard) -> None:
         try:
@@ -836,7 +808,7 @@ class StudyCluster(StudyService):
         kind = msg[0]
         if kind == "done":
             shard.missed = 0
-            if self.self_heal and shard.breaker.state != breaker_mod.CLOSED:
+            if shard.breaker.state != breaker_mod.CLOSED:
                 self._breaker(shard, shard.breaker.record_success)
             outcomes = []
             for i, reply, payload in msg[1]:
@@ -857,7 +829,7 @@ class StudyCluster(StudyService):
             shard.alive = False
             shard.bye.set()
         elif kind == "crash":
-            self._shard_died(shard_id, msg[1])
+            self._shard_died(shard_id)
 
     def _on_eof(self, shard_id: int, gen: int) -> None:
         shard = self._shards[shard_id]
@@ -865,13 +837,12 @@ class StudyCluster(StudyService):
             return  # EOF of a generation already declared dead
         if shard.bye_payload is not None or not shard.alive:
             return  # clean shutdown (or already handled)
-        self._shard_died(shard_id, "worker pipe closed unexpectedly")
+        self._shard_died(shard_id)  # the worker vanished without a bye
 
-    def _shard_died(self, shard_id: int, detail: str) -> None:
-        """One shard's worker is gone.  With ``self_heal``: open the
-        breaker and queue its orphaned flights for replay (or move them
-        to the fallback lane); without: fail them with
-        :class:`ShardDown` and leave the shard down."""
+    def _shard_died(self, shard_id: int) -> None:
+        """One shard's worker is gone: open the breaker and queue its
+        orphaned flights for replay (or move them to the fallback
+        lane)."""
         shard = self._shards[shard_id]
         if not shard.alive:
             return
@@ -889,10 +860,6 @@ class StudyCluster(StudyService):
         # Admission order: the replay keeps the original request order.
         orphans = [f for f in self._inflight.values() if f.lane is shard]
         shard.queue.clear()
-        if not self.self_heal:
-            for flight in orphans:
-                self._settle(flight, ShardDown(shard_id, detail))
-            return
         self._breaker(shard, shard.breaker.record_failure, time.monotonic())
         respawnable = self._respawn_budget_left(shard)
         for flight in orphans:

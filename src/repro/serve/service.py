@@ -393,7 +393,7 @@ class StudyService:
             if isinstance(exc, DeadlineExceeded):
                 raise
             raise DeadlineExceeded(key, deadline) from None
-        except ServeError:  # RequestFailed, or a cluster's ShardDown
+        except ServeError:  # RequestFailed
             self.stats.failures += 1
             self.obs.metrics.counter("serve.failures").inc()
             raise

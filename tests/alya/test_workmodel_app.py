@@ -5,9 +5,6 @@ import math
 import pytest
 
 from repro.alya.app import ComputeContext
-from repro.alya.geometry import ArteryGeometry
-from repro.alya.mesh import StructuredMesh
-from repro.alya.navier_stokes import ChannelFlowSolver
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.des import Environment
 from repro.hardware import catalog
@@ -17,7 +14,6 @@ from repro.mpi.comm import SimComm
 from repro.mpi.launcher import MpiJob
 from repro.mpi.perf import MpiPerf
 from repro.mpi.topology import RankMap
-from repro.openmp.model import OpenMPModel
 from repro.workloads import (
     AlyaWorkload, CollectivePhase, PhasedApp, grid_neighbors,
 )
@@ -101,24 +97,6 @@ def test_cfd_model_rejects_fsi_fields():
     fsi_model()
 
 
-def test_measured_from_solver():
-    mesh = StructuredMesh(ArteryGeometry(), nx=48, ny=12)
-    solver = ChannelFlowSolver(mesh)
-    stats = solver.run(10)
-    wm = AlyaWorkModel.measured_from(mesh, stats, scale_cells=10_000_000)
-    assert wm.n_cells == 10_000_000
-    assert wm.cg_iters_per_step == round(stats.mean_cg_iterations)
-    assert wm.flops_per_cell_step > 0
-
-
-def test_measured_from_requires_steps():
-    mesh = StructuredMesh(ArteryGeometry(), nx=48, ny=12)
-    from repro.alya.navier_stokes import SolverStats
-
-    with pytest.raises(ValueError):
-        AlyaWorkModel.measured_from(mesh, SolverStats())
-
-
 def test_workmodel_validation():
     with pytest.raises(ValueError):
         AlyaWorkModel(case=CaseKind.CFD, n_cells=0)
@@ -175,6 +153,12 @@ def test_compute_context_validation():
         ComputeContext(core_peak_flops=1e9, sustained_fraction=0)
     with pytest.raises(ValueError):
         ComputeContext(core_peak_flops=1e9, cpu_overhead=0.9)
+    # NaN and +inf must fail construction too, not a run later on.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="core_peak_flops"):
+            ComputeContext(core_peak_flops=bad)
+        with pytest.raises(ValueError, match="cpu_overhead"):
+            ComputeContext(core_peak_flops=1e9, cpu_overhead=bad)
     with pytest.raises(ValueError):
         alya_app(cfd_model(), ComputeContext(core_peak_flops=1e9), sim_steps=0)
 

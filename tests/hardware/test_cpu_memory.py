@@ -1,7 +1,11 @@
 """Tests for CPU and memory specs."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.hardware import catalog
 from repro.hardware.cpu import (
     POWER9_8335_GTG,
     THUNDERX_CN8890,
@@ -60,6 +64,13 @@ def test_skylake_faster_per_core_than_thunderx():
         {"flops_per_cycle": 0},
         {"mem_bandwidth": 0},
         {"smt": 0},
+        # NaN and inf must fail construction: a NaN clock used to fail
+        # every run mid-way, an infinite one ran with zero compute time.
+        *(
+            {field: value}
+            for field in ("frequency_hz", "flops_per_cycle", "mem_bandwidth")
+            for value in (math.nan, math.inf, -math.inf)
+        ),
     ],
 )
 def test_cpu_validation(kwargs):
@@ -75,6 +86,12 @@ def test_cpu_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         CpuSpec(**base)
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
+def test_node_rejects_bad_disk_bandwidth(value):
+    with pytest.raises(ValueError, match="local_disk_bandwidth"):
+        dataclasses.replace(catalog.MARENOSTRUM4.node, local_disk_bandwidth=value)
 
 
 def test_memory_numa_penalty():

@@ -213,7 +213,6 @@ def test_parser_defaults():
     assert args.concurrency == 32
     assert args.l1 is None
     assert args.max_retries is None  # None -> the loadgen ceiling
-    assert args.self_heal is True
 
 
 def test_request_dialect_strictness():

@@ -15,8 +15,6 @@ cluster's production guarantees:
 - a key's first flight goes to the least-loaded healthy shard (its
   ring owner on ties) and every repeat stays there, so admission
   refuses a new key only when every healthy shard is full;
-- crash containment is per shard: one dying worker fails only its own
-  keys, the rest keep serving and :meth:`drain` still completes;
 - worker-side ``serve.shard.*`` metrics fold into the front end's
   registry at drain.
 """
@@ -24,7 +22,6 @@ cluster's production guarantees:
 import asyncio
 import json
 import multiprocessing as mp
-import os
 
 import pytest
 
@@ -34,7 +31,6 @@ from repro.serve import (
     Overloaded,
     RequestFailed,
     ServiceClosed,
-    ShardDown,
     ShardRouter,
     StudyCluster,
     StudyService,
@@ -318,48 +314,6 @@ def test_simulation_failure_propagates_as_request_failed(monkeypatch):
     assert cluster.stats.failures == 1
     # A failed spec is never memoised: the drain is clean regardless.
     assert cluster.stats.shard_crashes == 0
-
-
-def _die_on_fig3(spec, with_obs):
-    if spec.cluster.name == "MareNostrum4":
-        os._exit(17)  # simulate the worker process being OOM-killed
-    return _real_execute(spec, with_obs)
-
-
-def test_shard_crash_is_contained(monkeypatch):
-    # self_heal=False pins the original containment contract: the dead
-    # shard stays down and its keys fail fast with ShardDown.  (The
-    # self-healing path has its own suite in test_selfheal.py.)
-    monkeypatch.setattr(executor_mod, "_execute_spec", _die_on_fig3)
-    fig3 = cheap_spec()
-    # fig1 variants pre-sorted by owning shard, so the test can pick a
-    # survivor-routed spec and a dead-routed spec deterministically.
-    fig1_by_shard = {0: [], 1: []}
-    router = ShardRouter(2)
-    for s in default_universe(8, fig="fig1", nodes=2, sim_steps=1):
-        fig1_by_shard[router.shard_for(spec_key(s))].append(s)
-    assert fig1_by_shard[0] and fig1_by_shard[1]
-
-    async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, self_heal=False
-        ) as cluster:
-            with pytest.raises(ShardDown) as exc_info:
-                await cluster.submit(fig3)
-            dead = exc_info.value.shard
-            # The surviving shard keeps serving...
-            survivor = await cluster.submit(fig1_by_shard[1 - dead][0])
-            # ...and new keys routed to the dead shard fail fast.
-            with pytest.raises(ShardDown):
-                await cluster.submit(fig1_by_shard[dead][0])
-            return cluster, survivor
-
-    cluster, survivor = run(scenario())
-    assert survivor.spec_name.startswith("serve-fig1")
-    assert cluster.stats.shard_crashes == 1
-    assert cluster.stats.failures == 2
-    # Only the survivor reported stats at drain.
-    assert cluster.stats.executed == 1
 
 
 # ------------------------------- observability -------------------------------

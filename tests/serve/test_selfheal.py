@@ -2,17 +2,18 @@
 
 Every test drives real worker processes and real POSIX signals (SIGKILL
 for deaths, SIGSTOP for wedges), so the assertions are the production
-guarantees of ``self_heal=True``:
+guarantees of self-healing:
 
 - a killed worker is respawned and its orphaned in-flight requests are
-  replayed — callers never see :class:`ShardDown`, responses stay
+  replayed — callers never see the death, responses stay
   byte-identical;
 - a *wedged* (alive but unresponsive) worker misses heartbeats, is
   killed by the supervisor and healed the same way;
 - the per-shard circuit breaker opens on death and closes again after a
   successful half-open probe; while open (or once the respawn budget is
   exhausted) the shard's keys are served by the front-end fallback
-  executor instead of failing;
+  executor instead of failing, while sibling shards keep serving
+  their own keys;
 - deadlines produce typed :class:`DeadlineExceeded` — waiter-side,
   worker-side (cancellation before execution), and for late joiners —
   without disturbing the shared flight;
@@ -129,7 +130,7 @@ def test_kill_is_replayed_and_respawned_with_no_lost_requests():
             return cluster, results
 
     cluster, results = run(scenario())
-    # Zero lost requests, zero ShardDown: every waiter got its result.
+    # Zero lost requests, zero failures: every waiter got its result.
     assert {r.spec_name for r in results} == {s.name for s in universe}
     assert cluster.stats.shard_crashes >= 1
     assert cluster.stats.respawns >= 1
@@ -232,6 +233,7 @@ def test_exhausted_respawn_budget_degrades_to_fallback_forever():
     victim = 0
     victim_specs = keys_for_shard(universe, router, victim)
     assert len(victim_specs) >= 3
+    survivor_spec = keys_for_shard(universe, router, 1 - victim)[0]
 
     async def scenario():
         async with StudyCluster(
@@ -245,12 +247,18 @@ def test_exhausted_respawn_budget_degrades_to_fallback_forever():
             results = [
                 await cluster.submit(s) for s in victim_specs[:3]
             ]
-            return cluster, results
+            survivor = await cluster.submit(survivor_spec)
+            return cluster, results, survivor
 
-    cluster, results = run(scenario())
+    cluster, results, survivor = run(scenario())
     assert [r.spec_name for r in results] == [
         s.name for s in victim_specs[:3]
     ]
+    # The surviving shard keeps serving its own keys while its sibling
+    # is down: that flight crossed its pipe, not the fallback lane.
+    assert survivor.spec_name == survivor_spec.name
+    assert cluster.stats.flights_by_shard[1 - victim] == 1
+    assert cluster.stats.flights_by_shard[victim] == 0
     assert cluster.stats.respawns == 0  # the budget is zero
     assert cluster.stats.fallbacks >= 3
     assert cluster.obs.metrics.value_of("serve.fallback_requests") >= 3

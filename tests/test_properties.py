@@ -1,6 +1,7 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
-import numpy as np
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,4 +185,4 @@ def test_property_speedup_base_is_one(times):
     s = speedup_series(results)
     assert s[1] == pytest.approx(1.0)
     # Speedups are positive and finite.
-    assert all(np.isfinite(v) and v > 0 for v in s.values())
+    assert all(math.isfinite(v) and v > 0 for v in s.values())
