@@ -1,7 +1,8 @@
 """Message channels (stores) for inter-process communication.
 
 :class:`Store` is an unbounded-or-bounded FIFO of arbitrary items; the MPI
-layer builds per-(source, tag) message queues out of stores.
+layer's indexed :class:`~repro.mpi.matching.MessageQueue` keeps its
+matching semantics and is tested against it.
 """
 
 from __future__ import annotations

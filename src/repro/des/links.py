@@ -306,20 +306,3 @@ class FairShareLink:
                 cb()
         self._reschedule()
 
-
-class LinkStats:
-    """Cumulative statistics snapshot for a :class:`FairShareLink`."""
-
-    __slots__ = ("bytes_carried", "peak_concurrency", "active_flows")
-
-    def __init__(self, link: FairShareLink) -> None:
-        self.bytes_carried = link.bytes_carried
-        self.peak_concurrency = link.peak_concurrency
-        self.active_flows = link.active_flows
-
-    def __repr__(self) -> str:  # pragma: no cover
-        gib = self.bytes_carried / 2**30
-        return (
-            f"<LinkStats {gib:.3f} GiB carried, "
-            f"peak {self.peak_concurrency} flows>"
-        )

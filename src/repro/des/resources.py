@@ -1,9 +1,8 @@
 """Capacity-limited resources for the DES engine.
 
-:class:`Resource` models a set of interchangeable slots (CPU cores, loop
-devices, registry connections): processes queue FIFO for a slot and release
-it when done.  :class:`Container` models a divisible quantity (bytes of
-memory, gigabytes of scratch space) with blocking ``get``/``put``.
+:class:`Resource` models a set of interchangeable slots (a Docker node's
+serialized bridge pipeline is one with a single slot): processes queue
+FIFO for a slot and release it when done.
 """
 
 from __future__ import annotations
@@ -88,66 +87,3 @@ class Resource:
             except ValueError:
                 raise RuntimeError("release() of a request not issued here") from None
 
-
-class Container:
-    """A divisible resource holding a continuous amount.
-
-    ``get(amount)`` blocks until the level is sufficient; ``put(amount)``
-    blocks until there is headroom below ``capacity``.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = float(capacity)
-        self._level = float(init)
-        self._getters: deque[tuple[float, Event]] = deque()
-        self._putters: deque[tuple[float, Event]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def get(self, amount: float) -> Event:
-        """Withdraw ``amount``; fires when satisfied (FIFO)."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        ev = Event(self.env)
-        self._getters.append((float(amount), ev))
-        self._drain()
-        return ev
-
-    def put(self, amount: float) -> Event:
-        """Deposit ``amount``; fires when it fits (FIFO)."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > self.capacity:
-            raise ValueError(f"amount {amount} exceeds capacity {self.capacity}")
-        ev = Event(self.env)
-        self._putters.append((float(amount), ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self._level + self._putters[0][0] <= self.capacity:
-                amount, ev = self._putters.popleft()
-                self._level += amount
-                ev.succeed(amount)
-                progressed = True
-            if self._getters and self._level >= self._getters[0][0]:
-                amount, ev = self._getters.popleft()
-                self._level -= amount
-                ev.succeed(amount)
-                progressed = True

@@ -356,7 +356,8 @@ class ExperimentExecutor:
         for i, spec in enumerate(specs):
             outcome = results[i]
             if isinstance(outcome, FailedPoint):
-                self._checkpoint_point(keys[i], outcome, spec.name)
+                if not cached[i]:  # a replayed failure is stored already
+                    self._checkpoint_point(keys[i], outcome, spec.name)
                 if obs is not None:
                     obs.add_span(
                         "exec.failed", "exec", 0.0, 0.0, track="exec",
@@ -365,10 +366,9 @@ class ExperimentExecutor:
                     )
                     obs.metrics.counter("exec.faileds").inc()
                 continue
-            if not cached[i]:
-                self._checkpoint_point(keys[i], outcome, spec.name)
-                if self.cache is not None:
-                    self._cache_put(spec, outcome)
+            # Executed points were checkpointed when collected.
+            if not cached[i] and self.cache is not None:
+                self._cache_put(spec, outcome)
             if self.l1 is not None:
                 # Executed results and L2 hits both promote into the L1;
                 # failures never do (a retried spec must re-execute).

@@ -86,7 +86,6 @@ class NodeSim:
         self.disk = FairShareLink(
             env, bandwidth=spec.local_disk_bandwidth, name=f"disk[{node_id}]"
         )
-        self.cores = Resource(env, capacity=spec.cores)
         #: Serialized softirq pipeline for bridge+NAT traffic (Docker only;
         #: created by :meth:`Cluster.wire_network` when the path needs it).
         self.bridge: Optional[Resource] = None

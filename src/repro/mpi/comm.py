@@ -31,7 +31,7 @@ that implementation while removing the allocations:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.des.events import PENDING, Event
 from repro.hardware.network import BRIDGE_CPU_PER_MESSAGE
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
     from repro.hardware.cluster import Cluster
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "GroupComm", "SimComm"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "SimComm"]
 
 
 class _ChainTimer(Event):
@@ -464,7 +464,7 @@ class SimComm:
         return sum(q.matched_fast for q in self._queues)
 
     def node_of_rank(self, rank: int) -> int:
-        """Node hosting ``rank`` (communicator-local numbering)."""
+        """Node hosting ``rank``."""
         return self._node_id[rank]
 
     # -- point to point -----------------------------------------------------------
@@ -542,17 +542,6 @@ class SimComm:
         recv_done = self.recv(me, src, tag)
         return _Join2(self.env, send_done, recv_done)
 
-    # -- groups -------------------------------------------------------------------
-    def group(self, members: "Sequence[int]") -> "GroupComm":
-        """A sub-communicator over ``members`` (global ranks).
-
-        The returned object has the :class:`SimComm` communication API
-        with ranks renumbered 0..len(members)-1 — collectives run on it
-        unchanged.  This is how multi-code jobs (the FSI case's two Alya
-        instances) split an allocation.
-        """
-        return GroupComm(self, members)
-
     # -- internals ----------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.rankmap.n_ranks:
@@ -560,88 +549,3 @@ class SimComm:
                 f"rank {rank} out of range [0, {self.rankmap.n_ranks})"
             )
 
-
-class GroupComm:
-    """A sub-communicator: the :class:`SimComm` API over a rank subset.
-
-    Group ranks are dense (0..n-1) and translate to the parent's global
-    ranks; traffic flows through the parent (and therefore through the
-    same links, counters and tracer).  Distinct groups use disjoint rank
-    pairs, so identical tags in different groups never cross-match.
-    """
-
-    def __init__(self, parent: SimComm, members) -> None:
-        members = list(members)
-        if not members:
-            raise ValueError("a group needs at least one member")
-        if len(set(members)) != len(members):
-            raise ValueError("duplicate ranks in group")
-        for m in members:
-            parent._check_rank(m)
-        self.parent = parent
-        self.members = members
-        self._to_group = {g: i for i, g in enumerate(members)}
-        #: Never short-circuited: the quiescence check cannot see sends
-        #: from non-members to the members' NICs.
-        self.fastpath = None
-
-    @property
-    def env(self):
-        return self.parent.env
-
-    @property
-    def cluster(self):
-        return self.parent.cluster
-
-    @property
-    def perf(self):
-        return self.parent.perf
-
-    def node_of_rank(self, rank: int) -> int:
-        """Node hosting group rank ``rank``."""
-        return self.parent.node_of_rank(self.translate(rank))
-
-    @property
-    def tracer(self):
-        return self.parent.tracer
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def translate(self, group_rank: int) -> int:
-        """Group rank → global rank."""
-        try:
-            return self.members[group_rank]
-        except IndexError:
-            raise ValueError(
-                f"rank {group_rank} out of range [0, {self.size})"
-            ) from None
-
-    def group_rank_of(self, global_rank: int) -> int:
-        """Global rank → group rank (KeyError if not a member)."""
-        return self._to_group[global_rank]
-
-    # -- the SimComm communication API ------------------------------------------
-    def isend(self, src, dst, tag, nbytes, payload=None):
-        return self.parent.isend(
-            self.translate(src), self.translate(dst), tag, nbytes, payload
-        )
-
-    def send(self, src, dst, tag, nbytes, payload=None):
-        yield self.isend(src, dst, tag, nbytes, payload)
-
-    def recv(self, dst, src=ANY_SOURCE, tag=ANY_TAG):
-        g_src = src if src == ANY_SOURCE else self.translate(src)
-        return self.parent.recv(self.translate(dst), g_src, tag)
-
-    def sendrecv(self, me, dst, src, tag, nbytes, payload=None):
-        send_done = self.isend(me, dst, tag, nbytes, payload)
-        recv_done = self.recv(me, src, tag)
-        yield _Join2(self.env, send_done, recv_done)
-        return recv_done.value
-
-    def exchange(self, me, dst, src, tag, nbytes, payload=None) -> Event:
-        send_done = self.isend(me, dst, tag, nbytes, payload)
-        recv_done = self.recv(me, src, tag)
-        return _Join2(self.env, send_done, recv_done)

@@ -17,12 +17,9 @@ checks bit for bit against the message schedule.  The kinds kept are
 exactly those whose participants all finish at the same instant:
 
 - ring ``allgather`` and ``allreduce_ring`` (neighbour-only flows);
-- recursive-doubling ``allreduce`` on power-of-two sizes;
-- the per-round-size family: recursive-halving ``reduce_scatter``,
-  recursive-doubling allgather, and Rabenseifner ``allreduce`` (decided
-  as its two component phases).
+- recursive-doubling ``allreduce`` on power-of-two sizes.
 
-Trees (bcast, reduce) and the non-power-of-two fold allreduce finish
+Trees (bcast, gather) and the non-power-of-two fold allreduce finish
 their ranks at different times.  A rank that finishes early moves on
 and can put traffic on a NIC the closed form still assumes idle, so no
 closed form for them can be exact; they always run as messages.
@@ -55,10 +52,8 @@ at least two endpoints, each on its own node with wired NICs, no switch
 topology (uplinks would be shared), no Docker bridge (its FIFO softirq
 queue couples messages), and no tracer recording ``mpi.send`` or
 ``mpi.deliver`` (a traced run replays every message, so its records are
-complete).  The communicator must also be the job's WORLD communicator
-(a :class:`~repro.mpi.comm.GroupComm` cannot see sends from non-members
-to its members' NICs) and the run must carry no fault plan (a fault can
-change a link or a rank mid-collective); the runner enforces the last.
+complete).  The run must also carry no fault plan (a fault can change a
+link or a rank mid-collective); the runner enforces that.
 
 **Per-operation decision.**  Collectives and halos share one decision
 path.  If a message of the communicator is still undelivered when the
@@ -186,7 +181,7 @@ def _halo_plan(shapes: "List[tuple]") -> Optional[tuple]:
 
 class CollectiveFastPath:
     """Closed-form scheduler for the lockstep collectives and halos of
-    one WORLD communicator; see the module docstring."""
+    one communicator; see the module docstring."""
 
     def __init__(self, comm: "SimComm") -> None:
         self.comm = comm

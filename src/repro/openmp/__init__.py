@@ -1,6 +1,5 @@
 """OpenMP within-rank threading model."""
 
 from repro.openmp.model import OpenMPModel
-from repro.openmp.affinity import thread_affinity
 
-__all__ = ["OpenMPModel", "thread_affinity"]
+__all__ = ["OpenMPModel"]

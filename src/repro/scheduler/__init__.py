@@ -2,13 +2,12 @@
 
 The paper's runs go through a production batch system; this subpackage
 models the parts that shape an experiment: node allocation out of a
-partition, task layout (``--ntasks`` / ``--cpus-per-task``), and core
-binding implemented with cpuset cgroups.
+partition and task layout (``--ntasks`` / ``--cpus-per-task``).  Core
+binding is not modelled: no result depends on which cores a task gets.
 """
 
 from repro.scheduler.jobs import JobRequest, JobState, Allocation
 from repro.scheduler.slurm import Partition, SlurmScheduler, SchedulerError
-from repro.scheduler.binding import bind_job_tasks
 
 __all__ = [
     "Allocation",
@@ -17,5 +16,4 @@ __all__ = [
     "Partition",
     "SchedulerError",
     "SlurmScheduler",
-    "bind_job_tasks",
 ]

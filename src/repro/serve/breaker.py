@@ -28,6 +28,7 @@ breaker shields *new* traffic, it never drops accepted work.
 
 from __future__ import annotations
 
+import math
 import random
 
 #: Breaker states, encoded as the integers the
@@ -62,8 +63,10 @@ class CircuitBreaker:
         base_backoff: float = 0.05,
         max_backoff: float = 2.0,
     ) -> None:
-        if base_backoff <= 0:
-            raise ValueError("base_backoff must be > 0")
+        if not 0 < base_backoff < math.inf:
+            raise ValueError("base_backoff must be finite and > 0")
+        if not 0 < max_backoff < math.inf:
+            raise ValueError("max_backoff must be finite and > 0")
         if max_backoff < base_backoff:
             raise ValueError("max_backoff must be >= base_backoff")
         self.shard_id = shard_id

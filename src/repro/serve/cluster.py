@@ -358,12 +358,9 @@ class StudyCluster(StudyService):
     Parameters
     ----------
     shards:
-        Worker process count (ignored when ``router`` is given).
-    router:
-        The consistent-hash router that names each key's ring owner
-        (the tie-break of placement); a default
-        :class:`~repro.serve.router.ShardRouter` over ``shards`` if
-        omitted.
+        Worker process count.  A
+        :class:`~repro.serve.router.ShardRouter` over them names each
+        key's ring owner (the tie-break of placement).
     workers_per_shard:
         Executor processes *inside* each worker (default 1: the worker
         itself is the parallelism unit).
@@ -404,7 +401,6 @@ class StudyCluster(StudyService):
     def __init__(
         self,
         shards: int = 2,
-        router: Optional[ShardRouter] = None,
         workers_per_shard: int = 1,
         cache: bool = False,
         cache_dir: str = ".repro-cache",
@@ -433,9 +429,9 @@ class StudyCluster(StudyService):
             obs=obs,
         )
         self._lane = _FallbackLane(self.executor)
-        self.router = router or ShardRouter(shards)
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
+        self.router = ShardRouter(shards)
+        if not 0 < heartbeat_interval < math.inf:
+            raise ValueError("heartbeat_interval must be finite and > 0")
         if heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if max_respawns is not None and max_respawns < 0:

@@ -40,6 +40,7 @@ import asyncio
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import time
 from bisect import bisect_left
@@ -349,8 +350,8 @@ async def run_load(
         max_retries = MAX_RETRIES
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if retry_cap <= 0:
-        raise ValueError("retry_cap must be > 0")
+    if not 0 < retry_cap < math.inf:
+        raise ValueError("retry_cap must be finite and > 0")
     ops_at: dict[int, list[ChaosOp]] = {}
     if chaos is not None and chaos.ops:
         if not (

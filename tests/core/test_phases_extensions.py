@@ -188,49 +188,3 @@ def test_rendezvous_adds_round_trip():
     small_shm = perf.message_latency(True, 16)
     large_shm = perf.message_latency(True, RENDEZVOUS_THRESHOLD * 2)
     assert large_shm == pytest.approx(small_shm + 2 * perf.shm_latency)
-
-
-# ------------------------- rabenseifner collectives ------------------------------
-
-
-def test_rabenseifner_message_counts(make_comm=None):
-    from repro.des import Environment
-    from repro.hardware.cluster import Cluster
-    from repro.mpi import collectives
-    from repro.mpi.comm import SimComm
-    from repro.mpi.launcher import run_spmd
-    from repro.mpi.perf import MpiPerf
-    from repro.mpi.topology import RankMap
-
-    p = 8
-    env = Environment()
-    cluster = Cluster(env, catalog.MARENOSTRUM4, num_nodes=4)
-    cluster.wire_network(NetworkPath.HOST_NATIVE)
-    perf = MpiPerf.for_fabric(catalog.MARENOSTRUM4.fabric,
-                              NetworkPath.HOST_NATIVE)
-    comm = SimComm(env, cluster, RankMap(p, 4), perf)
-
-    def body(c, rank):
-        yield from collectives.allreduce_rabenseifner(c, rank, op=1,
-                                                      nbytes=1024.0)
-
-    procs = run_spmd(comm, body)
-    env.run(until=env.all_of(procs))
-    # 2 log2(p) rounds, one message per rank per round.
-    assert comm.messages_sent == 2 * p * 3
-    # Total volume: reduce-scatter (1/2+1/4+1/8) + allgather mirror.
-    expected = 2 * p * 1024.0 * (1 / 2 + 1 / 4 + 1 / 8)
-    assert comm.bytes_sent == pytest.approx(expected)
-
-
-def test_rabenseifner_requires_power_of_two():
-    from repro.mpi import collectives
-
-    gen = collectives.allreduce_rabenseifner(None, 0, 1, 64.0)
-    with pytest.raises(ValueError):
-        # Size check happens on first resume; fake a 3-rank comm.
-        class Fake:
-            size = 3
-
-        gen = collectives.allreduce_rabenseifner(Fake(), 0, 1, 64.0)
-        next(gen)

@@ -1,8 +1,8 @@
-"""Tests for Resource and Container."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.des import Container, Environment, Resource
+from repro.des import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -101,72 +101,3 @@ def test_release_foreign_request_rejected():
 
     p = env.process(proc())
     env.run(until=p)
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got_at = []
-
-    def consumer():
-        yield tank.get(10)
-        got_at.append(env.now)
-
-    def producer():
-        yield env.timeout(4)
-        yield tank.put(10)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got_at == [pytest.approx(4.0)]
-    assert tank.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    put_at = []
-
-    def producer():
-        yield tank.put(5)
-        put_at.append(env.now)
-
-    def consumer():
-        yield env.timeout(3)
-        yield tank.get(5)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert put_at == [pytest.approx(3.0)]
-    assert tank.level == 10
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(6)
-
-
-def test_container_level_conservation():
-    env = Environment()
-    tank = Container(env, capacity=1000, init=500)
-
-    def mover(n):
-        for _ in range(n):
-            yield tank.get(1)
-            yield env.timeout(0.01)
-            yield tank.put(1)
-
-    for _ in range(5):
-        env.process(mover(20))
-    env.run()
-    assert tank.level == pytest.approx(500)

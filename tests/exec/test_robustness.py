@@ -13,8 +13,10 @@ from repro.core.metrics import ExperimentResult
 from repro.core.sweep import Sweep
 from repro.exec import ExperimentExecutor
 from repro.exec.cache import ResultCache
+from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import ExecutionError, _execute_spec
 from repro.exec.failures import FailedPoint
+from repro.exec.speckey import spec_key
 from repro.hardware import catalog
 
 _real_execute = _execute_spec
@@ -240,3 +242,32 @@ def test_checkpoint_replays_failures_too(tmp_path, monkeypatch):
     assert replayed == outcomes
     assert second.stats.resumed == 2
     assert second.stats.executed == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_outcome_is_checkpointed_once(tmp_path, monkeypatch, workers):
+    """Successes are stored when collected and failures at write-back,
+    once each; a resumed run replays them and stores nothing."""
+    stored = []
+    real_store = SweepCheckpoint.store
+
+    def counting_store(self, key, outcome, spec_name):
+        stored.append(key)
+        return real_store(self, key, outcome, spec_name)
+
+    monkeypatch.setattr(SweepCheckpoint, "store", counting_store)
+    monkeypatch.setattr(executor_mod, "_execute_spec", fail_one_spec)
+    specs = make_specs((1, 2, 3))
+    ex = ExperimentExecutor(workers=workers, keep_going=True,
+                            checkpoint_dir=tmp_path / "ckpt")
+    outcomes = ex.run_many(specs)
+    assert sum(isinstance(o, FailedPoint) for o in outcomes) == 1
+    assert ex.stats.executed == 3
+    assert sorted(stored) == sorted(spec_key(s) for s in specs)
+
+    stored.clear()
+    resumed = ExperimentExecutor(workers=workers, keep_going=True,
+                                 checkpoint_dir=tmp_path / "ckpt")
+    assert resumed.run_many(specs) == outcomes
+    assert resumed.stats.resumed == 3
+    assert stored == []

@@ -7,8 +7,8 @@ message-by-message simulation exactly (``==`` on floats, no tolerance),
 and so do the traffic counters.  Every shape the fast path must not
 model — staggered entries, busy NICs, messages still in flight, trees,
 non-power-of-two allreduce, unequal flows on one pipe, unequal finish
-times, sub-communicators — is checked to decline (or never join) and to
-match the message schedule.
+times — is checked to decline (or never join) and to match the message
+schedule.
 """
 
 import pytest
@@ -180,72 +180,6 @@ def test_tree_bcast_staggered_entries(p):
     assert _counts(fast_comm) == (0, 0)
 
 
-@pytest.mark.parametrize("p", [2, 4, 8, 16])
-@pytest.mark.parametrize("root", [0, 3])
-def test_tree_reduce_bit_identical(p, root):
-    if root >= p:
-        pytest.skip("root outside communicator")
-    fast_comm = _parity(p, collectives.reduce, nbytes=60_000, root=root)
-    assert _counts(fast_comm) == (0, 0)
-
-
-@pytest.mark.parametrize("p", [3, 6])
-def test_tree_reduce_skips_non_power_of_two(p):
-    fast_comm = _parity(p, collectives.reduce, nbytes=60_000)
-    assert _counts(fast_comm) == (0, 0)
-
-
-def test_early_finisher_reduce_matches_messages():
-    """Regression: a leaf that has finished its part of the reduce sends
-    again to the root while the root is still collecting.  The removed
-    tree-reduce closed form put the root's finish at 0.328 ms instead of
-    the simulated 0.488 ms, silently."""
-    p, nbytes = 4, 2e6
-
-    def run(fastpath):
-        env, comm = _build(p, fastpath)
-        reduced = [None] * p
-
-        def body(rank):
-            yield from collectives.reduce(comm, rank, op=1, nbytes=nbytes)
-            reduced[rank] = env.now
-            if rank == 3:  # a leaf: done with the reduce at once
-                yield comm.isend(rank, 0, tag=7, nbytes=nbytes)
-            elif rank == 0:
-                yield comm.recv(rank, 3, tag=7)
-
-        for r in range(p):
-            env.process(body(r))
-        env.run()
-        return reduced, comm
-
-    real, real_comm = run(False)
-    fast, fast_comm = run(True)
-    assert fast == real
-    assert real[0] == pytest.approx(0.488e-3, rel=0.01)
-    _same_traffic(fast_comm, real_comm)
-    assert _counts(fast_comm) == (0, 0)
-
-
-@pytest.mark.parametrize("p", [2, 4, 8, 16])
-@pytest.mark.parametrize(
-    "fn,nbytes",
-    [
-        (collectives.reduce_scatter, 240_000),
-        (collectives.allgather_recursive_doubling, 240_000),
-        (collectives.allreduce_rabenseifner, 240_000),
-    ],
-    ids=["reduce_scatter", "allgather_rd", "rabenseifner"],
-)
-def test_lockstep_schedule_bit_identical(p, fn, nbytes):
-    """Recursive halving/doubling collectives (and Rabenseifner's
-    allreduce built from them) in lockstep: the per-round-size closed
-    form equals the simulated schedule exactly."""
-    fast_comm = _parity(p, fn, nbytes=nbytes)
-    expected = 2 if fn is collectives.allreduce_rabenseifner else 1
-    assert _counts(fast_comm) == (expected, 0)
-
-
 def test_lockstep_staggered_entries_decline():
     """Staggered entries can overlap flows across rounds: the collective
     declines at the first instant and every rank runs the messages."""
@@ -330,55 +264,6 @@ def test_join_mismatch_is_an_invariant_error():
         fp.join("allreduce", 0, 5, (16.0, 16.0))
 
 
-@pytest.mark.parametrize("p", [4, 8])
-def test_group_comm_fastpath_bit_identical(p):
-    """A GroupComm never short-circuits — it cannot see sends from
-    non-members to its members' NICs — even when its members sit on
-    distinct nodes; its collectives match the message schedule."""
-    spec = catalog.MARENOSTRUM4
-
-    def run(fastpath):
-        env = Environment()
-        cluster = Cluster(env, spec, num_nodes=p)
-        cluster.wire_network(NetworkPath.HOST_NATIVE)
-        comm = SimComm(
-            env, cluster, RankMap(n_ranks=2 * p, n_nodes=p),
-            MpiPerf.for_fabric(spec.fabric, NetworkPath.HOST_NATIVE),
-            collective_fastpath=fastpath,
-        )
-        group = comm.group(range(0, 2 * p, 2))
-        assert comm.fastpath is None and group.fastpath is None
-        finish = [None] * p
-
-        def body(rank):
-            yield from collectives.allreduce(group, rank, op=1, nbytes=80_000)
-            finish[rank] = env.now
-
-        for r in range(p):
-            env.process(body(r))
-        env.run()
-        assert all(t is not None for t in finish)
-        return finish, comm
-
-    real, real_comm = run(False)
-    fast, fast_comm = run(True)
-    assert fast == real
-    _same_traffic(fast_comm, real_comm)
-
-
-def test_group_comm_sharing_nodes_ineligible():
-    env, comm = _build(2, n_ranks=4)
-    group = comm.group([0, 1])  # both members on node 0
-    assert group.fastpath is None
-
-
-def test_group_comm_fastpath_off_with_parent():
-    """Even under an eligible WORLD communicator, groups go without."""
-    env, comm = _build(4)
-    assert comm.fastpath is not None
-    assert comm.group([0, 1]).fastpath is None
-
-
 def test_rendezvous_sizes_also_exact():
     """Payloads over the rendezvous threshold change the latency model;
     the closed form uses the same ``message_latency`` and stays exact."""
@@ -450,23 +335,21 @@ def _halo(comm, rank, op, sends):
         yield JoinAll(comm.env, pending)
 
 
-def _run_halo(p, sends, fastpath, stagger=0.0, before=None, comm_of=None,
-              rounds=1):
+def _run_halo(p, sends, fastpath, stagger=0.0, before=None, rounds=1):
     """Per-rank finish times of ``rounds`` halos, with an allreduce
     between consecutive ones, and the communicator."""
     env, comm = _build(p, fastpath)
     if before is not None:
         before(env, comm)
-    target = comm if comm_of is None else comm_of(comm)
     finish = [None] * len(sends)
 
     def body(rank):
         if stagger:
             yield env.timeout(rank * stagger)
         for r in range(rounds):
-            yield from _halo(target, rank, 10 * r + 1, sends[rank])
+            yield from _halo(comm, rank, 10 * r + 1, sends[rank])
             if r + 1 < rounds:
-                yield from collectives.allreduce(target, rank, 10 * r + 2,
+                yield from collectives.allreduce(comm, rank, 10 * r + 2,
                                                  nbytes=16.0)
         finish[rank] = env.now
 
@@ -596,18 +479,6 @@ def test_halo_with_message_in_latency_stage_declines():
 
     fast_comm = _halo_parity(4, _chain(4, 60_000.0), before=before)
     assert _halo_counts(fast_comm) == (0, 1)
-
-
-def test_group_comm_halo_never_joins():
-    """A GroupComm has no fast path: its halo runs as messages and the
-    WORLD communicator's fast path never hears of it."""
-    members = [0, 1, 2]
-    fast_comm = _halo_parity(
-        4, _chain(3, 30_000.0), comm_of=lambda c: c.group(members)
-    )
-    assert fast_comm.fastpath is not None
-    assert _halo_counts(fast_comm) == (0, 0)
-    assert fast_comm.fastpath.messages_modelled == 0
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from repro.hardware.network import NetworkPath
 from repro.mpi import collectives
 from repro.mpi.launcher import MpiJob, run_spmd
 from repro.mpi.perf import MpiPerf
-from repro.openmp.affinity import thread_affinity
 from repro.openmp.model import OpenMPModel
 
 
@@ -118,34 +117,3 @@ def test_openmp_validation():
         m.threaded_time(1, 0)
     with pytest.raises(ValueError):
         m.effective_speedup(0)
-
-
-# ------------------------------- affinity -----------------------------------
-
-
-def test_affinity_compact_disjoint():
-    teams = [thread_affinity(28, 4, 7, i) for i in range(4)]
-    assert teams[0] == frozenset(range(0, 7))
-    assert teams[3] == frozenset(range(21, 28))
-    union = set().union(*teams)
-    assert len(union) == 28
-
-
-def test_affinity_validation():
-    with pytest.raises(ValueError):
-        thread_affinity(28, 4, 8, 0)  # oversubscribed
-    with pytest.raises(ValueError):
-        thread_affinity(28, 4, 7, 4)  # local rank out of range
-    with pytest.raises(ValueError):
-        thread_affinity(28, 0, 1, 0)
-
-
-def test_affinity_matches_cgroup_cpuset():
-    """The affinity sets are valid cpusets for a node-wide cgroup."""
-    from repro.oskernel.cgroups import CgroupHierarchy
-
-    hier = CgroupHierarchy(machine_cpus=range(28))
-    for i in range(4):
-        cpus = thread_affinity(28, 4, 7, i)
-        g = hier.create(f"/slurm/task{i}", cpuset=cpus)
-        assert g.effective_cpuset() == cpus

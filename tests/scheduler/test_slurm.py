@@ -1,17 +1,15 @@
-"""Tests for the batch scheduler and core binding."""
+"""Tests for the batch scheduler."""
 
 import pytest
 
 from repro.des import Environment
 from repro.hardware import catalog
-from repro.oskernel.cgroups import CgroupHierarchy
 from repro.scheduler import (
     JobRequest,
     JobState,
     Partition,
     SchedulerError,
     SlurmScheduler,
-    bind_job_tasks,
 )
 
 
@@ -163,20 +161,6 @@ def test_partition_validation():
         Partition(name="bad", cluster=catalog.LENOX, node_ids=())
     with pytest.raises(ValueError):
         Partition(name="bad", cluster=catalog.LENOX, node_ids=(99,))
-
-
-def test_bind_job_tasks_partitions_cores():
-    job = JobRequest(name="hybrid", nodes=4, ntasks=16, cpus_per_task=7)
-    hier = CgroupHierarchy(machine_cpus=range(28))
-    groups = bind_job_tasks(hier, job, node_cores=28, local_tasks=4)
-    assert len(groups) == 4
-    union = set()
-    for g in groups:
-        cpus = g.effective_cpuset()
-        assert len(cpus) == 7
-        assert not (cpus & union)
-        union |= cpus
-    assert union == set(range(28))
 
 
 def test_fig3_job_shapes_valid_on_mn4():

@@ -99,3 +99,12 @@ def test_constructor_validation():
         CircuitBreaker(0, base_backoff=0.0)
     with pytest.raises(ValueError):
         CircuitBreaker(0, base_backoff=0.5, max_backoff=0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("knob", ["base_backoff", "max_backoff"])
+def test_constructor_rejects_non_finite_backoff(knob, bad):
+    """A NaN window would open the breaker until ``nan``, which every
+    comparison treats as already past: it would never hold traffic off."""
+    with pytest.raises(ValueError, match=knob):
+        CircuitBreaker(0, **{knob: bad})

@@ -31,7 +31,6 @@ from repro.serve import (
     Overloaded,
     RequestFailed,
     ServiceClosed,
-    ShardRouter,
     StudyCluster,
     StudyService,
     ZipfianMix,
@@ -176,14 +175,12 @@ def same_owner_specs(router, n, universe_size=12):
 
 
 def test_overload_refuses_new_keys_only_when_every_healthy_shard_is_full():
-    router = ShardRouter(2)
-    owner, specs = same_owner_specs(router, 4)
+    cluster = StudyCluster(shards=2, max_pending=1)
+    owner, specs = same_owner_specs(cluster.router, 4)
     other = 1 - owner
 
     async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, max_pending=1
-        ) as cluster:
+        async with cluster:
             # Rule 1: a new key goes to whichever shard has room, and is
             # refused only once every healthy shard is full.
             first = asyncio.ensure_future(cluster.submit(specs[0]))
@@ -221,13 +218,11 @@ def test_overload_refuses_new_keys_only_when_every_healthy_shard_is_full():
 def test_new_keys_spread_over_shards_and_repeats_stay_put():
     # Every key has the same ring owner; routing by the ring alone would
     # send all of them to one shard.
-    router = ShardRouter(2)
-    _, specs = same_owner_specs(router, 5)
+    cluster = StudyCluster(shards=2, cache=False)
+    _, specs = same_owner_specs(cluster.router, 5)
 
     async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, cache=False
-        ) as cluster:
+        async with cluster:
             await asyncio.gather(*(cluster.submit(s) for s in specs))
             first_pass = (cluster.stats.executed, cluster.stats.l1_hits)
             # One at a time on an idle cluster: the ring owner would win
@@ -247,13 +242,13 @@ def test_new_keys_spread_over_shards_and_repeats_stay_put():
 
 
 def test_keys_submitted_one_at_a_time_land_on_their_ring_owners():
-    router = ShardRouter(2)
+    cluster = StudyCluster(shards=2)
     universe = cheap_universe(8)
-    owners = [router.shard_for(spec_key(s)) for s in universe]
+    owners = [cluster.router.shard_for(spec_key(s)) for s in universe]
     assert set(owners) == {0, 1}
 
     async def scenario():
-        async with StudyCluster(shards=2, router=router) as cluster:
+        async with cluster:
             for s in universe:
                 await cluster.submit(s)  # every shard idle: owner wins
             return cluster

@@ -298,6 +298,14 @@ def test_max_retries_zero_fails_on_first_rejection(monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "bad", [0.0, float("nan"), float("inf"), float("-inf")]
+)
+def test_retry_cap_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="retry_cap"):
+        asyncio.run(run_load(_FlakyTarget(0), _tiny_mix(), retry_cap=bad))
+
+
 # ------------------------------- chaos plans ---------------------------------
 
 

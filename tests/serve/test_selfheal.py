@@ -43,7 +43,6 @@ from tests.serve import deadline_scenarios
 from repro.serve import (
     ChaosPlan,
     DeadlineExceeded,
-    ShardRouter,
     StudyCluster,
     ZipfianMix,
     default_universe,
@@ -171,15 +170,13 @@ def test_replayed_responses_are_byte_identical_to_a_calm_run():
 
 
 def test_wedged_worker_is_detected_killed_and_respawned():
-    router = ShardRouter(2)
+    cluster = StudyCluster(shards=2, **FAST)
     universe = cheap_universe(8)
     victim = 0
-    spec = keys_for_shard(universe, router, victim)[0]
+    spec = keys_for_shard(universe, cluster.router, victim)[0]
 
     async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, **FAST
-        ) as cluster:
+        async with cluster:
             # Freeze the worker BEFORE it has traffic: the submit's
             # batch lands in a stopped process, and only wedge
             # detection followed by a respawn can serve it.
@@ -204,16 +201,14 @@ def test_wedged_worker_is_detected_killed_and_respawned():
 
 
 def test_breaker_opens_on_death_and_closes_after_recovery():
-    router = ShardRouter(2)
+    cluster = StudyCluster(shards=2, **FAST)
     universe = cheap_universe(12)
     victim = 0
-    victim_specs = keys_for_shard(universe, router, victim)
+    victim_specs = keys_for_shard(universe, cluster.router, victim)
     assert len(victim_specs) >= 2
 
     async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, **FAST
-        ) as cluster:
+        async with cluster:
             cluster.kill_worker(victim)
             closes = await drive_breaker_closed(cluster, victim_specs)
             return cluster, closes
@@ -228,17 +223,15 @@ def test_breaker_opens_on_death_and_closes_after_recovery():
 
 
 def test_exhausted_respawn_budget_degrades_to_fallback_forever():
-    router = ShardRouter(2)
+    cluster = StudyCluster(shards=2, max_respawns=0, **FAST)
     universe = cheap_universe(12)
     victim = 0
-    victim_specs = keys_for_shard(universe, router, victim)
+    victim_specs = keys_for_shard(universe, cluster.router, victim)
     assert len(victim_specs) >= 3
-    survivor_spec = keys_for_shard(universe, router, 1 - victim)[0]
+    survivor_spec = keys_for_shard(universe, cluster.router, 1 - victim)[0]
 
     async def scenario():
-        async with StudyCluster(
-            shards=2, router=router, max_respawns=0, **FAST
-        ) as cluster:
+        async with cluster:
             cluster.kill_worker(victim)
             for _ in range(500):  # wait for the EOF to land
                 if cluster.stats.shard_crashes:
@@ -286,10 +279,9 @@ def test_waiter_side_deadline_is_typed_and_counted(monkeypatch):
 def test_worker_side_cancellation_of_an_expired_batchmate(monkeypatch):
     monkeypatch.setattr(executor_mod, "_execute_spec", _slow_execute)
     universe = cheap_universe(4)
-    router = ShardRouter(1)
 
     async def scenario():
-        async with StudyCluster(shards=1, router=router) as cluster:
+        async with StudyCluster(shards=1) as cluster:
             # Occupy the worker (0.4s), then queue two slow batchmates
             # plus the doomed request so all three travel in ONE batch.
             # Its remaining budget on the wire is ~0.5s; the batchmates
@@ -339,6 +331,16 @@ def test_deadline_validation():
 
     cluster = run(scenario())
     assert cluster.stats.executed == 0  # a rejected request never runs
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, float("nan"), float("inf"), float("-inf")]
+)
+def test_heartbeat_interval_must_be_finite_and_positive(bad):
+    """``asyncio.sleep(nan)`` never returns: a NaN or infinite tick
+    would stop the supervisor, and no dead shard would be respawned."""
+    with pytest.raises(ValueError, match="heartbeat_interval"):
+        StudyCluster(shards=1, heartbeat_interval=bad)
 
 
 # --------------------------- drain-vs-death races ----------------------------
