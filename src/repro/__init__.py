@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 - :mod:`repro.des` — discrete-event simulation engine (generator-based
-  processes, resources, fair-share network links).
+  processes, stores, fair-share network links).
 - :mod:`repro.hardware` — CPU / node / fabric / cluster models and the
   catalog of the four clusters used in the paper.
 - :mod:`repro.oskernel` — Linux-kernel container machinery (namespaces,

@@ -3,18 +3,15 @@
 A small, dependency-free engine in the style of SimPy: simulation
 *processes* are Python generators that ``yield`` :class:`~repro.des.events.Event`
 objects and are resumed when those events fire.  On top of the core engine
-the subpackage provides the capacity :class:`~repro.des.resources.Resource`
-(a Docker node's serialized bridge pipeline), the message
-:class:`~repro.des.channels.Store` (the reference semantics the MPI
-layer's matching queue is tested against), and the
-:class:`~repro.des.links.FairShareLink` used to model contended network
-links (the mechanism behind Docker's MPI degradation in Fig. 1 of the
-paper).
+the subpackage provides the message :class:`~repro.des.channels.Store`
+(the reference semantics the MPI layer's matching queue is tested
+against) and the :class:`~repro.des.links.FairShareLink` used to model
+contended network links (the mechanism behind Docker's MPI degradation
+in Fig. 1 of the paper).
 """
 
 from repro.des.engine import Environment, Interrupt, Process, SimulationError
 from repro.des.events import AllOf, AnyOf, Event, Timeout
-from repro.des.resources import Resource
 from repro.des.channels import Store
 from repro.des.links import FairShareLink
 
@@ -26,7 +23,6 @@ __all__ = [
     "FairShareLink",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
     "Store",
     "Timeout",

@@ -194,8 +194,9 @@ class Environment:
         processes (before its callbacks run); ``None`` uninstalls.
 
         This is the event-loop attachment point of
-        :meth:`repro.obs.span.Observability.attach_engine`; with no hook
-        installed the per-step cost is a single ``is not None`` check.
+        :meth:`repro.obs.span.Observability.attach_engine`.  With no hook
+        installed, :meth:`run` drains through a loop that has no hook
+        test at all, so the unobserved path pays nothing for it.
         """
         self._step_hook = hook
 
@@ -350,7 +351,10 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
         if stop_event is None and stop_time == inf:
-            self._drain()
+            if self._step_hook is None:
+                self._drain()
+            else:
+                self._drain_hooked()
             return None
         while self._wheel or self._ring or self._eoi:
             if stop_event is not None and stop_event.processed:
@@ -376,12 +380,13 @@ class Environment:
         return None
 
     def _drain(self) -> None:
-        """Run until the event queue empties.
+        """Run until the event queue empties (no step hook installed).
 
         Dispatches in the same order as ``while self._wheel or self._ring
         or self._eoi: self.step()`` — the loop body is inlined with local
         bindings because this is the inner loop of every simulation
         (hundreds of thousands of iterations for the paper-scale runs).
+        :meth:`_drain_hooked` is the same loop plus the step hook.
         """
         wheel = self._wheel
         ring = self._ring
@@ -389,10 +394,6 @@ class Environment:
         ring_pop = ring.popleft
         ring_append = ring.append
         wheel_pop_batch = wheel.pop_batch
-        # The hook is installed before run() (Observability.bind) and
-        # never swapped mid-drain; binding it once removes an attribute
-        # load per event.
-        hook = self._step_hook
         executed = 0
         try:
             while True:
@@ -417,8 +418,57 @@ class Environment:
                         break
                     continue
                 executed += 1
-                if hook is not None:
-                    hook(event, self._now)
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks is None:
+                    raise SimulationError(
+                        f"{event!r} dispatched twice (scheduled again "
+                        "after it was already processed?)"
+                    )
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    for cb in callbacks:
+                        cb(event)
+                if not event._ok and not event._defused:
+                    value = event._value
+                    if isinstance(value, BaseException):
+                        raise value
+                    raise SimulationError(
+                        f"unhandled failed event with value {value!r}"
+                    )
+        finally:
+            self.events_executed += executed
+
+    def _drain_hooked(self) -> None:
+        """:meth:`_drain` with the step hook called before each dispatch.
+
+        The hook is installed before run() (Observability.bind) and
+        never swapped mid-drain, so it is bound once.
+        """
+        wheel = self._wheel
+        ring = self._ring
+        eoi = self._eoi
+        ring_pop = ring.popleft
+        ring_append = ring.append
+        wheel_pop_batch = wheel.pop_batch
+        hook = self._step_hook
+        executed = 0
+        try:
+            while True:
+                if ring:
+                    event = ring_pop()
+                elif eoi:
+                    eoi.popleft()()
+                    continue
+                else:
+                    try:
+                        self._now = wheel_pop_batch(ring_append)
+                    except IndexError:
+                        break
+                    continue
+                executed += 1
+                hook(event, self._now)
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks is None:

@@ -36,9 +36,9 @@ def lockstep_finish(
     admission schedules the wake at ``fl(when + fl(wire / rate))`` with
     ``rate = fl(bandwidth / n)``, and that wake finishes every flow only
     if the drained residual ``wire − rate·(t − when)`` passes the
-    completion threshold of :meth:`FairShareLink._wake_fire`; otherwise
-    the link would reschedule, and ``None`` lets the caller decline
-    rather than guess.  Flows of at most :data:`_EPS_BYTES` complete at
+    completion threshold of a live wake (:meth:`FairShareLink._on_wake_ev`);
+    otherwise the link would reschedule, and ``None`` lets the caller
+    decline rather than guess.  Flows of at most :data:`_EPS_BYTES` complete at
     admission.
     """
     if wire_bytes <= _EPS_BYTES:
@@ -155,12 +155,12 @@ class FairShareLink:
         on completion (during the completing wake-up, or immediately for
         zero-byte transfers) instead of scheduling a completion event.
 
-        This is the delivery chain's variant of :meth:`transfer`: same
-        admission time, same completion time, one event pop and one
-        :class:`Event` less per segment.  A latency is paid through a
-        ``Timeout`` before admission, as in :meth:`transfer`.  Callers own
-        the ordering consequences — ``notify`` runs within the wake's
-        callback, so it must not re-enter this link synchronously.
+        Same admission time and completion time as :meth:`transfer`,
+        one event pop and one :class:`Event` less.  A latency is paid
+        through a ``Timeout`` before admission, as in :meth:`transfer`.
+        Callers own the ordering consequences — ``notify`` runs within
+        the wake's callback, so it must not re-enter this link
+        synchronously.
         """
         if not 0 <= nbytes < math.inf:
             raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
@@ -196,6 +196,13 @@ class FairShareLink:
 
     # -- internals ------------------------------------------------------------
     def _admit(self, wire_bytes: float, notify) -> None:
+        """Join the medium now with ``wire_bytes`` (overhead applied).
+
+        The MPI delivery chain calls this directly on the latency-free
+        links of a :meth:`Cluster.route
+        <repro.hardware.cluster.Cluster.route>`, with ``nbytes`` already
+        validated by ``SimComm.isend``.
+        """
         # _advance() inlined: admits outnumber every other link operation.
         now = self.env._now
         elapsed = now - self._last_update
@@ -260,19 +267,23 @@ class FairShareLink:
 
     def _on_wake_ev(self, wake: _Wake) -> None:
         self._wake_pool.append(wake)
-        if wake.gen == self._wake_gen:
-            self._wake_fire()
-
-    def _wake_fire(self) -> None:
-        self._advance()
+        if wake.gen != self._wake_gen:
+            return  # superseded by a later reschedule
+        # A live wake.  _advance() inlined.
+        now = self.env._now
+        elapsed = now - self._last_update
+        self._last_update = now
+        rem = self._f_remaining
+        if elapsed > 0 and rem:
+            drained = (self.bandwidth / len(rem)) * elapsed
+            self._f_remaining = rem = [r - drained for r in rem]
+            self._min_remaining -= drained
         # Completion threshold: besides the byte epsilon, any flow whose
         # residual *time* is below the clock's floating-point resolution
         # must finish now — otherwise the wake fires at an unchanged
         # timestamp, _advance() drains nothing, and the link livelocks.
-        rem = self._f_remaining
         n = len(rem)
         rate = self.bandwidth / n if n else self.bandwidth
-        now = self.env._now
         ulp = math.ulp(now) if now > 0 else 1e-18
         threshold = rate * 4.0 * ulp
         if threshold < _EPS_BYTES:

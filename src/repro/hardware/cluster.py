@@ -10,13 +10,13 @@ filesystem.  MPI and the container runtimes then operate on the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.des.engine import Environment
 from repro.des.events import Event
 from repro.des.links import FairShareLink
-from repro.des.resources import Resource
 from repro.hardware.network import FabricSpec, NetworkPath, PathParams
 from repro.hardware.node import NodeSpec
 from repro.hardware.topology import SwitchTopology
@@ -70,6 +70,42 @@ class ClusterSpec:
         return runtime_name.lower() in {k.lower() for k in self.installed_runtimes}
 
 
+class BridgeFifo:
+    """Docker's serialized softirq pipeline on one node: one slot, FIFO.
+
+    A holder is represented by its *grant*, an event armed with the
+    callbacks to run once the slot is held.  :meth:`acquire` appends the
+    grant to the now-ring at once when the slot is free, and otherwise
+    queues it; :meth:`release` hands the slot to the oldest queued grant
+    by appending that grant to the now-ring.
+    """
+
+    __slots__ = ("_ring", "_waiting", "busy")
+
+    def __init__(self, env: Environment) -> None:
+        self._ring = env._ring
+        self._waiting: deque[Event] = deque()
+        #: Whether a holder has the slot.
+        self.busy = False
+
+    def acquire(self, grant: Event) -> None:
+        """Ask for the slot; ``grant`` is dispatched once it is held."""
+        if self.busy:
+            self._waiting.append(grant)
+        else:
+            self.busy = True
+            self._ring.append(grant)
+
+    def release(self) -> None:
+        """Give the slot up, to the oldest waiting grant if any."""
+        if not self.busy:
+            raise RuntimeError("release() of a bridge FIFO nobody holds")
+        if self._waiting:
+            self._ring.append(self._waiting.popleft())
+        else:
+            self.busy = False
+
+
 class NodeSim:
     """A node instantiated inside a simulation environment."""
 
@@ -88,7 +124,7 @@ class NodeSim:
         )
         #: Serialized softirq pipeline for bridge+NAT traffic (Docker only;
         #: created by :meth:`Cluster.wire_network` when the path needs it).
-        self.bridge: Optional[Resource] = None
+        self.bridge: Optional[BridgeFifo] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NodeSim {self.node_id} cores={self.spec.cores}>"
@@ -131,6 +167,9 @@ class Cluster:
         self._topology: Optional[SwitchTopology] = None
         self._uplinks_up: list[FairShareLink] = []
         self._uplinks_down: list[FairShareLink] = []
+        #: ``(src, dst)`` -> the links of a src -> dst flow, filled
+        #: lazily by :meth:`route`.
+        self._routes: dict[tuple[int, int], tuple[FairShareLink, ...]] = {}
 
     # -- network wiring -------------------------------------------------------
     def wire_network(
@@ -174,10 +213,19 @@ class Cluster:
                 name=f"nic-rx[{node.node_id}]",
             )
             node.bridge = (
-                Resource(self.env, capacity=1)
+                BridgeFifo(self.env)
                 if path is NetworkPath.BRIDGE_NAT
                 else None
             )
+        # Routes bypass FairShareLink.transfer_cb's latency gate, so every
+        # link a route can hold must be latency-free.
+        routed = [ln for n in self.nodes for ln in (n.shm, n.nic_tx, n.nic_rx)]
+        assert all(
+            ln.latency == 0
+            for ln in routed + self._uplinks_up + self._uplinks_down
+        )
+        # Reset in place: communicators hold the table itself.
+        self._routes.clear()
         return params
 
     @property
@@ -188,56 +236,38 @@ class Cluster:
         return self._nic_params
 
     # -- transfers --------------------------------------------------------------
-    def transfer_segments(self, src: int, dst: int, nbytes: float) -> tuple[Event, ...]:
-        """The per-segment completion events of :meth:`transfer`.
+    def route(self, src: int, dst: int) -> tuple[FairShareLink, ...]:
+        """The links a flow from node ``src`` to node ``dst`` occupies.
 
-        Exposed separately (without the joining :class:`AllOf`) so the MPI
-        delivery chain can count the segments down with a plain callback
-        instead of allocating a condition event per message.  Segment
-        order: tx, rx, then the two switch uplinks when the flow crosses
-        leaves.
+        Intra-node: the node's memory-copy link.  Inter-node: the
+        source's transmit pipe and the destination's receive pipe, then
+        both leaves' uplinks when the flow crosses leaves.  That is the
+        admission order.  Cached until the next :meth:`wire_network`.
         """
+        links = self._routes.get((src, dst))
+        if links is not None:
+            return links
         if src == dst:
-            return (self.nodes[src].shm.transfer(nbytes),)
-        tx = self.nodes[src].nic_tx
-        rx = self.nodes[dst].nic_rx
-        if tx is None or rx is None:
-            raise RuntimeError("wire_network() must be called before transfer()")
-        topo = self._topology
-        if topo is not None and not topo.same_switch(src, dst):
-            return (
-                tx.transfer(nbytes),
-                rx.transfer(nbytes),
-                self._uplinks_up[topo.switch_of(src)].transfer(nbytes),
-                self._uplinks_down[topo.switch_of(dst)].transfer(nbytes),
-            )
-        return (tx.transfer(nbytes), rx.transfer(nbytes))
-
-    def transfer_cb(self, src: int, dst: int, nbytes: float, notify) -> int:
-        """Event-free :meth:`transfer_segments`: each segment calls
-        ``notify()`` directly on completion (see
-        :meth:`FairShareLink.transfer_cb`); returns the segment count.
-
-        Segments with zero wire bytes complete *during this call*, so
-        callers must prime their countdown before invoking it.
-        """
-        if src == dst:
-            self.nodes[src].shm.transfer_cb(nbytes, notify)
-            return 1
-        tx = self.nodes[src].nic_tx
-        rx = self.nodes[dst].nic_rx
-        if tx is None or rx is None:
-            raise RuntimeError("wire_network() must be called before transfer()")
-        topo = self._topology
-        if topo is not None and not topo.same_switch(src, dst):
-            tx.transfer_cb(nbytes, notify)
-            rx.transfer_cb(nbytes, notify)
-            self._uplinks_up[topo.switch_of(src)].transfer_cb(nbytes, notify)
-            self._uplinks_down[topo.switch_of(dst)].transfer_cb(nbytes, notify)
-            return 4
-        tx.transfer_cb(nbytes, notify)
-        rx.transfer_cb(nbytes, notify)
-        return 2
+            links = (self.nodes[src].shm,)
+        else:
+            tx = self.nodes[src].nic_tx
+            rx = self.nodes[dst].nic_rx
+            if tx is None or rx is None:
+                raise RuntimeError(
+                    "wire_network() must be called before transfer()"
+                )
+            topo = self._topology
+            if topo is not None and not topo.same_switch(src, dst):
+                links = (
+                    tx,
+                    rx,
+                    self._uplinks_up[topo.switch_of(src)],
+                    self._uplinks_down[topo.switch_of(dst)],
+                )
+            else:
+                links = (tx, rx)
+        self._routes[src, dst] = links
+        return links
 
     def transfer(self, src: int, dst: int, nbytes: float) -> Event:
         """Move ``nbytes`` between nodes (bandwidth part only).
@@ -247,10 +277,19 @@ class Cluster:
         drained; intra-node flows share the node's memory-copy link.
         Latency is *not* included — the MPI layer pays it per message.
         """
-        segments = self.transfer_segments(src, dst, nbytes)
-        if len(segments) == 1:
-            return segments[0]
-        return self.env.all_of(segments)
+        done = Event(self.env)
+        links = self.route(src, dst)
+        left = len(links)
+
+        def segment_done() -> None:
+            nonlocal left
+            left -= 1
+            if left == 0:
+                done.succeed()
+
+        for link in links:
+            link.transfer_cb(nbytes, segment_done)
+        return done
 
     def node(self, node_id: int) -> NodeSim:
         """The :class:`NodeSim` with the given id."""

@@ -108,15 +108,13 @@ def allreduce(comm: "SimComm", rank: int, op: int, nbytes: float):
         newrank = rank - rem
 
     mask = 1
-    round_id = 0
+    tag = collective_tag(op, 0)  # round k's tag is collective_tag(op, k)
     while mask < pof2:
         new_dst = newrank ^ mask
         dst = new_dst * 2 + 1 if new_dst < rem else new_dst + rem
-        yield comm.exchange(
-            rank, dst, dst, collective_tag(op, round_id), nbytes
-        )
+        yield comm.exchange(rank, dst, dst, tag, nbytes)
         mask <<= 1
-        round_id += 1
+        tag += 1
 
     if rank < 2 * rem:  # odd rank: hand the result back to its partner
         yield comm.isend(rank, rank - 1, collective_tag(op, _POST), nbytes)

@@ -18,11 +18,13 @@ per-stage :class:`Timeout`/``put`` events and linear scans dominated the
 run time.  The chain here keeps every simulated result identical to
 that implementation while removing the allocations:
 
-- one pooled :class:`_Delivery` per in-flight message (recycled on
-  completion), holding one reusable :class:`_ChainTimer` that serves
-  both Docker bridge CPU stages and the bridge deposit relay;
+- one pooled chain per in-flight message (recycled on completion); on
+  Docker's bridge it also holds one reusable :class:`_ChainTimer` that
+  serves as its bridge grant, both bridge CPU stages and the deposit
+  relay, and one pooled :class:`_SegmentRelay` per link segment;
 - the latency stages of sends ending at the same instant share one
-  pooled :class:`_LatencyTimer`;
+  pooled :class:`_LatencyTimer`, which hands each chain straight to
+  admission on the links of its cached :meth:`Cluster.route`;
 - link segments (NIC tx/rx, uplinks) joined by a countdown callback
   instead of an :class:`~repro.des.events.AllOf`;
 - ``sendrecv`` joins its two halves with the allocation-light
@@ -31,6 +33,7 @@ that implementation while removing the allocations:
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.events import PENDING, Event
@@ -47,16 +50,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "SimComm"]
 
+#: Countdown primer: a zero-wire segment completes during its own
+#: admission, before the chain knows how many segments follow.
+_PRIME = 1 << 30
+
 
 class _ChainTimer(Event):
-    """A reusable timeout for one delivery chain.
+    """A reusable event for one bridged delivery chain.
 
     The chain's stages are strictly sequential, so a single event object
-    can serve every bridge stage of a message (both CPU stages and the
-    deposit relay): the chain re-arms it by assigning the next stage's
-    (persistent, single-element) callback list and pushing it back on
-    the queue.  Its value is permanently ``None``/ok — the stage
-    callbacks ignore it.
+    can serve every bridge stage of a message: the grant of a node's
+    softirq FIFO, both CPU stages and the deposit relay.  The chain
+    re-arms it by assigning the next stage's (persistent,
+    single-element) callback list and pushing it back on the queue.  Its
+    value is permanently ``None``/ok — the stage callbacks ignore it.
     """
 
     __slots__ = ()
@@ -64,6 +71,29 @@ class _ChainTimer(Event):
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
         self._value = None  # never PENDING: armed/re-armed manually
+
+
+class _SegmentRelay(Event):
+    """One link segment's completion event on the bridged path.
+
+    Pooled per chain (one per segment of a route).  The link calls
+    :attr:`notify` on completion, which appends the relay to the
+    now-ring exactly where :meth:`Event.succeed` appended a fresh
+    per-segment :class:`Event`, so the completion is its own event pop
+    (see :class:`_BridgedDelivery`).
+    """
+
+    __slots__ = ("_cbs", "notify")
+
+    def __init__(self, chain: "_BridgedDelivery") -> None:
+        super().__init__(chain.env)
+        self._value = None  # never PENDING: armed manually on reuse
+        self._cbs = [chain._relay_popped]
+        self.notify = self._fire
+
+    def _fire(self) -> None:
+        self.callbacks = self._cbs
+        self.env._ring.append(self)
 
 
 class _Join2(Event):
@@ -110,7 +140,7 @@ class _LatencyTimer(Event):
     Within a batch the chains advance in send order — the same relative
     order the per-message timers had, so bridge requests made from one
     batch keep their FIFO order.  For what else same-instant ordering
-    decides on bridge clusters, see :class:`_Delivery`.
+    decides on bridge clusters, see :class:`_BridgedDelivery`.
     """
 
     __slots__ = ("comm", "when", "_cbs")
@@ -131,44 +161,26 @@ class _LatencyTimer(Event):
 
 
 class _Delivery:
-    """One in-flight message's delivery chain (pooled, allocation-free).
+    """One in-flight message's delivery chain on a bridge-free cluster
+    (pooled, allocation-free).
 
     Stages, with the delays of the seed's per-message generator:
 
     1. per-message latency (:meth:`MpiPerf.message_latency`), batched
        per instant by :class:`_LatencyTimer`;
-    2. [bridge path only] source node's serialized softirq pipeline:
-       FIFO slot, ``BRIDGE_CPU_PER_MESSAGE``, release;
-    3. link segments — shm for same-node, else NIC tx+rx (and switch
-       uplinks) carrying ``nbytes * per_byte_overhead`` — joined by
-       countdown;
-    4. [bridge path only] destination node's pipeline, as (2);
-    5. ``mpi.deliver`` trace record, deposit into the destination's
+    2. link segments — shm for same-node, else NIC tx+rx (and switch
+       uplinks) carrying ``nbytes * per_byte_overhead`` — admitted
+       directly on the links of the cached route; a same-node message
+       finishes from the shm link's completion, an inter-node one from
+       a countdown over its segments;
+    3. ``mpi.deliver`` trace record, deposit into the destination's
        :class:`MessageQueue` (scheduling any waiting receive *before*
        the send-done event), recycle.
 
-    None of the chain's events can fail (links and bridge requests only
-    succeed), so there is no failure plumbing.
-
-    **Bridge clusters.**  Docker's bridge makes each node's softirq
-    pipeline a FIFO resource, so the relative order of same-instant
-    events across chains decides which message enters a pipeline first.
-    Two stages keep that order as the pinned Docker results need it:
-
-    - *Event-per-segment completions* (``cluster.transfer_segments``):
-      each segment completion is its own event pop rather than a
-      callback run inside the link wake-up.  Over 500 random Docker
-      specs, ``transfer_cb`` changed the trace (same-instant record
-      order) of 40 of the 244 traced ones and the result of one run
-      under a link-partition plan.
-    - *The deposit relay*: the send-done event fires one zero-delay pop
-      after the deposit rather than inline.  Firing it inline changed
-      the results of 149 of those 500 specs and the golden Fig. 1
-      Docker row.
-
-    Removing either needs an explicit Docker re-baseline.  Bridge-free
-    clusters skip both: there every order-sensitive structure
-    (fair-share links, per-pair FIFO matching) is invariant to
+    None of the chain's events can fail (links only succeed), so there
+    is no failure plumbing.  Completions run inside the link wake-up and
+    the send-done event fires inline: every order-sensitive structure on
+    this path (fair-share links, per-pair FIFO matching) is invariant to
     same-timestamp ordering.
     """
 
@@ -178,18 +190,11 @@ class _Delivery:
         "msg",
         "done",
         "same_node",
-        "_bridged",
         "_src_node",
         "_dst_node",
         "_pending",
-        "_req",
-        "_timer",
-        "_cbs_src_cpu",
-        "_cbs_dst_cpu",
-        "_cbs_deposit",
-        "_cb_granted_src",
-        "_cb_granted_dst",
         "_cb_seg",
+        "_cb_finish",
     )
 
     def __init__(self, comm: "SimComm") -> None:
@@ -198,124 +203,181 @@ class _Delivery:
         self.msg: Optional[Message] = None
         self.done: Optional[Event] = None
         self.same_node = False
-        self._bridged = comm._bridged
         self._src_node = 0
         self._dst_node = 0
         self._pending = 0
-        self._req = None
+        # Bound methods are created once per pooled chain, not once per
+        # message.
+        self._cb_seg = self._segment_done
+        self._cb_finish = self._finish
+
+    def _after_latency(self) -> None:
+        msg = self.msg
+        src = self._src_node
+        if self.same_node:
+            shm = self.comm._shm[src]
+            shm._admit(msg.nbytes * shm.per_byte_overhead, self._cb_finish)
+            return
+        comm = self.comm
+        dst = self._dst_node
+        links = comm._routes.get((src, dst)) or comm.cluster.route(src, dst)
+        nbytes = msg.nbytes * comm._inter_overhead
+        self._pending = _PRIME
+        cb = self._cb_seg
+        for link in links:
+            link._admit(nbytes * link.per_byte_overhead, cb)
+        self._pending -= _PRIME - len(links)
+        if self._pending == 0:
+            self._finish()
+
+    def _segment_done(self) -> None:
+        self._pending -= 1
+        if self._pending == 0:
+            self._finish()
+
+    def _finish(self) -> None:
+        comm = self.comm
+        msg = self.msg
+        if comm._trace_deliver:
+            comm.tracer.record(
+                self.env.now, "mpi.deliver", f"{msg.src}->{msg.dst}",
+                tag=msg.tag, nbytes=msg.nbytes,
+            )
+        comm._in_flight -= 1
+        done = self.done
+        self.msg = None
+        self.done = None
+        # Deposit first, complete the send second: the receiver's event is
+        # scheduled before the sender's waiters run.
+        comm._queues[msg.dst].deliver(msg)
+        comm._pool.append(self)
+        # Fire the send-done event inline rather than round-tripping it
+        # through the event queue: on this (bridge-free) path running
+        # the waiters now, at the same simulated instant, yields the same
+        # trajectory one event pop cheaper.  Sends outnumber every other
+        # event source, making this the single largest pop saving.
+        done._value = None
+        cbs = done.callbacks
+        done.callbacks = None
+        if cbs:
+            if len(cbs) == 1:
+                cbs[0](done)
+            else:
+                for cb in cbs:
+                    cb(done)
+
+
+class _BridgedDelivery(_Delivery):
+    """A delivery chain on a Docker-bridged cluster.
+
+    Stages, between the latency stage and the deposit of
+    :class:`_Delivery`:
+
+    - source node's serialized softirq pipeline: FIFO slot,
+      ``BRIDGE_CPU_PER_MESSAGE``, release (inter-node messages only);
+    - link segments, each completing through its own event pop;
+    - destination node's pipeline, as the source's.
+
+    Docker's bridge makes each node's softirq pipeline a one-slot FIFO
+    (:class:`~repro.hardware.cluster.BridgeFifo`), so the relative order
+    of same-instant events across chains decides which message enters a
+    pipeline first.  Two stages keep that order as the pinned Docker
+    results need it:
+
+    - *Event-per-segment completions*: each segment completion is its
+      own event pop (a pooled :class:`_SegmentRelay`) rather than a
+      callback run inside the link wake-up.  Over 500 random Docker
+      specs, in-wake callbacks changed the trace (same-instant record
+      order) of 40 of the 244 traced ones and the result of one run
+      under a link-partition plan.
+    - *The deposit relay*: the send-done event fires one zero-delay pop
+      after the deposit rather than inline.  Firing it inline changed
+      the results of 149 of those 500 specs and the golden Fig. 1
+      Docker row.
+
+    Removing either needs an explicit Docker re-baseline.  Every event
+    is a pooled object of the chain except the send-done event, and each
+    is pushed where the seed's path pushed its own event, so the event
+    count and order are the seed's.
+    """
+
+    __slots__ = (
+        "_timer",
+        "_relays",
+        "_cbs_src_granted",
+        "_cbs_dst_granted",
+        "_cbs_src_cpu",
+        "_cbs_dst_cpu",
+        "_cbs_deposit",
+    )
+
+    def __init__(self, comm: "SimComm") -> None:
+        super().__init__(comm)
         self._timer = _ChainTimer(comm.env)
-        # Bound methods and single-element callback lists are created once
-        # per pooled chain, not once per message.
+        self._relays: list[_SegmentRelay] = []
+        # Single-element callback lists are created once per pooled
+        # chain, not once per message.
+        self._cbs_src_granted = [self._src_granted]
+        self._cbs_dst_granted = [self._dst_granted]
         self._cbs_src_cpu = [self._src_cpu_done]
         self._cbs_dst_cpu = [self._dst_cpu_done]
         self._cbs_deposit = [self._deposit_done]
-        self._cb_granted_src = self._src_granted
-        self._cb_granted_dst = self._dst_granted
-        self._cb_seg = self._segment_done
-
-    def start(self, msg: Message, same_node: bool) -> Event:
-        comm = self.comm
-        env = self.env
-        self.msg = msg
-        self.same_node = same_node
-        nodes = comm._node_id
-        self._src_node = nodes[msg.src]
-        self._dst_node = self._src_node if same_node else nodes[msg.dst]
-        done = self.done = Event(env)
-        # Batch the latency stage.  Chains whose stage ends at the same
-        # absolute time share one pooled _LatencyTimer pop; ``when`` is
-        # computed exactly as a per-message timer's ``fl(now + latency)``
-        # would be, so stage-end times are unchanged.
-        when = env._now + comm.perf.message_latency(same_node, msg.nbytes)
-        buckets = comm._lat_buckets
-        chains = buckets.get(when)
-        if chains is not None:
-            chains.append(self)
-            return done
-        buckets[when] = [self]
-        pool = comm._lat_timer_pool
-        timer = pool.pop() if pool else _LatencyTimer(comm)
-        timer.when = when
-        timer.callbacks = timer._cbs
-        if when <= env._now:
-            env._ring.append(timer)
-        else:
-            env._wheel.push(when, timer)
-        return done
 
     def _after_latency(self) -> None:
-        if self._bridged and not self.same_node:
-            bridge = self.comm.cluster.nodes[self._src_node].bridge
-            req = self._req = bridge.request()
-            req.callbacks.append(self._cb_granted_src)
+        if self.same_node:
+            self._transfer()
             return
-        self._transfer()
-
-    def _src_granted(self, _ev: Event) -> None:
+        # The grant is this chain's own timer, appended to the now-ring
+        # when the slot is (or becomes) free.
         timer = self._timer
+        timer.callbacks = self._cbs_src_granted
+        self.comm._bridges[self._src_node].acquire(timer)
+
+    def _src_granted(self, timer: Event) -> None:
         timer.callbacks = self._cbs_src_cpu
         env = self.env  # inlined env._schedule(timer, BRIDGE_CPU_PER_MESSAGE)
-        when = env._now + BRIDGE_CPU_PER_MESSAGE
-        env._wheel.push(when, timer)
+        env._wheel.push(env._now + BRIDGE_CPU_PER_MESSAGE, timer)
 
     def _src_cpu_done(self, _ev: Event) -> None:
-        req = self._req
-        self._req = None
-        req.resource.release(req)
+        self.comm._bridges[self._src_node].release()
         self._transfer()
 
     def _transfer(self) -> None:
         comm = self.comm
         msg = self.msg
+        src = self._src_node
         if self.same_node:
+            dst = src
             nbytes = msg.nbytes
-            dst_node = self._src_node
         else:
-            nbytes = msg.nbytes * comm.perf.inter.per_byte_overhead
-            dst_node = self._dst_node
-        if self._bridged:
-            # Event-per-segment completions (see the class note).
-            segments = comm.cluster.transfer_segments(
-                self._src_node, dst_node, nbytes
-            )
-            self._pending = len(segments)
-            cb = self._cb_seg
-            for ev in segments:
-                ev.callbacks.append(cb)
-            return
-        # Event-free segments: completions run inside the link wake-up.
-        # Prime the countdown high first — a zero-wire segment completes
-        # during transfer_cb itself, before the true count is known.
-        self._pending = 1 << 30
-        n = comm.cluster.transfer_cb(
-            self._src_node, dst_node, nbytes, self._cb_seg
-        )
-        self._pending -= (1 << 30) - n
-        if self._pending == 0:
-            self._finish()
+            dst = self._dst_node
+            nbytes = msg.nbytes * comm._inter_overhead
+        links = comm._routes.get((src, dst)) or comm.cluster.route(src, dst)
+        relays = self._relays
+        while len(relays) < len(links):
+            relays.append(_SegmentRelay(self))
+        self._pending = len(links)
+        for link, relay in zip(links, relays):
+            link._admit(nbytes * link.per_byte_overhead, relay.notify)
 
-    def _segment_done(self, _ev: Event = None) -> None:
+    def _relay_popped(self, _ev: Event) -> None:
         self._pending -= 1
         if self._pending:
             return
-        if self._bridged and not self.same_node:
-            bridge = self.comm.cluster.nodes[self._dst_node].bridge
-            req = self._req = bridge.request()
-            req.callbacks.append(self._cb_granted_dst)
+        if self.same_node:
+            self._finish()
             return
-        self._finish()
-
-    def _dst_granted(self, _ev: Event) -> None:
         timer = self._timer
+        timer.callbacks = self._cbs_dst_granted
+        self.comm._bridges[self._dst_node].acquire(timer)
+
+    def _dst_granted(self, timer: Event) -> None:
         timer.callbacks = self._cbs_dst_cpu
         env = self.env  # inlined env._schedule(timer, BRIDGE_CPU_PER_MESSAGE)
-        when = env._now + BRIDGE_CPU_PER_MESSAGE
-        env._wheel.push(when, timer)
+        env._wheel.push(env._now + BRIDGE_CPU_PER_MESSAGE, timer)
 
     def _dst_cpu_done(self, _ev: Event) -> None:
-        req = self._req
-        self._req = None
-        req.resource.release(req)
+        self.comm._bridges[self._dst_node].release()
         self._finish()
 
     def _finish(self) -> None:
@@ -327,40 +389,15 @@ class _Delivery:
                 tag=msg.tag, nbytes=msg.nbytes,
             )
         comm._in_flight -= 1
-        if self._bridged:
-            # The deposit relay (see the class note), queued before the
-            # deposit wakes any receiver; the send-done event fires when
-            # it pops.  The chain is recycled at that pop, not before, so
-            # the timer cannot be re-armed while the relay is queued.
-            timer = self._timer
-            timer.callbacks = self._cbs_deposit
-            self.env._ring.append(timer)
-            comm._queues[msg.dst].deliver(msg)
-            self.msg = None
-            return
-        done = self.done
-        self.msg = None
-        self.done = None
-        # Deposit first, complete the send second: the receiver's event is
-        # scheduled before the sender's waiters run.
+        # The deposit relay (see the class note), queued before the
+        # deposit wakes any receiver; the send-done event fires when it
+        # pops.  The chain is recycled at that pop, not before, so the
+        # timer cannot be re-armed while the relay is queued.
+        timer = self._timer
+        timer.callbacks = self._cbs_deposit
+        self.env._ring.append(timer)
         comm._queues[msg.dst].deliver(msg)
-        comm._pool.append(self)
-        # Fire the send-done event inline rather than round-tripping it
-        # through the event queue: on this (bridge-free) path every
-        # order-sensitive structure is invariant to same-timestamp
-        # ordering — see the class note — so running the waiters now, at
-        # the same simulated instant, yields the same trajectory one
-        # event pop cheaper.  Sends outnumber every other event source,
-        # making this the single largest pop saving.
-        done._value = None
-        cbs = done.callbacks
-        done.callbacks = None
-        if cbs:
-            if len(cbs) == 1:
-                cbs[0](done)
-            else:
-                for cb in cbs:
-                    cb(done)
+        self.msg = None
 
     def _deposit_done(self, _ev: Event) -> None:
         done = self.done
@@ -414,10 +451,27 @@ class SimComm:
         self._queues = [MessageQueue(env) for _ in range(rankmap.n_ranks)]
         #: Free list of recycled delivery chains.
         self._pool: list[_Delivery] = []
-        #: Whether chains pass the nodes' bridge pipelines and keep the
-        #: bridge ordering stages (see :class:`_Delivery`).  The
-        #: cluster's wiring is fixed before communicators exist.
-        self._bridged = cluster.nodes[0].bridge is not None
+        #: Each node's bridge FIFO; the chains pass them, and keep the
+        #: bridge ordering stages, when the cluster is bridged (see
+        #: :class:`_BridgedDelivery`).  The cluster's wiring is fixed
+        #: before communicators exist, and a requeued job's communicator
+        #: shares the FIFOs with the crashed attempt's draining chains.
+        self._bridges = [node.bridge for node in cluster.nodes]
+        self._chain_cls = (
+            _BridgedDelivery if self._bridges[0] is not None else _Delivery
+        )
+        #: The links chains admit onto: the cluster's route cache (filled
+        #: by :meth:`Cluster.route`, cleared in place by
+        #: ``wire_network``) and each node's shm link.
+        self._routes = cluster._routes
+        self._shm = [node.shm for node in cluster.nodes]
+        self._inter_overhead = perf.inter.per_byte_overhead
+        #: Latency of an eager (at most rendezvous-threshold) message,
+        #: by whether it stays on one node — ``message_latency``'s own
+        #: expression, evaluated once.
+        self._rendezvous = perf.rendezvous_threshold
+        self._lat_shm = perf.message_latency(True)
+        self._lat_inter = perf.message_latency(False)
         #: Latency-stage batches: absolute stage-end time -> chains
         #: sharing that instant (see :class:`_LatencyTimer`), plus the
         #: timer free list.
@@ -481,8 +535,13 @@ class SimComm:
         if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
             self._check_rank(src)
             self._check_rank(dst)
+        # Written so that NaN fails the check.
+        if not 0 <= nbytes < inf:
+            raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         msg = Message(src, dst, tag, nbytes, payload)
-        same_node = src == dst or nodes[src] == nodes[dst]
+        src_node = nodes[src]
+        dst_node = nodes[dst]
+        same_node = src_node == dst_node
         self.messages_sent += 1
         self.bytes_sent += nbytes
         self._in_flight += 1
@@ -490,14 +549,44 @@ class SimComm:
             self.self_messages += 1
         elif not same_node:
             self.internode_messages += 1
+        env = self.env
         if self._trace_send:
             self.tracer.record(
-                self.env.now, "mpi.send", f"{src}->{dst}",
+                env.now, "mpi.send", f"{src}->{dst}",
                 tag=tag, nbytes=nbytes, same_node=same_node,
             )
         pool = self._pool
-        chain = pool.pop() if pool else _Delivery(self)
-        return chain.start(msg, same_node)
+        chain = pool.pop() if pool else self._chain_cls(self)
+        chain.msg = msg
+        chain.same_node = same_node
+        chain._src_node = src_node
+        chain._dst_node = dst_node
+        done = chain.done = Event(env)
+        # Batch the latency stage.  Chains whose stage ends at the same
+        # absolute time share one pooled _LatencyTimer pop; ``when`` is
+        # computed exactly as a per-message timer's ``fl(now + latency)``
+        # would be, so stage-end times are unchanged.
+        if nbytes > self._rendezvous:
+            when = env._now + self.perf.message_latency(same_node, nbytes)
+        elif same_node:
+            when = env._now + self._lat_shm
+        else:
+            when = env._now + self._lat_inter
+        buckets = self._lat_buckets
+        chains = buckets.get(when)
+        if chains is not None:
+            chains.append(chain)
+            return done
+        buckets[when] = [chain]
+        tpool = self._lat_timer_pool
+        timer = tpool.pop() if tpool else _LatencyTimer(self)
+        timer.when = when
+        timer.callbacks = timer._cbs
+        if when <= env._now:
+            env._ring.append(timer)
+        else:
+            env._wheel.push(when, timer)
+        return done
 
     def send(self, src: int, dst: int, tag: int, nbytes: float, payload=None):
         """Blocking send as a generator: ``yield from comm.send(...)``."""
@@ -505,8 +594,10 @@ class SimComm:
 
     def recv(self, dst: int, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
         """Event yielding the first matching :class:`Message`."""
-        self._check_rank(dst)
-        return self._queues[dst].get(src, tag)
+        queues = self._queues
+        if not 0 <= dst < len(queues):
+            self._check_rank(dst)
+        return queues[dst].get(src, tag)
 
     def sendrecv(
         self,
@@ -539,7 +630,8 @@ class SimComm:
         no generator frame per round.
         """
         send_done = self.isend(me, dst, tag, nbytes, payload)
-        recv_done = self.recv(me, src, tag)
+        # ``isend`` has bounds-checked ``me``.
+        recv_done = self._queues[me].get(src, tag)
         return _Join2(self.env, send_done, recv_done)
 
     # -- internals ----------------------------------------------------------------
@@ -548,4 +640,3 @@ class SimComm:
             raise ValueError(
                 f"rank {rank} out of range [0, {self.rankmap.n_ranks})"
             )
-

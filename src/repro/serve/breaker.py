@@ -63,12 +63,7 @@ class CircuitBreaker:
         base_backoff: float = 0.05,
         max_backoff: float = 2.0,
     ) -> None:
-        if not 0 < base_backoff < math.inf:
-            raise ValueError("base_backoff must be finite and > 0")
-        if not 0 < max_backoff < math.inf:
-            raise ValueError("max_backoff must be finite and > 0")
-        if max_backoff < base_backoff:
-            raise ValueError("max_backoff must be >= base_backoff")
+        self.check_backoff(base_backoff, max_backoff)
         self.shard_id = shard_id
         self.base_backoff = base_backoff
         self.max_backoff = max_backoff
@@ -79,6 +74,17 @@ class CircuitBreaker:
         self.backoff = 0.0
         #: Monotonic timestamp at which an OPEN breaker half-opens.
         self.open_until = 0.0
+
+    @staticmethod
+    def check_backoff(base_backoff: float, max_backoff: float) -> None:
+        """Refuse a jitter window that is not ``0 < base <= max < inf``
+        (written so that NaN fails every check)."""
+        if not 0 < base_backoff < math.inf:
+            raise ValueError("base_backoff must be finite and > 0")
+        if not 0 < max_backoff < math.inf:
+            raise ValueError("max_backoff must be finite and > 0")
+        if max_backoff < base_backoff:
+            raise ValueError("max_backoff must be >= base_backoff")
 
     def record_failure(self, now: float) -> None:
         """The shard died (or a probe failed): open with a fresh backoff."""

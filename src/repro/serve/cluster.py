@@ -438,6 +438,8 @@ class StudyCluster(StudyService):
             raise ValueError("max_respawns must be >= 0 (or None)")
         if max_flight_replays < 0:
             raise ValueError("max_flight_replays must be >= 0")
+        # Checked here, not first when start() builds the breakers.
+        CircuitBreaker.check_backoff(breaker_base_backoff, breaker_max_backoff)
         self.workers_per_shard = workers_per_shard
         self.cache = cache
         self.cache_dir = cache_dir

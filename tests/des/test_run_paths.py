@@ -1,10 +1,11 @@
 """Dispatch-order parity across the engine's run paths.
 
-``Environment.run()`` drains through ``_drain``, which promotes a whole
-equal-time group from the future-event list onto the now-ring in one
-call; ``step()`` pops one event at a time; ``run(until=t)`` steps up to
-each bound and parks the clock there.  All three must dispatch the same
-events in the same order at the same times.  The schedules below mix
+``Environment.run()`` drains through ``_drain`` (or ``_drain_hooked``
+when a step hook is installed), which promotes a whole equal-time group
+from the future-event list onto the now-ring in one call; ``step()``
+pops one event at a time; ``run(until=t)`` steps up to each bound and
+parks the clock there.  All of them must dispatch the same events in
+the same order at the same times.  The schedules below mix
 timeouts with tied and zero delays, ``succeed()`` chains and
 end-of-instant callbacks that schedule further work.
 """
@@ -66,14 +67,24 @@ def _build(env: Environment, programs, log: list) -> None:
         env.process(proc(pid, actions))
 
 
-def _run(programs, drive) -> list:
+def _run(programs, drive, hooked: bool = True) -> list:
     env = Environment()
     log: list = []
-    env.set_step_hook(lambda ev, when: log.append((when, type(ev).__name__)))
+    if hooked:
+        env.set_step_hook(
+            lambda ev, when: log.append((when, type(ev).__name__))
+        )
     _build(env, programs, log)
     drive(env)
     assert env.peek() == math.inf
+    log.append(("executed", env.events_executed))
     return log
+
+
+def _without_hook_entries(log: list) -> list:
+    """The process notes and the event count: what a run without a
+    step hook logs."""
+    return [entry for entry in log if len(entry) != 2 or entry[0] == "executed"]
 
 
 def _step_loop(env: Environment) -> None:
@@ -100,6 +111,21 @@ def test_dispatch_order_identical_on_every_run_path(programs, slices):
     drained = _run(programs, lambda env: env.run())
     assert _run(programs, _step_loop) == drained
     assert _run(programs, _sliced(slices)) == drained
+    # The hook-free loop run() takes when no hook is installed.
+    plain = _run(programs, lambda env: env.run(), hooked=False)
+    assert plain == _without_hook_entries(drained)
+
+
+def test_run_without_a_hook_takes_the_hook_free_loop(monkeypatch):
+    def refuse(self):
+        raise AssertionError("hooked loop taken without a hook")
+
+    monkeypatch.setattr(Environment, "_drain_hooked", refuse)
+    env = Environment()
+    env.process((env.timeout(1.0) for _ in range(3)))
+    env.run()
+    assert env.events_executed == 5  # start, three timeouts, finish
+    assert "hook" not in Environment._drain.__code__.co_varnames
 
 
 def test_parity_scenario_exercises_ties():
@@ -113,5 +139,8 @@ def test_parity_scenario_exercises_ties():
     drained = _run(programs, lambda env: env.run())
     assert _run(programs, _step_loop) == drained
     assert _run(programs, _sliced([0.25])) == drained
+    assert _run(programs, lambda env: env.run(), hooked=False) == (
+        _without_hook_entries(drained)
+    )
     # Three processes dispatched at t=0.5 in one group, plus eoi work.
     assert sum(1 for entry in drained if entry[0] == 0.5) > 6

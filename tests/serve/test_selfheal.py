@@ -343,6 +343,32 @@ def test_heartbeat_interval_must_be_finite_and_positive(bad):
         StudyCluster(shards=1, heartbeat_interval=bad)
 
 
+@pytest.mark.parametrize(
+    "base,max_",
+    [
+        (float("nan"), 2.0),
+        (float("inf"), 2.0),
+        (float("-inf"), 2.0),
+        (0.0, 2.0),
+        (-0.05, 2.0),
+        (0.05, float("nan")),
+        (0.05, float("inf")),
+        (0.05, float("-inf")),
+        (0.05, 0.0),
+        (0.5, 0.25),
+    ],
+    ids=["base-nan", "base-inf", "base-neg-inf", "base-0", "base-neg",
+         "max-nan", "max-inf", "max-neg-inf", "max-0", "max-below-base"],
+)
+def test_breaker_backoff_is_checked_at_construction(base, max_):
+    """A bad breaker window is refused by the constructor, not first
+    when ``start()`` builds each shard's breaker."""
+    with pytest.raises(ValueError, match="backoff"):
+        StudyCluster(
+            shards=1, breaker_base_backoff=base, breaker_max_backoff=max_
+        )
+
+
 # --------------------------- drain-vs-death races ----------------------------
 
 
