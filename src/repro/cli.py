@@ -36,6 +36,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from repro.core.figures import (
+    archs_table,
     ascii_table,
     deployment_table,
     fault_table,
@@ -56,7 +57,9 @@ from repro.core.study import (
     FaultSensitivityStudy,
     PortabilityStudy,
     ScalabilityStudy,
+    figure_spec,
 )
+from repro.core.metrics import ExperimentResult
 from repro.exec import ExperimentExecutor
 from repro.faults import FaultPlan
 from repro.hardware import catalog
@@ -66,11 +69,14 @@ _DEFAULT_SIM_STEPS = 2
 
 
 def _executor(args) -> ExperimentExecutor:
-    """The work-distribution layer the study subcommands share."""
+    """The work-distribution layer the study subcommands share.  Its
+    in-process memo lets a spec that two subcommands of ``all`` run
+    (eval1's 28x4 points are fig1's) execute once."""
     return ExperimentExecutor(
         workers=args.workers,
         cache=args.cache,
         cache_dir=args.cache_dir,
+        l1=True,
         timeout=args.timeout,
         keep_going=args.keep_going,
         checkpoint_dir=args.resume,
@@ -98,97 +104,108 @@ def _print_failures(rows) -> None:
               f"(after {fp.attempts} attempt(s))")
 
 
+def _failed(grid, detail: str = "{}") -> list:
+    """``(row, detail, FailedPoint)`` for each point of a ``{row:
+    {column: outcome}}`` grid that produced no result (keep-going)."""
+    return [
+        (row, detail.format(column), r)
+        for row, series in grid.items()
+        for column, r in series.items()
+        if not isinstance(r, ExperimentResult)
+    ]
+
+
+def _solutions_failed(outcome) -> list:
+    """:func:`_failed` for the flat ``(runtime, config)`` grid of §B.1."""
+    return _failed({
+        rt: {f"{r}x{t}": outcome.results[(rt, (r, t))]
+             for r, t in outcome.configs}
+        for rt in outcome.runtimes
+    })
+
+
+def _report(failed, check=None) -> bool:
+    """Print the verdicts of ``check()`` — or, when keep-going left
+    failed points, the one verdict that the grid is incomplete — then
+    list the failures."""
+    verdicts = {"all_points_completed": False} if failed else check()
+    print("\n" + verdict_lines(verdicts))
+    _print_failures(failed)
+    return all(verdicts.values())
+
+
 def _fig1(args) -> bool:
     outcome = ContainerSolutionsStudy(
-        sim_steps=_steps(args), executor=_executor(args),
+        sim_steps=_steps(args), executor=args.executor,
         fault_plan=_fault_plan(args),
     ).run()
     print("Fig. 1 — artery CFD on Lenox, average elapsed time [s]\n")
     print(fig1_table(outcome))
-    verdicts = check_fig1(outcome)
-    print("\n" + verdict_lines(verdicts))
-    return all(verdicts.values())
+    return _report(_solutions_failed(outcome), lambda: check_fig1(outcome))
 
 
 def _eval1(args) -> bool:
-    study = ContainerSolutionsStudy(
+    outcome = ContainerSolutionsStudy(
         configs=((28, 4),), sim_steps=_steps(args),
-        executor=_executor(args), fault_plan=_fault_plan(args),
-    )
-    rows = study.run().deployment_rows()
+        executor=args.executor, fault_plan=_fault_plan(args),
+    ).run()
+    rows = outcome.deployment_rows()
     print("§B.1 — deployment overhead, image size, execution time\n")
     print(deployment_table(rows))
-    verdicts = check_deployment(rows)
-    print("\n" + verdict_lines(verdicts))
-    return all(verdicts.values())
+    return _report(
+        _solutions_failed(outcome), lambda: check_deployment(rows)
+    )
 
 
 def _fig2(args) -> bool:
     fig2 = PortabilityStudy(
-        sim_steps=_steps(args), executor=_executor(args),
+        sim_steps=_steps(args), executor=args.executor,
         fault_plan=_fault_plan(args),
     ).run_fig2()
     print("Fig. 2 — artery CFD on CTE-POWER, elapsed time [s]\n")
     print(fig2_table(fig2))
-    verdicts = check_fig2(fig2)
-    print("\n" + verdict_lines(verdicts))
-    return all(verdicts.values())
+    return _report(_failed(fig2, "{}n"), lambda: check_fig2(fig2))
 
 
 def _eval2(args) -> bool:
     results, errors = PortabilityStudy(
-        sim_steps=_steps(args), executor=_executor(args),
+        sim_steps=_steps(args), executor=args.executor,
         fault_plan=_fault_plan(args),
     ).run_three_archs()
     print("§B.2 — one case, three architectures (Singularity)\n")
-    rows = [
-        [
-            name,
-            catalog.get_cluster(name).node.arch.value,
-            v["system-specific"].elapsed_seconds,
-            v["self-contained"].elapsed_seconds,
-        ]
-        for name, v in results.items()
-    ]
-    print(
-        ascii_table(
-            ["machine", "ISA", "system-specific [s]", "self-contained [s]"],
-            rows,
-        )
-    )
+    print(archs_table(results))
     print("\nForeign-image rejections (why images are rebuilt per ISA):")
     for machine, error in errors.items():
         print(f"  {machine}: {error}")
-    return len(errors) == 2
+    failed = _failed(results)
+    return _report(failed) if failed else len(errors) == 2
 
 
 def _fig3(args) -> bool:
     outcome = ScalabilityStudy(
-        sim_steps=_steps(args), executor=_executor(args),
+        sim_steps=_steps(args), executor=args.executor,
         fault_plan=_fault_plan(args),
     ).run()
     print("Fig. 3 — artery FSI on MareNostrum4, speedup vs 4 nodes\n")
     print(fig3_table(outcome))
-    verdicts = check_fig3(outcome)
-    print("\n" + verdict_lines(verdicts))
-    return all(verdicts.values())
+    return _report(
+        _failed(outcome.results, "{}n"), lambda: check_fig3(outcome)
+    )
 
 
 def _faults(args) -> bool:
     # The fault study needs enough steps for communication to dominate
     # the fault window; 8 is its validated default (docs/faults.md).
     out = FaultSensitivityStudy(
-        sim_steps=_steps(args, default=8), executor=_executor(args)
+        sim_steps=_steps(args, default=8), executor=args.executor
     ).run()
     print("Fault sensitivity — CTE-POWER, link degradation x image flavour\n")
     print(fault_table(out))
     print(f"\nfault window (simulated clock span): {out.window:.4f} s")
-    verdicts = check_fault_sensitivity(out)
-    print("\n" + verdict_lines(verdicts))
-    _print_failures(
-        [(label, f"rate={rate:g}", fp) for label, rate, fp in out.failed()]
+    return _report(
+        [(label, f"rate={rate:g}", fp) for label, rate, fp in out.failed()],
+        lambda: check_fault_sensitivity(out),
     )
-    return all(verdicts.values())
 
 
 def _microbench(args) -> bool:
@@ -224,8 +241,6 @@ def _trace(args) -> bool:
     import json
     from pathlib import Path
 
-    from repro.containers.recipes import BuildTechnique
-    from repro.core.experiment import EndpointGranularity, ExperimentSpec
     from repro.core.runner import ExperimentRunner
     from repro.obs import (
         Observability,
@@ -234,49 +249,11 @@ def _trace(args) -> bool:
         trace_digest,
         write_chrome_trace,
     )
-    from repro.workloads import get_workload
 
-    # The registry fills in the case; Alya trace names keep their
-    # historical form (the golden-digest fixtures encode them).
-    workmodel = get_workload(args.workload).default_workmodel(args.fig)
-    tag = "" if args.workload == "alya" else f"{args.workload}-"
-    if args.fig == "fig1":
-        runtime = args.runtime or "docker"
-        spec = ExperimentSpec(
-            name=f"trace-fig1-{tag}{runtime}",
-            cluster=catalog.LENOX,
-            runtime_name=runtime,
-            technique=(
-                None if runtime == "bare-metal"
-                else BuildTechnique.SELF_CONTAINED
-            ),
-            workmodel=workmodel,
-            n_nodes=args.nodes,
-            ranks_per_node=7,
-            threads_per_rank=4,
-            sim_steps=_steps(args),
-            granularity=EndpointGranularity.RANK,
-            workload=args.workload,
-        )
-    else:  # fig3
-        runtime = args.runtime or "singularity"
-        spec = ExperimentSpec(
-            name=f"trace-fig3-{tag}{runtime}",
-            cluster=catalog.MARENOSTRUM4,
-            runtime_name=runtime,
-            technique=(
-                None if runtime == "bare-metal"
-                else BuildTechnique.SYSTEM_SPECIFIC
-            ),
-            workmodel=workmodel,
-            n_nodes=args.nodes,
-            ranks_per_node=catalog.MARENOSTRUM4.node.cores,
-            threads_per_rank=1,
-            sim_steps=_steps(args),
-            granularity=EndpointGranularity.NODE,
-            workload=args.workload,
-        )
-
+    spec = figure_spec(
+        args.fig, "trace-{fig}-{tag}{runtime}", runtime=args.runtime,
+        nodes=args.nodes, sim_steps=_steps(args), workload=args.workload,
+    )
     obs = Observability()
     result = ExperimentRunner().run(spec, obs=obs)
 
@@ -321,7 +298,7 @@ def _scaling(args) -> bool:
             workload=args.workload,
             mode=mode,
             sim_steps=_steps(args),
-            executor=_executor(args),
+            executor=args.executor,
             fault_plan=_fault_plan(args),
         ).run()
         ideal = (
@@ -552,6 +529,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    # One executor per invocation, shared by every subcommand.
+    args.executor = _executor(args)
     ok = True
     for i, name in enumerate(names):
         if i:

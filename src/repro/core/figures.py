@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from repro.hardware import catalog
+
 
 def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """A plain monospaced table (what the bench harness prints)."""
@@ -131,17 +133,39 @@ def fig2_table(fig2: Mapping[str, Mapping[int, object]]) -> str:
 
 
 def fig3_table(outcome) -> str:
-    """Fig. 3: rows = node counts, columns = speedups + ideal."""
+    """Fig. 3: rows = node counts, columns = speedups + ideal.  A failed
+    point renders as ``FAILED(<error>)``; a point whose variant lost its
+    base run has no speedup (``-``)."""
     speedups = outcome.speedups()
     ideal = outcome.ideal()
     labels = list(speedups)
     headers = ["nodes"] + labels + ["ideal"]
     rows = []
     for n in sorted(ideal):
-        rows.append(
-            [n] + [speedups[label][n] for label in labels] + [ideal[n]]
-        )
+        row: list[object] = [n]
+        for label in labels:
+            cell = _elapsed_cell(outcome.results[label][n])
+            row.append(
+                cell if isinstance(cell, str) else speedups[label].get(n, "-")
+            )
+        rows.append(row + [ideal[n]])
     return ascii_table(headers, rows)
+
+
+def archs_table(results: Mapping[str, Mapping[str, object]]) -> str:
+    """§B.2: rows = machines, columns = the two Singularity images."""
+    rows = [
+        [
+            name,
+            catalog.get_cluster(name).node.arch.value,
+            _elapsed_cell(v["system-specific"]),
+            _elapsed_cell(v["self-contained"]),
+        ]
+        for name, v in results.items()
+    ]
+    return ascii_table(
+        ["machine", "ISA", "system-specific [s]", "self-contained [s]"], rows
+    )
 
 
 def fault_table(outcome) -> str:

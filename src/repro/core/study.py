@@ -4,10 +4,13 @@ fault-sensitivity extension built on :mod:`repro.faults`."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
 from repro.alya.workmodel import AlyaWorkModel
-from repro.containers.compat import IncompatibleArchitectureError
+from repro.containers.compat import (
+    IncompatibleArchitectureError,
+    check_architecture,
+)
 from repro.containers.recipes import BuildTechnique, alya_recipe
 from repro.containers.builder import ImageBuilder
 from repro.core import calibration
@@ -15,6 +18,7 @@ from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.core.metrics import ExperimentResult, speedup_series
 from repro.faults.plan import FaultPlan
 from repro.hardware import catalog
+from repro.hardware.cluster import ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.executor import ExperimentExecutor
@@ -27,6 +31,97 @@ def _default_executor() -> "ExperimentExecutor":
     from repro.exec.executor import ExperimentExecutor
 
     return ExperimentExecutor(workers=1)
+
+
+#: The image-flavour axis of Figs. 2 and 3 as ``(label, runtime_name,
+#: technique)`` rows.  The fault study runs the two Singularity rows.
+IMAGE_FLAVOURS: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
+    ("bare-metal", "bare-metal", None),
+    ("singularity system-specific", "singularity",
+     BuildTechnique.SYSTEM_SPECIFIC),
+    ("singularity self-contained", "singularity",
+     BuildTechnique.SELF_CONTAINED),
+)
+
+
+def full_node_spec(cluster: ClusterSpec, **fields) -> ExperimentSpec:
+    """A spec on ``cluster`` with one single-threaded rank per core and
+    one endpoint per node — the geometry of every pure-MPI grid in the
+    paper.  ``fields`` are the other :class:`ExperimentSpec` fields."""
+    return ExperimentSpec(
+        cluster=cluster,
+        ranks_per_node=cluster.node.cores,
+        threads_per_rank=1,
+        granularity=EndpointGranularity.NODE,
+        **fields,
+    )
+
+
+def run_grid(
+    executor: "ExperimentExecutor",
+    cells: Iterable[tuple[Hashable, Hashable, ExperimentSpec]],
+    obs: "Optional[Observability]" = None,
+) -> dict:
+    """Run ``(row, column, spec)`` cells through one ``run_many`` call;
+    returns ``{row: {column: outcome}}`` in cell order."""
+    cells = list(cells)
+    outcomes = executor.run_many([spec for _, _, spec in cells], obs=obs)
+    grid: dict = {}
+    for (row, column, _), outcome in zip(cells, outcomes):
+        grid.setdefault(row, {})[column] = outcome
+    return grid
+
+
+#: Default runtime and build technique of each figure template.
+_FIGURE_RUNTIME = {
+    "fig1": ("docker", BuildTechnique.SELF_CONTAINED),
+    "fig3": ("singularity", BuildTechnique.SYSTEM_SPECIFIC),
+}
+
+
+def figure_spec(
+    fig: str,
+    name: str,
+    runtime: Optional[str] = None,
+    nodes: int = 2,
+    sim_steps: int = 1,
+    workload: str = "alya",
+) -> ExperimentSpec:
+    """One run on a paper figure's shape: ``fig1`` is Lenox at the 7x4
+    hybrid layout with one endpoint per rank, ``fig3`` is MareNostrum4
+    full nodes.
+
+    ``name`` is a pattern for the spec label; ``{fig}``, ``{runtime}``,
+    ``{nodes}`` and ``{tag}`` are filled in (``tag`` is empty for Alya
+    and ``"<workload>-"`` otherwise, the historical names the golden
+    fixtures encode).  The work model is the ``workload``'s registry
+    default for the figure.
+    """
+    if fig not in _FIGURE_RUNTIME:
+        raise ValueError(f"unknown figure shape {fig!r} (fig1|fig3)")
+    from repro.workloads import get_workload
+
+    default_runtime, technique = _FIGURE_RUNTIME[fig]
+    runtime = runtime or default_runtime
+    tag = "" if workload == "alya" else f"{workload}-"
+    fields = dict(
+        name=name.format(fig=fig, runtime=runtime, nodes=nodes, tag=tag),
+        runtime_name=runtime,
+        technique=None if runtime == "bare-metal" else technique,
+        workmodel=get_workload(workload).default_workmodel(fig),
+        n_nodes=nodes,
+        sim_steps=sim_steps,
+        workload=workload,
+    )
+    if fig == "fig3":
+        return full_node_spec(catalog.MARENOSTRUM4, **fields)
+    return ExperimentSpec(
+        cluster=catalog.LENOX,
+        ranks_per_node=7,
+        threads_per_rank=4,
+        granularity=EndpointGranularity.RANK,
+        **fields,
+    )
 
 #: Fig. 1's x-axis: MPI ranks x OpenMP threads on 4 x 28 Lenox cores.
 FIG1_CONFIGS: tuple[tuple[int, int], ...] = (
@@ -57,11 +152,19 @@ class SolutionsOutcome:
 
     def deployment_rows(self) -> list[dict]:
         """One row per runtime: deployment overhead, image size, exec time
-        (at the paper's 28x4 hybrid sweet spot)."""
+        (at the paper's 28x4 hybrid sweet spot).  A failed point's row
+        carries ``FAILED(<error>)`` in every metric."""
         probe = (28, 4)
         rows = []
         for rt in self.runtimes:
             r = self.results[(rt, probe)]
+            if not isinstance(r, ExperimentResult):
+                rows.append({"runtime": rt, **dict.fromkeys(
+                    ("deployment_seconds", "image_size_mb",
+                     "image_transfer_mb", "execution_seconds"),
+                    f"FAILED({r.error_type})",
+                )})
+                continue
             rows.append(
                 {
                     "runtime": rt,
@@ -115,14 +218,10 @@ class ContainerSolutionsStudy:
         self.fault_plan = fault_plan
 
     def run(self, obs: "Optional[Observability]" = None) -> SolutionsOutcome:
-        cluster = catalog.LENOX
-        grid = [
-            (rt, config) for rt, _ in self.RUNTIMES for config in self.configs
-        ]
-        specs = [
-            ExperimentSpec(
+        grid = run_grid(self.executor, (
+            (rt, (ranks, threads), ExperimentSpec(
                 name=f"fig1-{rt}-{ranks}x{threads}",
-                cluster=cluster,
+                cluster=catalog.LENOX,
                 runtime_name=rt,
                 technique=tech,
                 workmodel=self.workmodel,
@@ -132,13 +231,16 @@ class ContainerSolutionsStudy:
                 sim_steps=self.sim_steps,
                 granularity=EndpointGranularity.RANK,
                 fault_plan=self.fault_plan,
-            )
+            ))
             for rt, tech in self.RUNTIMES
             for ranks, threads in self.configs
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
+        ), obs)
         return SolutionsOutcome(
-            results=dict(zip(grid, run_results)),
+            results={
+                (rt, config): r
+                for rt, series in grid.items()
+                for config, r in series.items()
+            },
             runtimes=tuple(rt for rt, _ in self.RUNTIMES),
             configs=self.configs,
         )
@@ -155,20 +257,6 @@ class PortabilityOutcome:
 
 class PortabilityStudy:
     """Fig. 2 on CTE-POWER and the three-architecture §B.2 comparison."""
-
-    FIG2_VARIANTS: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
-        ("bare-metal", "bare-metal", None),
-        (
-            "singularity system-specific",
-            "singularity",
-            BuildTechnique.SYSTEM_SPECIFIC,
-        ),
-        (
-            "singularity self-contained",
-            "singularity",
-            BuildTechnique.SELF_CONTAINED,
-        ),
-    )
 
     def __init__(
         self,
@@ -187,33 +275,16 @@ class PortabilityStudy:
     def run_fig2(
         self, obs: "Optional[Observability]" = None
     ) -> dict[str, dict[int, ExperimentResult]]:
-        cluster = catalog.CTE_POWER
-        grid = [
-            (label, rt, tech, n)
-            for label, rt, tech in self.FIG2_VARIANTS
-            for n in self.nodes
-        ]
-        specs = [
-            ExperimentSpec(
-                name=f"fig2-{label}-{n}n",
-                cluster=cluster,
-                runtime_name=rt,
-                technique=tech,
-                workmodel=self.workmodel,
-                n_nodes=n,
-                ranks_per_node=cluster.node.cores,
-                threads_per_rank=1,
-                sim_steps=self.sim_steps,
-                granularity=EndpointGranularity.NODE,
+        return run_grid(self.executor, (
+            (label, n, full_node_spec(
+                catalog.CTE_POWER, name=f"fig2-{label}-{n}n",
+                runtime_name=rt, technique=tech, workmodel=self.workmodel,
+                n_nodes=n, sim_steps=self.sim_steps,
                 fault_plan=self.fault_plan,
-            )
-            for label, rt, tech, n in grid
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
-        out: dict[str, dict[int, ExperimentResult]] = {}
-        for (label, _, _, n), result in zip(grid, run_results):
-            out.setdefault(label, {})[n] = result
-        return out
+            ))
+            for label, rt, tech in IMAGE_FLAVOURS
+            for n in self.nodes
+        ), obs)
 
     def run_three_archs(
         self, workmodel: Optional[AlyaWorkModel] = None
@@ -229,45 +300,22 @@ class PortabilityStudy:
             "CTE-POWER": catalog.CTE_POWER,
             "ThunderX": catalog.THUNDERX,
         }
-        results: dict[str, dict[str, ExperimentResult]] = {}
         errors: dict[str, str] = {}
-        builder = ImageBuilder()
-        x86_image = builder.build_sif(
+        x86_image = ImageBuilder().build_sif(
             alya_recipe(BuildTechnique.SELF_CONTAINED)
         ).image
-        variants = (
-            ("system-specific", BuildTechnique.SYSTEM_SPECIFIC),
-            ("self-contained", BuildTechnique.SELF_CONTAINED),
-        )
-        grid = [
-            (name, cluster, label, tech)
+        results = run_grid(self.executor, (
+            (name, tech.value, full_node_spec(
+                cluster, name=f"arch-{name}-{tech.value}", runtime_name=rt,
+                technique=tech, workmodel=wm, n_nodes=2,
+                sim_steps=self.sim_steps, fault_plan=self.fault_plan,
+            ))
             for name, cluster in machines.items()
-            for label, tech in variants
-        ]
-        specs = [
-            ExperimentSpec(
-                name=f"arch-{name}-{label}",
-                cluster=cluster,
-                runtime_name="singularity",
-                technique=tech,
-                workmodel=wm,
-                n_nodes=2,
-                ranks_per_node=cluster.node.cores,
-                threads_per_rank=1,
-                sim_steps=self.sim_steps,
-                granularity=EndpointGranularity.NODE,
-                fault_plan=self.fault_plan,
-            )
-            for name, cluster, label, tech in grid
-        ]
-        run_results = self.executor.run_many(specs)
-        for (name, _, label, _), result in zip(grid, run_results):
-            results.setdefault(name, {})[label] = result
+            for _, rt, tech in IMAGE_FLAVOURS[1:]
+        ))
         for name, cluster in machines.items():
             if cluster.node.arch is not x86_image.arch:
                 try:
-                    from repro.containers.compat import check_architecture
-
                     check_architecture(x86_image, cluster)
                 except IncompatibleArchitectureError as exc:
                     errors[name] = str(exc)
@@ -290,15 +338,15 @@ class ScalabilityOutcome:
 
     def speedups(self) -> dict[str, dict[int, float]]:
         # Failed points (keep-going executors) are skipped: a speedup
-        # needs an elapsed time.
-        return {
-            label: speedup_series(
-                [r for r in series.values()
-                 if isinstance(r, ExperimentResult)],
-                self.base_nodes,
-            )
-            for label, series in self.results.items()
-        }
+        # needs an elapsed time, and a variant whose base point failed
+        # has none at all.
+        out: dict[str, dict[int, float]] = {}
+        for label, series in self.results.items():
+            ok = [r for r in series.values()
+                  if isinstance(r, ExperimentResult)]
+            base_ok = isinstance(series[self.base_nodes], ExperimentResult)
+            out[label] = speedup_series(ok, self.base_nodes) if base_ok else {}
+        return out
 
     def ideal(self) -> dict[int, float]:
         some = next(iter(self.results.values()))
@@ -307,20 +355,6 @@ class ScalabilityOutcome:
 
 class ScalabilityStudy:
     """Fig. 3: Alya FSI on MareNostrum4 up to 256 nodes / 12,288 cores."""
-
-    VARIANTS: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
-        ("bare-metal", "bare-metal", None),
-        (
-            "singularity system-specific",
-            "singularity",
-            BuildTechnique.SYSTEM_SPECIFIC,
-        ),
-        (
-            "singularity self-contained",
-            "singularity",
-            BuildTechnique.SELF_CONTAINED,
-        ),
-    )
 
     def __init__(
         self,
@@ -337,32 +371,16 @@ class ScalabilityStudy:
         self.fault_plan = fault_plan
 
     def run(self, obs: "Optional[Observability]" = None) -> ScalabilityOutcome:
-        cluster = catalog.MARENOSTRUM4
-        grid = [
-            (label, rt, tech, n)
-            for label, rt, tech in self.VARIANTS
-            for n in self.nodes
-        ]
-        specs = [
-            ExperimentSpec(
-                name=f"fig3-{label}-{n}n",
-                cluster=cluster,
-                runtime_name=rt,
-                technique=tech,
-                workmodel=self.workmodel,
-                n_nodes=n,
-                ranks_per_node=cluster.node.cores,
-                threads_per_rank=1,
-                sim_steps=self.sim_steps,
-                granularity=EndpointGranularity.NODE,
+        results = run_grid(self.executor, (
+            (label, n, full_node_spec(
+                catalog.MARENOSTRUM4, name=f"fig3-{label}-{n}n",
+                runtime_name=rt, technique=tech, workmodel=self.workmodel,
+                n_nodes=n, sim_steps=self.sim_steps,
                 fault_plan=self.fault_plan,
-            )
-            for label, rt, tech, n in grid
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
-        results: dict[str, dict[int, ExperimentResult]] = {}
-        for (label, _, _, n), result in zip(grid, run_results):
-            results.setdefault(label, {})[n] = result
+            ))
+            for label, rt, tech in IMAGE_FLAVOURS
+            for n in self.nodes
+        ), obs)
         return ScalabilityOutcome(results=results, base_nodes=min(self.nodes))
 
 
@@ -431,19 +449,6 @@ class FaultSensitivityStudy:
     fault-tolerance analogue of the paper's Fig. 2 gap.
     """
 
-    VARIANTS: tuple[tuple[str, str, BuildTechnique], ...] = (
-        (
-            "singularity system-specific",
-            "singularity",
-            BuildTechnique.SYSTEM_SPECIFIC,
-        ),
-        (
-            "singularity self-contained",
-            "singularity",
-            BuildTechnique.SELF_CONTAINED,
-        ),
-    )
-
     #: Link-degrade faults injected per run; 0 = fault-free baseline.
     FAULTS_PER_RUN: tuple[float, ...] = (0.0, 2.0, 4.0, 8.0)
 
@@ -486,35 +491,29 @@ class FaultSensitivityStudy:
             fault_duration=window / 10.0,
         )
 
-    def _spec(self, label, rt, tech, rate, plan) -> ExperimentSpec:
-        cluster = catalog.CTE_POWER
-        return ExperimentSpec(
-            name=f"faults-{label}-n{rate:g}",
-            cluster=cluster,
-            runtime_name=rt,
-            technique=tech,
-            workmodel=self.workmodel,
-            n_nodes=self.N_NODES,
-            ranks_per_node=cluster.node.cores,
-            threads_per_rank=1,
-            sim_steps=self.sim_steps,
-            granularity=EndpointGranularity.NODE,
-            fault_plan=plan,
-        )
+    def _stage(self, rates, window, obs) -> dict:
+        """Run every flavour at ``rates``: ``{label: {rate: outcome}}``."""
+        return run_grid(self.executor, (
+            (label, rate, full_node_spec(
+                catalog.CTE_POWER, name=f"faults-{label}-n{rate:g}",
+                runtime_name=rt, technique=tech, workmodel=self.workmodel,
+                n_nodes=self.N_NODES, sim_steps=self.sim_steps,
+                fault_plan=self.plan_for(rate, window),
+            ))
+            for label, rt, tech in IMAGE_FLAVOURS[1:]
+            for rate in rates
+        ), obs)
 
     def run(
         self, obs: "Optional[Observability]" = None
     ) -> FaultSensitivityOutcome:
         # Stage 1: fault-free baselines — they both anchor the
         # degradation ratios and measure the fault window.
-        base_specs = [
-            self._spec(label, rt, tech, 0.0, None)
-            for label, rt, tech in self.VARIANTS
-        ]
-        base_results = self.executor.run_many(base_specs, obs=obs)
+        base = self._stage((0.0,), 0.0, obs)
         windows = [
             r.sim_span_seconds
-            for r in base_results
+            for series in base.values()
+            for r in series.values()
             if isinstance(r, ExperimentResult) and r.sim_span_seconds > 0
         ]
         if not windows:
@@ -527,26 +526,15 @@ class FaultSensitivityStudy:
         window = min(windows)
 
         # Stage 2: the faulted grid.
-        faulted = [r for r in self.rates if r > 0]
-        grid = [
-            (label, rt, tech, rate)
-            for label, rt, tech in self.VARIANTS
-            for rate in faulted
-        ]
-        specs = [
-            self._spec(label, rt, tech, rate, self.plan_for(rate, window))
-            for label, rt, tech, rate in grid
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
-        results: dict[tuple[str, float], object] = {
-            (label, 0.0): r
-            for (label, _, _), r in zip(self.VARIANTS, base_results)
-        }
-        for (label, _, _, rate), r in zip(grid, run_results):
-            results[(label, rate)] = r
+        faulted = self._stage([r for r in self.rates if r > 0], window, obs)
         return FaultSensitivityOutcome(
-            results=results,
-            labels=tuple(label for label, _, _ in self.VARIANTS),
+            results={
+                (label, rate): r
+                for stage in (base, faulted)
+                for label, series in stage.items()
+                for rate, r in series.items()
+            },
+            labels=tuple(base),
             rates=self.rates,
             window=window,
         )

@@ -31,9 +31,14 @@ from repro.containers import (
     SingularityRuntime,
 )
 from repro.containers.recipes import BuildTechnique, alya_recipe
-from repro.core.experiment import EndpointGranularity, ExperimentSpec
+from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
-from repro.core.study import _default_executor
+from repro.core.study import (
+    IMAGE_FLAVOURS,
+    _default_executor,
+    full_node_spec,
+    run_grid,
+)
 from repro.des.engine import Environment
 from repro.hardware import catalog
 from repro.hardware.cluster import Cluster, ClusterSpec
@@ -62,20 +67,6 @@ class WeakScalingOutcome:
 class WeakScalingStudy:
     """Constant work per node on MareNostrum4."""
 
-    VARIANTS: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
-        ("bare-metal", "bare-metal", None),
-        (
-            "singularity system-specific",
-            "singularity",
-            BuildTechnique.SYSTEM_SPECIFIC,
-        ),
-        (
-            "singularity self-contained",
-            "singularity",
-            BuildTechnique.SELF_CONTAINED,
-        ),
-    )
-
     def __init__(
         self,
         cells_per_node: int = 400_000,
@@ -93,35 +84,20 @@ class WeakScalingStudy:
         self.executor = executor or _default_executor()
 
     def run(self, obs: "Optional[Observability]" = None) -> WeakScalingOutcome:
-        grid = [
-            (label, rt, tech, n)
-            for label, rt, tech in self.VARIANTS
-            for n in self.nodes
-        ]
-        specs = [
-            ExperimentSpec(
-                name=f"weak-{label}-{n}",
-                cluster=self.cluster,
-                runtime_name=rt,
-                technique=tech,
+        results = run_grid(self.executor, (
+            (label, n, full_node_spec(
+                self.cluster, name=f"weak-{label}-{n}", runtime_name=rt,
+                technique=tech, n_nodes=n, sim_steps=self.sim_steps,
                 workmodel=AlyaWorkModel(
                     case=CaseKind.CFD,
                     n_cells=self.cells_per_node * n,
                     cg_iters_per_step=25,
                     nominal_timesteps=1,
                 ),
-                n_nodes=n,
-                ranks_per_node=self.cluster.node.cores,
-                threads_per_rank=1,
-                sim_steps=self.sim_steps,
-                granularity=EndpointGranularity.NODE,
-            )
-            for label, rt, tech, n in grid
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
-        results: dict[str, dict[int, ExperimentResult]] = {}
-        for (label, _, _, n), result in zip(grid, run_results):
-            results.setdefault(label, {})[n] = result
+            ))
+            for label, rt, tech in IMAGE_FLAVOURS
+            for n in self.nodes
+        ), obs)
         return WeakScalingOutcome(
             results=results, cells_per_node=self.cells_per_node
         )
@@ -261,9 +237,7 @@ class WorkloadScalingStudy:
     the full bare-metal / Docker / Singularity / Shifter comparison the
     paper runs for Alya — applied to any workload the registry knows.
 
-    ``mode="strong"`` fixes the work model and drives the node axis
-    through :class:`~repro.core.sweep.Sweep` (which forwards the
-    ``workload`` field to every spec); ``mode="weak"`` rebuilds the
+    ``mode="strong"`` fixes the work model; ``mode="weak"`` rebuilds the
     model per node count at ``cells_per_node`` cells each, so the ideal
     step time is flat.
     """
@@ -320,59 +294,37 @@ class WorkloadScalingStudy:
     RANKS_PER_NODE = 7
     THREADS_PER_RANK = 4
 
-    def _weak_model(self, n: int):
-        return dataclasses.replace(
-            self.workmodel, n_cells=self.cells_per_node * n
+    def _spec(self, label: str, rt: str, tech, n: int) -> ExperimentSpec:
+        # Strong-mode names keep the form ``Sweep`` gives its points:
+        # result fingerprints are keyed by spec name.
+        strong = self.mode == "strong"
+        return ExperimentSpec(
+            name=(f"sweep-{label}-{n}n" if strong
+                  else f"weak-{self.workload}-{label}-{n}"),
+            cluster=self.cluster,
+            runtime_name=rt,
+            technique=tech,
+            workmodel=(
+                self.workmodel if strong else dataclasses.replace(
+                    self.workmodel, n_cells=self.cells_per_node * n)
+            ),
+            n_nodes=n,
+            ranks_per_node=self.RANKS_PER_NODE,
+            threads_per_rank=self.THREADS_PER_RANK,
+            sim_steps=self.sim_steps,
+            fault_plan=self.fault_plan,
+            workload=self.workload,
         )
 
     def run(
         self, obs: "Optional[Observability]" = None
     ) -> WorkloadScalingOutcome:
-        from repro.core.sweep import Sweep
-
-        results: dict[str, dict[int, ExperimentResult]] = {}
-        if self.mode == "strong":
-            sweep = Sweep(
-                cluster=self.cluster,
-                workmodel=self.workmodel,
-                variants=self.variants,
-                nodes=self.nodes,
-                ranks_per_node=self.RANKS_PER_NODE,
-                threads_per_rank=self.THREADS_PER_RANK,
-                sim_steps=self.sim_steps,
-                executor=self.executor,
-                fault_plan=self.fault_plan,
-                workload=self.workload,
-            )
-            for point, result in sweep.run(obs=obs).rows:
-                results.setdefault(point.label, {})[point.n_nodes] = result
-            return WorkloadScalingOutcome(
-                workload=self.workload, mode=self.mode, results=results
-            )
-        grid = [
-            (label, rt, tech, n)
-            for label, rt, tech in self.variants
-            for n in self.nodes
-        ]
-        specs = [
-            ExperimentSpec(
-                name=f"weak-{self.workload}-{label}-{n}",
-                cluster=self.cluster,
-                runtime_name=rt,
-                technique=tech,
-                workmodel=self._weak_model(n),
-                n_nodes=n,
-                ranks_per_node=self.RANKS_PER_NODE,
-                threads_per_rank=self.THREADS_PER_RANK,
-                sim_steps=self.sim_steps,
-                fault_plan=self.fault_plan,
-                workload=self.workload,
-            )
-            for label, rt, tech, n in grid
-        ]
-        run_results = self.executor.run_many(specs, obs=obs)
-        for (label, _, _, n), result in zip(grid, run_results):
-            results.setdefault(label, {})[n] = result
         return WorkloadScalingOutcome(
-            workload=self.workload, mode=self.mode, results=results
+            workload=self.workload,
+            mode=self.mode,
+            results=run_grid(self.executor, (
+                (label, n, self._spec(label, rt, tech, n))
+                for label, rt, tech in self.variants
+                for n in self.nodes
+            ), obs),
         )

@@ -1,10 +1,12 @@
 """Parameter sweeps: run experiment grids, export the results.
 
 The studies in :mod:`repro.core.study` are the paper's fixed evaluations;
-:class:`Sweep` is the general tool behind them for users with their own
-questions ("how does *my* case behave on CTE-POWER between 2 and 32 nodes
-under all runtimes?"). It produces flat result rows suitable for CSV
-export or further analysis.
+each builds its own grid and runs it through
+:func:`~repro.core.study.run_grid`, not through this module.
+:class:`Sweep` is for users with their own questions ("how does *my*
+case behave on CTE-POWER between 2 and 32 nodes under all runtimes?").
+It produces flat result rows suitable for CSV export or further
+analysis.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import TYPE_CHECKING
 from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.core.metrics import ExperimentResult
+from repro.core.study import _default_executor
 from repro.hardware.cluster import ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,11 +215,7 @@ class Sweep:
         #: Optional :class:`~repro.faults.plan.FaultPlan` applied to
         #: every grid point (None = perfect machine).
         self.fault_plan = fault_plan
-        if executor is None:
-            from repro.exec.executor import ExperimentExecutor
-
-            executor = ExperimentExecutor(workers=1)
-        self.executor = executor
+        self.executor = executor or _default_executor()
 
     def grid(self) -> list[tuple[SweepPoint, ExperimentSpec]]:
         """The (point, spec) pairs in canonical grid order

@@ -26,18 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.containers.recipes import BuildTechnique
-from repro.core.experiment import EndpointGranularity, ExperimentSpec
-from repro.hardware import catalog
-from repro.workloads import get_workload
+from repro.core.experiment import ExperimentSpec
+from repro.core.study import figure_spec
 
 #: Request-dialect keys the replay scripts may use.
 _ALLOWED_KEYS = {
     "fig", "runtime", "nodes", "sim_steps", "count", "delay_ms", "workload",
 }
-
-_DEFAULT_RUNTIME = {"fig1": "docker", "fig3": "singularity"}
-
 
 @dataclass(frozen=True)
 class RequestGroup:
@@ -57,55 +52,17 @@ def build_spec(
 ) -> ExperimentSpec:
     """An :class:`ExperimentSpec` for one of the paper's figure shapes.
 
-    The work model comes from the ``workload``'s registry entry — every
-    serve spec goes through the same
-    :meth:`~repro.workloads.base.Workload.default_workmodel` path, so a
-    request can never pair a workload with a foreign work model.  Alya
-    spec names keep their historical ``serve-{fig}-{runtime}-n{nodes}``
-    form (the trace/scoreboard fixtures encode them); other workloads
-    tag the name with the workload.
+    The figure template (:func:`~repro.core.study.figure_spec`) is the
+    one ``repro-study trace`` uses; the work model comes from the
+    ``workload``'s registry entry, so a request can never pair a
+    workload with a foreign work model.  Alya spec names keep their
+    historical ``serve-{fig}-{runtime}-n{nodes}`` form (the
+    trace/scoreboard fixtures encode them); other workloads tag the name
+    with the workload.
     """
-    if fig not in ("fig1", "fig3"):
-        raise ValueError(f"unknown figure shape {fig!r} (fig1|fig3)")
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if sim_steps < 1:
-        raise ValueError("sim_steps must be >= 1")
-    runtime = runtime or _DEFAULT_RUNTIME[fig]
-    workmodel = get_workload(workload).default_workmodel(fig)
-    tag = "" if workload == "alya" else f"{workload}-"
-    if fig == "fig1":
-        return ExperimentSpec(
-            name=f"serve-fig1-{tag}{runtime}-n{nodes}",
-            cluster=catalog.LENOX,
-            runtime_name=runtime,
-            technique=(
-                None if runtime == "bare-metal"
-                else BuildTechnique.SELF_CONTAINED
-            ),
-            workmodel=workmodel,
-            n_nodes=nodes,
-            ranks_per_node=7,
-            threads_per_rank=4,
-            sim_steps=sim_steps,
-            granularity=EndpointGranularity.RANK,
-            workload=workload,
-        )
-    return ExperimentSpec(
-        name=f"serve-fig3-{tag}{runtime}-n{nodes}",
-        cluster=catalog.MARENOSTRUM4,
-        runtime_name=runtime,
-        technique=(
-            None if runtime == "bare-metal"
-            else BuildTechnique.SYSTEM_SPECIFIC
-        ),
-        workmodel=workmodel,
-        n_nodes=nodes,
-        ranks_per_node=catalog.MARENOSTRUM4.node.cores,
-        threads_per_rank=1,
-        sim_steps=sim_steps,
-        granularity=EndpointGranularity.NODE,
-        workload=workload,
+    return figure_spec(
+        fig, "serve-{fig}-{tag}{runtime}-n{nodes}", runtime=runtime,
+        nodes=nodes, sim_steps=sim_steps, workload=workload,
     )
 
 

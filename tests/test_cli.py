@@ -169,3 +169,53 @@ def test_keep_going_and_resume_reach_the_executor(tmp_path):
     fail_fast = build_parser().parse_args(["fig1", "--fail-fast"])
     assert _executor(fail_fast).keep_going is False
     assert _executor(fail_fast).checkpoint is None
+
+
+KEEP_GOING_CRASHES = [
+    "--workers", "1", "--sim-steps", "1", "--keep-going",
+    "--fault-plan", "seed=1,crash_rate=50,horizon=2,max_requeues=0",
+]
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "eval1", "eval2", "fig3"])
+def test_keep_going_reports_failed_points_instead_of_crashing(
+    command, capsys
+):
+    # Node crashes with no requeue budget fail most grid points; the
+    # report stage must render them, not trip over them.
+    rc = main([command, *KEEP_GOING_CRASHES])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAILED(RankFailure)" in out
+    assert "[FAIL] all_points_completed" in out
+    assert "Failed grid points (kept by --keep-going):" in out
+    assert "[FAILED] " in out
+
+
+def test_all_runs_each_spec_once(monkeypatch, capsys):
+    # eval1's four 28x4 points are fig1's: the subcommands of one
+    # invocation share an executor whose in-process memo answers them.
+    from collections import Counter
+
+    from repro.core.metrics import ExperimentResult
+    from repro.core.runner import ExperimentRunner
+
+    ran = Counter()
+
+    def record(self, spec, obs=None):
+        ran[spec.name] += 1
+        return ExperimentResult(
+            spec_name=spec.name, runtime_name=spec.runtime_name,
+            cluster_name=spec.cluster.name, n_nodes=spec.n_nodes,
+            total_ranks=spec.total_ranks,
+            threads_per_rank=spec.threads_per_rank,
+            avg_step_seconds=1.0, elapsed_seconds=1.0,
+        )
+
+    monkeypatch.setattr(ExperimentRunner, "run", record)
+    main(["all", "--workers", "1"])
+    capsys.readouterr()
+    assert ran["fig1-docker-28x4"] == 1
+    assert set(ran.values()) == {1}
+    # fig1 20 + fig2 33 + fig3 21 + eval2 6; eval1 adds none.
+    assert sum(ran.values()) == 80
