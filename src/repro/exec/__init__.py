@@ -1,4 +1,4 @@
-"""Work distribution for experiment grids: parallel fan-out + result cache.
+"""Work distribution for experiment grids: parallel fan-out + outcome store.
 
 Every study in :mod:`repro.core.study` is a grid of *independent*
 :class:`~repro.core.experiment.ExperimentSpec`\\ s — each point builds its
@@ -13,31 +13,32 @@ neighbours.  This package exploits that:
   spec (cluster, runtime, technique, work model, geometry, steps,
   granularity — everything that determines the simulation, *except* the
   display name);
-- :mod:`repro.exec.cache` — :class:`ResultCache` persists JSON-serialised
-  :class:`~repro.core.metrics.ExperimentResult`\\ s under ``.repro-cache/``
-  keyed by :func:`spec_key`, so re-running a study recomputes only the
-  points whose spec actually changed.
+- :mod:`repro.exec.cache` — :class:`ResultCache`, the one on-disk
+  store: one JSON file per spec key holding a point's outcome.  As the
+  result cache (``.repro-cache/``) it keeps successes, so re-running a
+  study recomputes only the points whose spec actually changed; as the
+  sweep checkpoint (``checkpoint_dir``) it also keeps failures, so a
+  killed sweep resumes without re-running what already happened.
+  Entries of the earlier, separate cache and checkpoint formats read as
+  misses after an upgrade.
 
 The determinism contract and the statelessness invariant the executor
 relies on are documented in ``docs/parallel.md``.
 """
 
 from repro.exec.cache import CACHE_FORMAT, ResultCache
-from repro.exec.checkpoint import CHECKPOINT_FORMAT, SweepCheckpoint
 from repro.exec.executor import ExecStats, ExecutionError, ExperimentExecutor
 from repro.exec.failures import FailedPoint
 from repro.exec.speckey import KEY_VERSION, canonical_spec_payload, spec_key
 
 __all__ = [
     "CACHE_FORMAT",
-    "CHECKPOINT_FORMAT",
     "ExecStats",
     "ExecutionError",
     "ExperimentExecutor",
     "FailedPoint",
     "KEY_VERSION",
     "ResultCache",
-    "SweepCheckpoint",
     "canonical_spec_payload",
     "spec_key",
 ]

@@ -1,16 +1,30 @@
-"""Content-addressed result cache.
+"""Content-addressed outcome store: the result cache and the sweep checkpoint.
 
-One file per grid point under a cache root (``.repro-cache/`` by
-default), named ``<spec_key>.json`` and holding a JSON-serialised
-:class:`~repro.core.metrics.ExperimentResult`.  Because the key hashes
-everything that determines the simulation (see
+One file per grid point under a root directory, named
+``<spec_key>.json`` and holding one point's outcome: ``status`` ``ok``
+with a JSON-serialised :class:`~repro.core.metrics.ExperimentResult`,
+or ``status`` ``failed`` with a :class:`~repro.exec.failures.FailedPoint`.
+Because the key hashes everything that determines the simulation (see
 :mod:`repro.exec.speckey`), invalidation is automatic: change any spec
 field and the old entry is simply never looked up again.  A ``format``
 field guards against schema drift — entries written by an incompatible
-version read as misses, never as wrong data.
+version (including every entry of the retired ``point-*.json``
+checkpoint layout) read as misses, never as wrong data.
+
+The executor uses this one class in two roles:
+
+- the *result cache* (``.repro-cache/`` by default) holds successes
+  only; a failed entry reads as a miss, so a failure is always retried;
+- the *sweep checkpoint* (``failures=True``) also stores and replays
+  failed points, so a resumed sweep replays exactly what already
+  happened — success or failure — and executes only what is missing.
+
+Every read rewrites ``spec_name`` to the requesting spec's name — the
+key ignores display names, so a hit may come from a differently
+labelled but physically identical run.
 
 Corrupted or unreadable entries are treated as misses too (the point is
-recomputed and the entry rewritten); a cache must never be able to make
+recomputed and the entry rewritten); a store must never be able to make
 a study fail.
 """
 
@@ -25,35 +39,40 @@ from typing import Optional, Union
 from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
 from repro.exec import tmpfiles
+from repro.exec.failures import FailedPoint
 from repro.exec.speckey import spec_key
 
 #: On-disk schema version; bump when the entry layout changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
+
+PointOutcome = Union[ExperimentResult, FailedPoint]
 
 
 class ResultCache:
-    """Spec-keyed persistent store of experiment results.
+    """Spec-keyed persistent store of grid-point outcomes.
 
     Parameters
     ----------
     root:
         Directory holding the entries (created lazily on first write).
+    failures:
+        Store and replay failed points too (the checkpoint role).  Off,
+        a failed entry reads as a miss.
     """
 
-    def __init__(self, root: Union[str, Path] = ".repro-cache") -> None:
+    def __init__(
+        self, root: Union[str, Path] = ".repro-cache", failures: bool = False
+    ) -> None:
         self.root = Path(root)
+        self.failures = failures
         self._swept = False
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, spec: ExperimentSpec) -> Optional[ExperimentResult]:
-        """The cached result for ``spec``, or None on a miss.
-
-        The stored ``spec_name`` is rewritten to ``spec.name`` — the key
-        ignores display names, so a hit may come from a differently
-        labelled but physically identical run.
-        """
+    def get(self, spec: ExperimentSpec) -> Optional[PointOutcome]:
+        """The stored outcome for ``spec`` (named ``spec.name``), or
+        None on a miss."""
         path = self.path_for(spec_key(spec))
         try:
             payload = json.loads(path.read_text())
@@ -63,21 +82,27 @@ class ResultCache:
             return None
         if payload.get("format") != CACHE_FORMAT:
             return None
+        status = payload.get("status")
         try:
-            result = ExperimentResult.from_json_dict(payload["result"])
+            if status == "ok":
+                outcome = ExperimentResult.from_json_dict(payload["result"])
+            elif status == "failed" and self.failures:
+                outcome = FailedPoint.from_json_dict(payload["failure"])
+            else:
+                return None
         except (KeyError, TypeError, ValueError, AttributeError):
             # Tampered-but-valid JSON (missing field, wrong-typed field,
             # string where a mapping belongs...) is corruption like any
             # other: a miss, never a crashed study.
             return None
-        if result.spec_name != spec.name:
-            result = dataclasses.replace(result, spec_name=spec.name)
-        return result
+        if outcome.spec_name != spec.name:
+            outcome = dataclasses.replace(outcome, spec_name=spec.name)
+        return outcome
 
-    def put(self, spec: ExperimentSpec, result: ExperimentResult) -> Path:
-        """Persist ``result`` under ``spec``'s key (atomic replace).
+    def put(self, spec: ExperimentSpec, outcome: PointOutcome) -> Path:
+        """Persist ``outcome`` under ``spec``'s key (atomic replace).
 
-        The first write of a cache instance also sweeps temp files
+        The first write of a store instance also sweeps temp files
         orphaned by crashed writers (see :mod:`repro.exec.tmpfiles`).
         """
         key = spec_key(spec)
@@ -86,11 +111,11 @@ class ResultCache:
         if not self._swept:
             self._swept = True
             tmpfiles.sweep_stale(self.root)
-        payload = {
-            "format": CACHE_FORMAT,
-            "key": key,
-            "result": result.to_json_dict(),
-        }
+        if isinstance(outcome, FailedPoint):
+            body = {"status": "failed", "failure": outcome.to_json_dict()}
+        else:
+            body = {"status": "ok", "result": outcome.to_json_dict()}
+        payload = {"format": CACHE_FORMAT, "key": key, **body}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         tmp.replace(path)

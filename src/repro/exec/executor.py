@@ -30,12 +30,10 @@ Caching
 With ``cache=True`` each point is looked up in a
 :class:`~repro.exec.cache.ResultCache` before execution; hits skip the
 simulation entirely (their results are replayed from JSON), misses are
-executed and written back.  A warm rerun of an unchanged grid therefore
-executes zero simulations while producing the same results.  Cached
-points contribute only their ``exec.cache_hit`` marker to a trace —
-full span trees exist only for executed points.  Cache *writes* are
-best-effort: an unwritable cache directory degrades to a warning and a
-miss, never a crashed sweep.
+executed.  A warm rerun of an unchanged grid therefore executes zero
+simulations while producing the same results.  Cached points contribute
+only their ``exec.cache_hit`` marker to a trace — full span trees exist
+only for executed points.
 
 With ``l1=True`` the executor additionally memoises successful results
 in process memory, keyed by :func:`~repro.exec.speckey.spec_key`.  The
@@ -45,6 +43,12 @@ repeat of an already-served spec costs a dict lookup, no JSON parse.
 L2 hits are promoted into the L1; failures are never memoised (a retry
 of a failed spec re-executes).  The lookup order is checkpoint → L1 →
 L2 → execute.
+
+Each executed point is counted in ``stats.executed`` and written to
+every configured on-disk store the moment its outcome is collected,
+once — so a fail-fast abort keeps everything it finished.  Store writes
+are best-effort: an unwritable directory degrades to a warning, never a
+crashed sweep.
 
 Self-robustness
 ---------------
@@ -59,9 +63,11 @@ The executor survives its own failures (see ``docs/faults.md``):
   is not retried: with ``keep_going`` it comes back as an annotated
   :class:`~repro.exec.failures.FailedPoint`; without, it raises in grid
   order (fail-fast).
-- With ``checkpoint_dir`` set, each point's outcome is persisted the
-  moment it is collected; a killed sweep resumes from the checkpoint to
-  a byte-identical final CSV (see :mod:`repro.exec.checkpoint`).
+- With ``checkpoint_dir`` set, a second
+  :class:`~repro.exec.cache.ResultCache` there holds every outcome,
+  failures included; a killed sweep resumes from it to a
+  byte-identical final CSV.  Cache entries and checkpoints written
+  before the two shared one entry format read as misses and re-run.
 """
 
 from __future__ import annotations
@@ -81,15 +87,12 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
 from repro.core.runner import ExperimentRunner
-from repro.exec.cache import ResultCache
-from repro.exec.checkpoint import SweepCheckpoint
+from repro.exec.cache import PointOutcome, ResultCache
 from repro.exec.failures import FailedPoint
 from repro.exec.speckey import spec_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import Observability
-
-PointOutcome = Union[ExperimentResult, FailedPoint]
 
 
 def _execute_spec(
@@ -131,7 +134,7 @@ class ExecStats:
     failures: int = 0
     #: points replayed from a sweep checkpoint instead of executed.
     resumed: int = 0
-    #: cache writes that failed non-fatally (read-only cache dir...).
+    #: store writes (cache or checkpoint) that failed non-fatally.
     cache_write_errors: int = 0
 
     def as_dict(self) -> dict:
@@ -204,8 +207,9 @@ class ExperimentExecutor:
         simulation error, or retries exhausted) comes back as a
         :class:`FailedPoint` instead of raising.
     checkpoint_dir:
-        When set, per-point outcomes are persisted there as soon as they
-        are collected, and replayed on the next run (crash resume).
+        When set, per-point outcomes — failures included — are persisted
+        there as soon as they are collected, and replayed on the next
+        run (crash resume).
     """
 
     def __init__(
@@ -240,8 +244,8 @@ class ExperimentExecutor:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.keep_going = keep_going
-        self.checkpoint: Optional[SweepCheckpoint] = (
-            SweepCheckpoint(checkpoint_dir)
+        self.checkpoint: Optional[ResultCache] = (
+            ResultCache(checkpoint_dir, failures=True)
             if checkpoint_dir is not None
             else None
         )
@@ -275,8 +279,8 @@ class ExperimentExecutor:
         # Checkpoint replay first: a resumed sweep replays outcomes —
         # including failures — exactly as first collected.
         if self.checkpoint is not None:
-            for i in range(len(specs)):
-                replayed = self.checkpoint.load(keys[i])
+            for i, spec in enumerate(specs):
+                replayed = self.checkpoint.get(spec)
                 if replayed is not None:
                     results[i] = replayed
                     cached[i] = True
@@ -325,26 +329,25 @@ class ExperimentExecutor:
                     specs, keys, pending, with_obs, results, point_obs,
                     attempts,
                 )
-                self.stats.parallel_executed += (
-                    len(pending) - len(retry)
-                )
             else:
                 self._run_inline(
                     specs, keys, pending, with_obs, results, point_obs,
                     attempts,
                 )
-            self.stats.executed += len(pending) - len(retry)
             pending = retry
             if not pending:
                 break
             rounds += 1
             if rounds > self.max_retries:
                 for i in pending:
-                    self._fail_point(
-                        results, i, specs[i], keys[i],
-                        "WorkerFailure",
-                        "worker crashed or timed out on every attempt",
-                        attempts[i],
+                    self._collect(
+                        specs, results, i,
+                        self._fail_point(
+                            specs[i], keys[i], "WorkerFailure",
+                            "worker crashed or timed out on every attempt",
+                            attempts[i],
+                        ),
+                        executed=False,
                     )
                 break
             self.stats.retries += len(pending)
@@ -352,12 +355,10 @@ class ExperimentExecutor:
                 obs.metrics.counter("exec.retries").inc(len(pending))
             time.sleep(self.retry_backoff * (2.0 ** (rounds - 1)))
 
-        # Write-back and deterministic obs reassembly, in grid order.
+        # L1 promotion and deterministic obs reassembly, in grid order.
         for i, spec in enumerate(specs):
             outcome = results[i]
             if isinstance(outcome, FailedPoint):
-                if not cached[i]:  # a replayed failure is stored already
-                    self._checkpoint_point(keys[i], outcome, spec.name)
                 if obs is not None:
                     obs.add_span(
                         "exec.failed", "exec", 0.0, 0.0, track="exec",
@@ -366,9 +367,6 @@ class ExperimentExecutor:
                     )
                     obs.metrics.counter("exec.faileds").inc()
                 continue
-            # Executed points were checkpointed when collected.
-            if not cached[i] and self.cache is not None:
-                self._cache_put(spec, outcome)
             if self.l1 is not None:
                 # Executed results and L2 hits both promote into the L1;
                 # failures never do (a retried spec must re-execute).
@@ -401,11 +399,8 @@ class ExperimentExecutor:
             ]
             for i, future in futures:
                 try:
-                    results[i], point_obs[i] = future.result(
+                    result, point_obs[i] = future.result(
                         timeout=self.timeout
-                    )
-                    self._checkpoint_point(
-                        keys[i], results[i], specs[i].name
                     )
                 except FutureTimeout:
                     # The worker is wedged on this spec: kill the pool
@@ -413,14 +408,18 @@ class ExperimentExecutor:
                     retry.append(i)
                     self._kill_pool(pool)
                     killed = True
+                    continue
                 except BrokenProcessPool:
                     retry.append(i)
+                    continue
                 except Exception as exc:
                     # Deterministic simulation failure — not retried.
-                    self._fail_point(
-                        results, i, specs[i], keys[i],
-                        type(exc).__name__, str(exc), attempts[i],
+                    result = self._fail_point(
+                        specs[i], keys[i], type(exc).__name__, str(exc),
+                        attempts[i],
                     )
+                self._collect(specs, results, i, result)
+                self.stats.parallel_executed += 1
         finally:
             pool.shutdown(wait=not killed, cancel_futures=True)
         return retry
@@ -431,15 +430,13 @@ class ExperimentExecutor:
         """Inline round (workers=1): no pool, no preemption."""
         for i in pending:
             try:
-                results[i], point_obs[i] = _execute_spec(
-                    specs[i], with_obs
-                )
-                self._checkpoint_point(keys[i], results[i], specs[i].name)
+                result, point_obs[i] = _execute_spec(specs[i], with_obs)
             except Exception as exc:
-                self._fail_point(
-                    results, i, specs[i], keys[i],
-                    type(exc).__name__, str(exc), attempts[i],
+                result = self._fail_point(
+                    specs[i], keys[i], type(exc).__name__, str(exc),
+                    attempts[i],
                 )
+            self._collect(specs, results, i, result)
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -452,8 +449,9 @@ class ExperimentExecutor:
 
     # -- outcome plumbing ---------------------------------------------------
     def _fail_point(
-        self, results, i, spec, key, error_type, error, attempts
-    ) -> None:
+        self, spec, key, error_type, error, attempts
+    ) -> FailedPoint:
+        """Annotate a failed point; raises it instead when failing fast."""
         failed = FailedPoint(
             spec_name=spec.name,
             key=key,
@@ -464,26 +462,32 @@ class ExperimentExecutor:
         self.stats.failures += 1
         if not self.keep_going:
             raise ExecutionError(failed) from None
-        results[i] = failed
+        return failed
 
-    def _checkpoint_point(
-        self, key: str, outcome: Optional[PointOutcome], spec_name: str
+    def _collect(
+        self, specs, results, i, outcome: PointOutcome, executed=True
     ) -> None:
-        if self.checkpoint is not None and outcome is not None:
-            self.checkpoint.store(key, outcome, spec_name)
-
-    def _cache_put(self, spec: ExperimentSpec, result) -> None:
-        """Write-back that treats an unwritable cache as a warning."""
-        try:
-            self.cache.put(spec, result)
-        except (OSError, PermissionError) as exc:
-            self.stats.cache_write_errors += 1
-            warnings.warn(
-                f"result-cache write failed for {spec.name!r}: {exc}; "
-                f"continuing without caching this point",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        """Record point ``i``'s outcome the moment it is known: count it
+        and write it, once, to every store that keeps it (the cache
+        keeps successes only)."""
+        results[i] = outcome
+        if executed:
+            self.stats.executed += 1
+        failed = isinstance(outcome, FailedPoint)
+        for store in (self.checkpoint, self.cache):
+            if store is None or (failed and not store.failures):
+                continue
+            try:
+                store.put(specs[i], outcome)
+            except OSError as exc:
+                self.stats.cache_write_errors += 1
+                warnings.warn(
+                    f"result-cache write failed for {specs[i].name!r} "
+                    f"under {store.root}: {exc}; continuing without "
+                    f"storing this point there",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
 
 class ExecutionError(RuntimeError):

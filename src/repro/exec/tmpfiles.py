@@ -1,12 +1,12 @@
-"""Stale temp-file hygiene for the atomic-write stores.
+"""Stale temp-file hygiene for the atomic-write outcome store.
 
-Both :class:`~repro.exec.cache.ResultCache` and
-:class:`~repro.exec.checkpoint.SweepCheckpoint` write entries as
-``<entry>.tmp.<pid>`` followed by an atomic :meth:`Path.replace`.  A
-process killed between the write and the replace leaves the temp file
-behind forever — harmless individually, but a long-lived cache directory
-under a crashy workload accumulates them without bound, and
-``clear()`` previously removed only the committed ``*.json`` entries.
+:class:`~repro.exec.cache.ResultCache` (in both its cache and its
+checkpoint role) writes entries as ``<key>.tmp.<pid>`` followed by an
+atomic :meth:`Path.replace`.  A process killed between the write and
+the replace leaves the temp file behind forever — harmless
+individually, but a long-lived store directory under a crashy workload
+accumulates them without bound, and ``clear()`` previously removed only
+the committed ``*.json`` entries.
 
 This module centralises the sweep logic:
 
@@ -28,8 +28,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-#: Glob matching the atomic-write temp files either store produces
-#: (``<key>.tmp.<pid>`` / ``point-<key>.tmp.<pid>``).
+#: Glob matching the atomic-write temp files the store produces
+#: (``<key>.tmp.<pid>``).
 TMP_GLOB = "*.tmp.*"
 
 

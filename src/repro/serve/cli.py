@@ -335,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.fig, args.runtime, args.nodes, args.sim_steps,
                 workload=args.workload,
             )
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         groups = [RequestGroup(spec=spec, count=args.burst)]
@@ -348,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sim_steps=args.sim_steps,
                 workload=args.workload,
             )
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         mix = ZipfianMix.build(

@@ -100,6 +100,15 @@ from repro.serve.service import (
 )
 
 
+#: Times one flight may die with a worker and be replayed on the ring
+#: before it is routed to the fallback lane instead — the guard against a
+#: poison spec that kills every worker it meets.
+MAX_FLIGHT_REPLAYS = 2
+
+#: Seed of the per-shard circuit breakers' decorrelated-jitter backoff.
+BREAKER_SEED = 0
+
+
 @dataclass
 class ShardConfig:
     """Per-worker executor configuration (pickled to the worker)."""
@@ -389,13 +398,12 @@ class StudyCluster(StudyService):
     max_respawns:
         Per-shard respawn budget (``None`` = unlimited).  A shard past
         its budget serves its keys through the fallback lane forever.
-    max_flight_replays:
-        Times one flight may die with a worker and be replayed on the
-        ring before it is routed to the fallback lane instead — the
-        guard against a poison spec that kills every worker it meets.
-    breaker_seed / breaker_base_backoff / breaker_max_backoff:
-        Deterministic decorrelated-jitter backoff of the per-shard
-        circuit breakers (:mod:`repro.serve.breaker`).
+        A flight that dies with more than :data:`MAX_FLIGHT_REPLAYS`
+        workers goes to the fallback lane too.
+    breaker_base_backoff / breaker_max_backoff:
+        Decorrelated-jitter backoff window of the per-shard circuit
+        breakers (:mod:`repro.serve.breaker`), seeded with
+        :data:`BREAKER_SEED`.
     """
 
     def __init__(
@@ -411,8 +419,6 @@ class StudyCluster(StudyService):
         heartbeat_interval: float = 0.5,
         heartbeat_misses: int = 6,
         max_respawns: Optional[int] = 8,
-        max_flight_replays: int = 2,
-        breaker_seed: int = 0,
         breaker_base_backoff: float = 0.05,
         breaker_max_backoff: float = 2.0,
     ) -> None:
@@ -436,8 +442,8 @@ class StudyCluster(StudyService):
             raise ValueError("heartbeat_misses must be >= 1")
         if max_respawns is not None and max_respawns < 0:
             raise ValueError("max_respawns must be >= 0 (or None)")
-        if max_flight_replays < 0:
-            raise ValueError("max_flight_replays must be >= 0")
+        if workers_per_shard < 1:
+            raise ValueError("workers_per_shard must be >= 1")
         # Checked here, not first when start() builds the breakers.
         CircuitBreaker.check_backoff(breaker_base_backoff, breaker_max_backoff)
         self.workers_per_shard = workers_per_shard
@@ -447,10 +453,7 @@ class StudyCluster(StudyService):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.max_respawns = max_respawns
-        self.max_flight_replays = max_flight_replays
-        self._breaker_cfg = (
-            breaker_seed, breaker_base_backoff, breaker_max_backoff
-        )
+        self._breaker_cfg = (breaker_base_backoff, breaker_max_backoff)
         n = self.router.n_shards
         self.stats = ClusterStats(
             shards=n, requests_by_shard=[0] * n, flights_by_shard=[0] * n
@@ -486,12 +489,13 @@ class StudyCluster(StudyService):
         # the Linux default; fall back to spawn where fork is absent.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        seed, base, cap = self._breaker_cfg
+        base, cap = self._breaker_cfg
         for shard_id in range(self.n_shards):
             shard = _Shard(
                 shard_id,
                 CircuitBreaker(
-                    shard_id, seed=seed, base_backoff=base, max_backoff=cap
+                    shard_id, seed=BREAKER_SEED, base_backoff=base,
+                    max_backoff=cap,
                 ),
             )
             shard.reset(*self._spawn_proc(shard_id))
@@ -862,7 +866,7 @@ class StudyCluster(StudyService):
         respawnable = self._respawn_budget_left(shard)
         for flight in orphans:
             flight.replays += 1
-            if respawnable and flight.replays <= self.max_flight_replays:
+            if respawnable and flight.replays <= MAX_FLIGHT_REPLAYS:
                 shard.queue.append(flight)
             else:
                 # A flight that keeps dying with workers may be a poison

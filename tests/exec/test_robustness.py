@@ -1,6 +1,7 @@
 """Executor self-robustness: crashed workers, timeouts, failed points,
 read-only caches, and checkpoint/resume."""
 
+import dataclasses
 import os
 
 import pytest
@@ -13,7 +14,6 @@ from repro.core.metrics import ExperimentResult
 from repro.core.sweep import Sweep
 from repro.exec import ExperimentExecutor
 from repro.exec.cache import ResultCache
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import ExecutionError, _execute_spec
 from repro.exec.failures import FailedPoint
 from repro.exec.speckey import spec_key
@@ -244,18 +244,68 @@ def test_checkpoint_replays_failures_too(tmp_path, monkeypatch):
     assert second.stats.executed == 0
 
 
+def test_checkpoint_replay_carries_the_requesting_name(tmp_path, monkeypatch):
+    """The spec key ignores display names: a resumed point answers under
+    the name it was asked for, for results and for failures alike."""
+    ckpt = tmp_path / "ckpt"
+    monkeypatch.setattr(executor_mod, "_execute_spec", fail_one_spec)
+    ExperimentExecutor(workers=1, keep_going=True,
+                       checkpoint_dir=ckpt).run_many(make_specs())
+    renamed = [dataclasses.replace(s, name=f"renamed-{s.n_nodes}n")
+               for s in make_specs()]
+    resumed = ExperimentExecutor(workers=1, keep_going=True,
+                                 checkpoint_dir=ckpt)
+    ok, failed = resumed.run_many(renamed)
+    assert resumed.stats.resumed == 2 and resumed.stats.executed == 0
+    assert isinstance(ok, ExperimentResult)
+    assert isinstance(failed, FailedPoint)
+    assert [ok.spec_name, failed.spec_name] == ["renamed-1n", "renamed-2n"]
+    assert failed.key == spec_key(renamed[1])
+
+
+def fail_third_spec(spec, with_obs):
+    if spec.n_nodes == 3:
+        raise ValueError("synthetic deterministic failure")
+    return _real_execute(spec, with_obs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fail_fast_abort_keeps_its_finished_points(
+    tmp_path, monkeypatch, workers
+):
+    """Each finished point is counted and stored in every store as it is
+    collected, so the abort on the third point loses neither the first
+    two results nor their accounting."""
+    monkeypatch.setattr(executor_mod, "_execute_spec", fail_third_spec)
+    ex = ExperimentExecutor(workers=workers, cache=True,
+                            cache_dir=tmp_path / "cache",
+                            checkpoint_dir=tmp_path / "ckpt")
+    with pytest.raises(ExecutionError, match="robust-3n"):
+        ex.run_many(make_specs((1, 2, 3)))
+    assert ex.stats.executed == 2
+    assert len(ex.cache) == 2
+    assert len(ex.checkpoint) == 2
+
+    # A warm rerun answers the finished points from the cache.
+    monkeypatch.setattr(executor_mod, "_execute_spec", _real_execute)
+    rerun = ExperimentExecutor(workers=1, cache=True,
+                               cache_dir=tmp_path / "cache")
+    rerun.run_many(make_specs((1, 2, 3)))
+    assert (rerun.stats.hits, rerun.stats.executed) == (2, 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_outcome_is_checkpointed_once(tmp_path, monkeypatch, workers):
-    """Successes are stored when collected and failures at write-back,
-    once each; a resumed run replays them and stores nothing."""
+    """Every outcome, success or failure, is stored once, when it is
+    collected; a resumed run replays them and stores nothing."""
     stored = []
-    real_store = SweepCheckpoint.store
+    real_put = ResultCache.put
 
-    def counting_store(self, key, outcome, spec_name):
-        stored.append(key)
-        return real_store(self, key, outcome, spec_name)
+    def counting_put(self, spec, outcome):
+        stored.append(spec_key(spec))
+        return real_put(self, spec, outcome)
 
-    monkeypatch.setattr(SweepCheckpoint, "store", counting_store)
+    monkeypatch.setattr(ResultCache, "put", counting_put)
     monkeypatch.setattr(executor_mod, "_execute_spec", fail_one_spec)
     specs = make_specs((1, 2, 3))
     ex = ExperimentExecutor(workers=workers, keep_going=True,

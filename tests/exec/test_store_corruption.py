@@ -1,4 +1,6 @@
-"""Corruption matrix + temp-orphan hygiene for both on-disk stores.
+"""Corruption matrix + temp-orphan hygiene for the on-disk outcome store,
+in both its roles (result cache, and sweep checkpoint with
+``failures=True``).
 
 Contract under test (``docs/parallel.md``): a corrupt cache/checkpoint
 entry — *any* corrupt entry, including tampered-but-valid JSON — reads
@@ -17,7 +19,6 @@ from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.exec import tmpfiles
 from repro.exec.cache import ResultCache
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.failures import FailedPoint
 from repro.exec.speckey import spec_key
 from repro.hardware import catalog
@@ -43,6 +44,13 @@ def make_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def failed_point(spec):
+    return FailedPoint(
+        spec_name=spec.name, key=spec_key(spec), error_type="RankFailure",
+        error="boom", attempts=2,
+    )
 
 
 #: (label, mutate(entry_payload) -> new file text) corruption matrix.
@@ -97,33 +105,25 @@ def test_cache_corruption_reads_as_miss(tmp_path, label, mutate):
 def test_checkpoint_corruption_reads_as_not_checkpointed(
     tmp_path, label, mutate
 ):
-    ckpt = SweepCheckpoint(tmp_path)
-    key = spec_key(make_spec())
-    ckpt.store(key, hand_made_result(), "corruption-test")
-    path = ckpt.path_for(key)
+    ckpt = ResultCache(tmp_path, failures=True)
+    spec = make_spec()
+    path = ckpt.put(spec, hand_made_result())
     payload = json.loads(path.read_text())
     path.write_text(mutate(payload, "result"))
-    assert ckpt.load(key) is None, label
+    assert ckpt.get(spec) is None, label
 
 
 def test_checkpoint_failed_entry_corruption_reads_as_not_checkpointed(
     tmp_path,
 ):
-    ckpt = SweepCheckpoint(tmp_path)
-    key = spec_key(make_spec())
-    ckpt.store(
-        key,
-        FailedPoint(
-            spec_name="x", key=key, error_type="RankFailure",
-            error="boom", attempts=2,
-        ),
-        "corruption-test",
-    )
-    path = ckpt.path_for(key)
+    ckpt = ResultCache(tmp_path, failures=True)
+    spec = make_spec()
+    path = ckpt.put(spec, failed_point(spec))
+    assert ckpt.get(spec) is not None
     payload = json.loads(path.read_text())
     payload["failure"] = "not-a-mapping"
     path.write_text(json.dumps(payload))
-    assert ckpt.load(key) is None
+    assert ckpt.get(spec) is None
 
 
 def test_intact_entries_still_round_trip(tmp_path):
@@ -132,10 +132,36 @@ def test_intact_entries_still_round_trip(tmp_path):
     spec = make_spec()
     cache.put(spec, hand_made_result())
     assert cache.get(spec) is not None
-    ckpt = SweepCheckpoint(tmp_path / "k")
+    ckpt = ResultCache(tmp_path / "k", failures=True)
+    ckpt.put(spec, hand_made_result())
+    assert ckpt.get(spec) is not None
+
+
+def test_only_the_checkpoint_role_replays_a_failed_entry(tmp_path):
+    """One entry file, two readers: the checkpoint replays the failure,
+    the result cache reads it as a miss (a failure is always retried)."""
+    spec = make_spec()
+    ResultCache(tmp_path, failures=True).put(spec, failed_point(spec))
+    assert ResultCache(tmp_path).get(spec) is None
+    replayed = ResultCache(tmp_path, failures=True).get(spec)
+    assert replayed == failed_point(spec)
+
+
+def test_entries_of_the_previous_layouts_read_as_misses(tmp_path):
+    """After an upgrade, format-1 cache entries and ``point-<key>.json``
+    checkpoints are misses in both roles, never wrong data."""
+    spec = make_spec()
     key = spec_key(spec)
-    ckpt.store(key, hand_made_result(), spec.name)
-    assert ckpt.load(key) is not None
+    result = hand_made_result().to_json_dict()
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps({"format": 1, "key": key, "result": result})
+    )
+    (tmp_path / f"point-{key}.json").write_text(json.dumps({
+        "format": 1, "key": key, "spec_name": spec.name, "status": "ok",
+        "result": result,
+    }))
+    assert ResultCache(tmp_path).get(spec) is None
+    assert ResultCache(tmp_path, failures=True).get(spec) is None
 
 
 # -- temp-file hygiene -------------------------------------------------------
@@ -175,19 +201,19 @@ def test_cache_put_sweeps_stale_tmp_but_keeps_live_writers(tmp_path):
 
 
 def test_checkpoint_store_sweeps_stale_tmp(tmp_path):
-    dead = _orphan(tmp_path, f"point-deadbeef.tmp.{DEAD_PID}")
-    ckpt = SweepCheckpoint(tmp_path)
-    key = spec_key(make_spec())
-    ckpt.store(key, hand_made_result(), "corruption-test")
+    dead = _orphan(tmp_path, f"deadbeef.tmp.{DEAD_PID}")
+    ckpt = ResultCache(tmp_path, failures=True)
+    spec = make_spec()
+    ckpt.put(spec, failed_point(spec))
     assert not dead.exists()
-    assert ckpt.load(key) is not None
+    assert ckpt.get(spec) is not None
 
 
 def test_checkpoint_clear_removes_entries_and_orphans(tmp_path):
-    ckpt = SweepCheckpoint(tmp_path)
-    key = spec_key(make_spec())
-    ckpt.store(key, hand_made_result(), "corruption-test")
-    _orphan(tmp_path, f"point-deadbeef.tmp.{DEAD_PID}")
+    ckpt = ResultCache(tmp_path, failures=True)
+    spec = make_spec()
+    ckpt.put(spec, failed_point(spec))
+    _orphan(tmp_path, f"deadbeef.tmp.{DEAD_PID}")
     assert ckpt.clear() == 2
     assert len(ckpt) == 0
     assert tmpfiles.iter_tmp_files(tmp_path) == []

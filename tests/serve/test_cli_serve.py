@@ -182,6 +182,23 @@ def test_bounds_below_one_exit_2_with_one_line_message(flag, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--burst", "1", "--nodes", "0"], "job geometry values must be >= 1"),
+        (["--zipf", "1.1", "--nodes", "0"], "job geometry values must be >= 1"),
+        (["--burst", "1", "--sim-steps", "0"], "sim_steps must be >= 1"),
+    ],
+    ids=["burst-nodes-0", "zipf-nodes-0", "burst-sim-steps-0"],
+)
+def test_invalid_spec_values_exit_2_with_one_line_message(
+    argv, message, capsys
+):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln] == [f"error: {message}"]
+
+
 def test_retry_ceiling_exhaustion_reports_hint_and_exits_1(capsys):
     # One admission slot, no retries allowed: most of the concurrent
     # replay gives up immediately, and the error line must surface the

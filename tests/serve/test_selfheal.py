@@ -343,6 +343,14 @@ def test_heartbeat_interval_must_be_finite_and_positive(bad):
         StudyCluster(shards=1, heartbeat_interval=bad)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_workers_per_shard_below_one_is_refused_at_construction(bad):
+    """Accepted, 0 would kill every worker on ``ExperimentExecutor(
+    workers=0)`` and push its traffic to the fallback lane."""
+    with pytest.raises(ValueError, match="workers_per_shard"):
+        StudyCluster(shards=1, workers_per_shard=bad)
+
+
 @pytest.mark.parametrize(
     "base,max_",
     [
