@@ -35,6 +35,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
+from repro.core.deployment import _RUNTIME_CLASSES
 from repro.core.figures import (
     archs_table,
     ascii_table,
@@ -60,7 +61,7 @@ from repro.core.study import (
     figure_spec,
 )
 from repro.core.metrics import ExperimentResult
-from repro.exec import ExperimentExecutor
+from repro.exec import ExecutionError, ExperimentExecutor
 from repro.faults import FaultPlan
 from repro.hardware import catalog
 
@@ -473,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--runtime",
-        choices=["bare-metal", "docker", "singularity", "shifter",
-                 "charliecloud"],
+        choices=list(_RUNTIME_CLASSES),
         default=None,
         help="container runtime (default: docker for fig1, "
              "singularity for fig3)",
@@ -535,7 +535,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for i, name in enumerate(names):
         if i:
             print("\n" + "=" * 72 + "\n")
-        ok &= _COMMANDS[name](args)
+        try:
+            ok &= _COMMANDS[name](args)
+        except ExecutionError as exc:
+            # Fail-fast: the first failed point ends the run.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if ok else 1
 
 

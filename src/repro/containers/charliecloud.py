@@ -38,14 +38,11 @@ class CharliecloudRuntime(ContainerRuntime):
     cpu_overhead = 1.0
     launch_overhead_per_rank = 0.06
     container_root = "/var/tmp/charliecloud"
+    image_type = SIFImage  # a flattened squashfs
 
     def network_path(self, image, fabric):
         technique = image.technique if image is not None else None
         return network_path_for("singularity", technique, fabric)
-
-    def _check_inputs(self, image, registry, gateway) -> None:
-        if not isinstance(image, SIFImage):
-            raise TypeError("Charliecloud consumes flattened squashfs images")
 
     def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
         # 1. Image header off the parallel filesystem.

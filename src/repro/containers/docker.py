@@ -49,8 +49,8 @@ class DockerRuntime(ContainerRuntime):
     name = "docker"
     cpu_overhead = 1.005  # cgroup accounting + seccomp, sub-1%
     launch_overhead_per_rank = 0.12  # docker exec API round-trip
-    teardown_cost = 0.35  # docker stop/rm API + netns destruction
     container_root = "/var/lib/docker/merged"
+    image_type = OCIImage
 
     def __init__(self, version=None, host_network: bool = False) -> None:
         super().__init__(version)
@@ -63,8 +63,7 @@ class DockerRuntime(ContainerRuntime):
         return super().network_path(image, fabric)
 
     def _check_inputs(self, image, registry, gateway) -> None:
-        if not isinstance(image, OCIImage):
-            raise TypeError("Docker deploys OCI images")
+        super()._check_inputs(image, registry, gateway)
         if registry is None:
             raise ValueError("Docker deployment needs a registry to pull from")
 

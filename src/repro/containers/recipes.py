@@ -92,11 +92,6 @@ class ContainerRecipe:
         return sum(p.size_on(self.arch) for p in self.resolved_packages())
 
     @property
-    def bundles_fabric_stack(self) -> bool:
-        """Whether the image carries fabric userspace of its own."""
-        return any(p.provides_fabric for p in self.resolved_packages())
-
-    @property
     def binds_host_mpi(self) -> bool:
         """System-specific images take MPI from the host at run time."""
         return self.technique is BuildTechnique.SYSTEM_SPECIFIC

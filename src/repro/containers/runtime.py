@@ -54,8 +54,8 @@ class DeployedContainer:
     cpu_overhead: float = 1.0
     #: Seconds to exec one MPI rank inside the container.
     launch_overhead_per_rank: float = 0.0
-    #: Where the container's mounts live (for teardown); "/" means the
-    #: host table (bare-metal) and is never swept.
+    #: Where the container's root filesystem is mounted; "/" is the
+    #: host's (bare-metal).
     root_path: str = "/"
 
 
@@ -102,7 +102,8 @@ class ContainerRuntime:
     the once-per-job step, the per-node fan-out in node order, the step
     bookkeeping, the :class:`DeployedContainer` per node and the
     :class:`DeploymentReport`.  An image runtime declares only what is its
-    own: :meth:`_check_inputs`, optionally :meth:`_prepare`, and
+    own: its :attr:`image_type`, optionally a registry or gateway check in
+    :meth:`_check_inputs` and a :meth:`_prepare` step, and
     :meth:`_deploy_node`, its namespace, mount, pull and cgroup steps on
     one node.  The HPC runtimes share one bind-mount policy,
     :meth:`_bind_site_dirs`.
@@ -116,6 +117,9 @@ class ContainerRuntime:
     launch_overhead_per_rank: float = 0.0
     #: Where each node's container root filesystem is mounted.
     container_root: str = "/"
+    #: The image format this runtime deploys (``SIFImage`` or
+    #: ``OCIImage``); None for bare metal, which takes no image.
+    image_type: Optional[type] = None
 
     def __init__(self, version: Optional[str] = None) -> None:
         self.version = version
@@ -192,8 +196,14 @@ class ContainerRuntime:
         return containers, report
 
     def _check_inputs(self, image, registry, gateway) -> None:
-        """Reject inputs this runtime cannot deploy (image type, a
-        missing registry or gateway); runs before the site checks."""
+        """Reject inputs this runtime cannot deploy; runs before the site
+        checks.  The base checks the image format; a runtime that needs a
+        registry or gateway extends it."""
+        if not isinstance(image, self.image_type):
+            raise TypeError(
+                f"{self.name} deploys {self.image_type.__name__}s, "
+                f"not {type(image).__name__}"
+            )
 
     def _prepare(self, env: "Environment", image, gateway, step):
         """DES generator: the once-per-job step before the per-node
@@ -232,32 +242,6 @@ class ContainerRuntime:
             for src, dst in binds:
                 table.bind(os_.rootfs, src, dst)
                 yield env.timeout(BIND_MOUNT)
-
-    #: Fixed teardown cost in seconds (daemon API, netns destruction...).
-    teardown_cost: float = 0.02
-
-    def undeploy(self, env: "Environment", container: DeployedContainer,
-                 node_os: NodeOS):
-        """DES generator: dismantle one node's container.
-
-        Unmounts everything the deployment mounted (newest first), moves
-        any remaining pids out of the container cgroup and removes it,
-        and charges the runtime's fixed teardown cost.  Returns the wall
-        seconds spent.
-        """
-        t0 = env.now
-        if container.image is not None and container.root_path != "/":
-            table = container.mount_table
-            for mount in reversed(table.mounts_at(container.root_path)):
-                table.unmount(mount.target)
-        if container.cgroup is not None:
-            for pid in list(container.cgroup.pids):
-                node_os.cgroups.attach(pid, node_os.cgroups.root)
-            node_os.cgroups.remove(container.cgroup.path())
-            container.cgroup = None
-        if self.teardown_cost > 0:
-            yield env.timeout(self.teardown_cost)
-        return env.now - t0
 
     @contextmanager
     def _step(self, env: "Environment", steps: dict[str, float], obs,

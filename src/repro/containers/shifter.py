@@ -25,12 +25,10 @@ class ShifterRuntime(ContainerRuntime):
     cpu_overhead = 1.0
     launch_overhead_per_rank = 0.05
     container_root = "/var/udiMount"
+    image_type = OCIImage  # converted by the gateway
 
     def _check_inputs(self, image, registry, gateway) -> None:
-        if not isinstance(image, OCIImage):
-            raise TypeError(
-                "Shifter consumes Docker (OCI) images via its gateway"
-            )
+        super()._check_inputs(image, registry, gateway)
         if gateway is None:
             raise ValueError("Shifter deployment needs an image gateway")
 

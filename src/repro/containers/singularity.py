@@ -34,10 +34,7 @@ class SingularityRuntime(ContainerRuntime):
     cpu_overhead = 1.0  # §C: "close to bare-metal performances"
     launch_overhead_per_rank = 0.08  # starter + loop setup per exec
     container_root = "/var/singularity/mnt"
-
-    def _check_inputs(self, image, registry, gateway) -> None:
-        if not isinstance(image, SIFImage):
-            raise TypeError("Singularity deploys SIF images")
+    image_type = SIFImage
 
     def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
         # 1. Read the SIF header off the parallel filesystem.

@@ -43,6 +43,16 @@ IMAGE_FLAVOURS: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
      BuildTechnique.SELF_CONTAINED),
 )
 
+#: The runtime axis of Fig. 1, in its order, as ``(label, runtime_name,
+#: technique)`` rows: bare metal and the three runtimes on the
+#: self-contained image.  The deployment study runs the container rows.
+RUNTIMES: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
+    ("bare-metal", "bare-metal", None),
+    ("singularity", "singularity", BuildTechnique.SELF_CONTAINED),
+    ("shifter", "shifter", BuildTechnique.SELF_CONTAINED),
+    ("docker", "docker", BuildTechnique.SELF_CONTAINED),
+)
+
 
 def full_node_spec(cluster: ClusterSpec, **fields) -> ExperimentSpec:
     """A spec on ``cluster`` with one single-threaded rank per core and
@@ -184,13 +194,6 @@ class ContainerSolutionsStudy:
     rank x thread layouts of the 112-core artery CFD case.
     """
 
-    RUNTIMES: tuple[tuple[str, Optional[BuildTechnique]], ...] = (
-        ("bare-metal", None),
-        ("singularity", BuildTechnique.SELF_CONTAINED),
-        ("shifter", BuildTechnique.SELF_CONTAINED),
-        ("docker", BuildTechnique.SELF_CONTAINED),
-    )
-
     #: Lenox node count of every Fig. 1 layout (4 x 28 cores = 112).
     N_NODES = 4
 
@@ -219,8 +222,8 @@ class ContainerSolutionsStudy:
 
     def run(self, obs: "Optional[Observability]" = None) -> SolutionsOutcome:
         grid = run_grid(self.executor, (
-            (rt, (ranks, threads), ExperimentSpec(
-                name=f"fig1-{rt}-{ranks}x{threads}",
+            (label, (ranks, threads), ExperimentSpec(
+                name=f"fig1-{label}-{ranks}x{threads}",
                 cluster=catalog.LENOX,
                 runtime_name=rt,
                 technique=tech,
@@ -232,7 +235,7 @@ class ContainerSolutionsStudy:
                 granularity=EndpointGranularity.RANK,
                 fault_plan=self.fault_plan,
             ))
-            for rt, tech in self.RUNTIMES
+            for label, rt, tech in RUNTIMES
             for ranks, threads in self.configs
         ), obs)
         return SolutionsOutcome(
@@ -241,7 +244,7 @@ class ContainerSolutionsStudy:
                 for rt, series in grid.items()
                 for config, r in series.items()
             },
-            runtimes=tuple(rt for rt, _ in self.RUNTIMES),
+            runtimes=tuple(label for label, _, _ in RUNTIMES),
             configs=self.configs,
         )
 

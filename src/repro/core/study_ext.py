@@ -22,19 +22,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
-from repro.containers import (
-    DockerRuntime,
-    ImageBuilder,
-    Registry,
-    ShifterGateway,
-    ShifterRuntime,
-    SingularityRuntime,
-)
-from repro.containers.recipes import BuildTechnique, alya_recipe
+from repro.containers.recipes import alya_recipe
+from repro.core.deployment import image_for, make_distribution, runtime_class
 from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import ExperimentResult
 from repro.core.study import (
     IMAGE_FLAVOURS,
+    RUNTIMES,
     _default_executor,
     full_node_spec,
     run_grid,
@@ -141,23 +135,15 @@ class DeploymentScalingStudy:
             },
         )
 
-    def _deploy_once(self, runtime_cls, image_kind: str, n_nodes: int) -> float:
+    def _deploy_once(self, runtime_name: str, technique, n_nodes: int) -> float:
         env = Environment()
         cluster = Cluster(env, self.cluster, num_nodes=n_nodes)
         node_os = [NodeOS(self.cluster, i) for i in range(n_nodes)]
-        registry = Registry(env)
-        gateway = ShifterGateway(env, registry)
-        recipe = alya_recipe(
-            BuildTechnique.SELF_CONTAINED, arch=self.cluster.node.arch
+        runtime_cls = runtime_class(runtime_name)
+        image = image_for(
+            runtime_cls, alya_recipe(technique, arch=self.cluster.node.arch)
         )
-        builder = ImageBuilder()
-        image = (
-            builder.build_oci(recipe).image
-            if image_kind == "oci"
-            else builder.build_sif(recipe).image
-        )
-        if image_kind == "oci":
-            registry.push(image)
+        registry, gateway = make_distribution(env, image)
         rt = runtime_cls()
         holder: dict = {}
 
@@ -173,13 +159,9 @@ class DeploymentScalingStudy:
 
     def run(self) -> DeploymentScalingOutcome:
         outcome = DeploymentScalingOutcome()
-        for label, cls, kind in (
-            ("singularity", SingularityRuntime, "sif"),
-            ("shifter", ShifterRuntime, "oci"),
-            ("docker", DockerRuntime, "oci"),
-        ):
+        for label, rt, tech in RUNTIMES[1:]:
             outcome.seconds[label] = {
-                n: self._deploy_once(cls, kind, n) for n in self.nodes
+                n: self._deploy_once(rt, tech, n) for n in self.nodes
             }
         return outcome
 
@@ -233,21 +215,14 @@ class WorkloadScalingStudy:
     """Strong/weak scaling of one registered workload on Lenox.
 
     Lenox is the one catalogue machine with all four runtimes installed
-    (and the admin rights Docker's daemon needs), so the default grid is
-    the full bare-metal / Docker / Singularity / Shifter comparison the
-    paper runs for Alya — applied to any workload the registry knows.
+    (and the admin rights Docker's daemon needs), so the grid is Fig. 1's
+    runtime axis (:data:`~repro.core.study.RUNTIMES`) — applied to any
+    workload the registry knows, at its Fig. 1 work model.
 
     ``mode="strong"`` fixes the work model; ``mode="weak"`` rebuilds the
-    model per node count at ``cells_per_node`` cells each, so the ideal
-    step time is flat.
+    model per node count at the strong model's cells per node at the
+    largest count, so the ideal step time is flat.
     """
-
-    FOUR_RUNTIMES: tuple[tuple[str, str, Optional[BuildTechnique]], ...] = (
-        ("bare-metal", "bare-metal", None),
-        ("docker", "docker", BuildTechnique.SELF_CONTAINED),
-        ("singularity", "singularity", BuildTechnique.SELF_CONTAINED),
-        ("shifter", "shifter", BuildTechnique.SELF_CONTAINED),
-    )
 
     def __init__(
         self,
@@ -255,10 +230,6 @@ class WorkloadScalingStudy:
         mode: str = "strong",
         nodes: tuple[int, ...] = (1, 2, 4),
         sim_steps: int = 2,
-        cluster: Optional[ClusterSpec] = None,
-        workmodel: Optional[object] = None,
-        cells_per_node: Optional[int] = None,
-        variants: Optional[tuple] = None,
         executor: "Optional[ExperimentExecutor]" = None,
         fault_plan: "Optional[FaultPlan]" = None,
     ) -> None:
@@ -273,20 +244,10 @@ class WorkloadScalingStudy:
         if not self.nodes:
             raise ValueError("need at least one node count")
         self.sim_steps = sim_steps
-        self.cluster = cluster or catalog.LENOX
-        self.workmodel = (
-            workmodel
-            if workmodel is not None
-            else self._entry.default_workmodel("fig1")
+        self.workmodel = self._entry.default_workmodel("fig1")
+        self.cells_per_node = max(
+            1, self.workmodel.n_cells // max(self.nodes)
         )
-        if cells_per_node is None:
-            cells_per_node = max(
-                1, self.workmodel.n_cells // max(self.nodes)
-            )
-        if cells_per_node < 1:
-            raise ValueError("cells_per_node must be >= 1")
-        self.cells_per_node = cells_per_node
-        self.variants = tuple(variants) if variants else self.FOUR_RUNTIMES
         self.executor = executor or _default_executor()
         self.fault_plan = fault_plan
 
@@ -301,7 +262,7 @@ class WorkloadScalingStudy:
         return ExperimentSpec(
             name=(f"sweep-{label}-{n}n" if strong
                   else f"weak-{self.workload}-{label}-{n}"),
-            cluster=self.cluster,
+            cluster=catalog.LENOX,
             runtime_name=rt,
             technique=tech,
             workmodel=(
@@ -324,7 +285,7 @@ class WorkloadScalingStudy:
             mode=self.mode,
             results=run_grid(self.executor, (
                 (label, n, self._spec(label, rt, tech, n))
-                for label, rt, tech in self.variants
+                for label, rt, tech in RUNTIMES
                 for n in self.nodes
             ), obs),
         )

@@ -62,7 +62,7 @@ The executor survives its own failures (see ``docs/faults.md``):
   :class:`~repro.faults.errors.RankFailure` after exhausted requeues)
   is not retried: with ``keep_going`` it comes back as an annotated
   :class:`~repro.exec.failures.FailedPoint`; without, it raises in grid
-  order (fail-fast).
+  order (fail-fast) — a failure replayed from a checkpoint too.
 - With ``checkpoint_dir`` set, a second
   :class:`~repro.exec.cache.ResultCache` there holds every outcome,
   failures included; a killed sweep resumes from it to a
@@ -277,11 +277,15 @@ class ExperimentExecutor:
         cached = [False] * len(specs)
 
         # Checkpoint replay first: a resumed sweep replays outcomes —
-        # including failures — exactly as first collected.
+        # including failures — exactly as first collected.  A replayed
+        # failure aborts a fail-fast run as an executed one would.
         if self.checkpoint is not None:
             for i, spec in enumerate(specs):
                 replayed = self.checkpoint.get(spec)
                 if replayed is not None:
+                    if (isinstance(replayed, FailedPoint)
+                            and not self.keep_going):
+                        raise ExecutionError(replayed)
                     results[i] = replayed
                     cached[i] = True
                     self.stats.resumed += 1

@@ -12,10 +12,9 @@ per pair, and ``ANY_SOURCE``/``ANY_TAG`` wildcards are supported.
 
 Hot path design.  The seed implementation spawned one generator
 :class:`~repro.des.engine.Process` per message and matched receives with
-a predicate scan over a shared :class:`~repro.des.channels.Store`.  At
-paper scale (ring collectives are O(p²) messages) the generator frames,
-per-stage :class:`Timeout`/``put`` events and linear scans dominated the
-run time.  The chain here keeps every simulated result identical to
+a predicate scan over a shared ``Store``.  At paper scale (ring
+collectives are O(p²) messages) the generator frames, per-stage
+:class:`Timeout`/``put`` events and linear scans dominated the run time.  The chain here keeps every simulated result identical to
 that implementation while removing the allocations:
 
 - one pooled chain per in-flight message (recycled on completion); on

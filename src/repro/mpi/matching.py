@@ -1,11 +1,12 @@
 """Indexed MPI message matching.
 
-:class:`MessageQueue` replaces the per-endpoint
-:class:`~repro.des.channels.Store` + closure-predicate scan of the original
-communicator with buckets indexed by ``(src, tag)`` plus wildcard getter
-queues, making the dominant exact-match case O(1) amortized for both
-insert and match.  The observable semantics are identical to the Store
-implementation (property-tested in ``tests/mpi/test_matching.py``):
+:class:`MessageQueue` replaces the per-endpoint ``Store`` +
+closure-predicate scan of the original communicator with buckets indexed
+by ``(src, tag)`` plus wildcard getter queues, making the dominant
+exact-match case O(1) amortized for both insert and match.  The
+observable semantics are identical to the Store implementation (kept as
+the reference in ``tests/des/store.py`` and property-tested in
+``tests/mpi/test_matching.py``):
 
 - FIFO per ``(src, tag)`` pair: messages from one source with one tag are
   received in delivery order;

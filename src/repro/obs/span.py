@@ -179,14 +179,6 @@ class SpanTracer:
     def by_track(self, track: str) -> list[Span]:
         return [s for s in self.spans if s.track == track]
 
-    def category_seconds(self) -> dict[str, float]:
-        """Total span duration per category (nested spans double-count
-        their parents — compare within one tree level)."""
-        out: dict[str, float] = {}
-        for s in self.spans:
-            out[s.category] = out.get(s.category, 0.0) + s.duration
-        return out
-
     def children_of(self, span_id: int) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span_id]
 

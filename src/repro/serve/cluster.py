@@ -613,10 +613,6 @@ class StudyCluster(StudyService):
                 self.obs.metrics.merge_dict(shard.bye_payload[0])
 
     # -- chaos hooks ---------------------------------------------------------
-    def worker_pid(self, shard_id: int) -> Optional[int]:
-        """The shard's current worker pid (changes across respawns)."""
-        return self._shards[shard_id].proc.pid
-
     def kill_worker(self, shard_id: int) -> None:
         """Chaos hook: SIGKILL the shard's worker (``kill -9``).
 

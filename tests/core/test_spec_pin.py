@@ -34,9 +34,9 @@ from repro.serve.loadgen import default_universe
 from repro.workloads import list_workloads
 
 #: The study grids alone: 173 specs.
-STUDY_PIN = "10779fe59940626331bc9d30c2759ecfe24a965a2d6648d921fb87c30636b90f"
+STUDY_PIN = "5171b546e9c1793b293f324dccc63981f8a3abcafbd79402e85062eab114495b"
 #: Studies, sweeps, trace template and serve universes: 205 specs.
-SPEC_PIN = "fd33f3950da0a73c37a7984a76589943743cf5012cca1812cebb3a797be7de47"
+SPEC_PIN = "cfbf5e6452517fab6cc553932f2e4769cc572cd45edcedf7127cd8a047861828"
 
 
 def _fixed(spec) -> ExperimentResult:

@@ -1,8 +1,10 @@
-"""Message channels (stores) for inter-process communication.
+"""Reference message store: the oracle of the matching tests.
 
-:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items; the MPI
-layer's indexed :class:`~repro.mpi.matching.MessageQueue` keeps its
-matching semantics and is tested against it.
+:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items with
+SimPy ``FilterStore`` semantics, built on the DES engine's events.  The
+MPI layer's indexed :class:`~repro.mpi.matching.MessageQueue` keeps its
+matching semantics and ``tests/mpi/test_matching.py`` checks it against
+this store; ``tests/des/test_channels.py`` pins the store itself.
 """
 
 from __future__ import annotations

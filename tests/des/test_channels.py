@@ -1,8 +1,9 @@
-"""Tests for Store message channels."""
+"""Tests for the reference Store the matching tests compare against."""
 
 import pytest
 
-from repro.des import Environment, Store
+from repro.des import Environment
+from tests.des.store import Store
 
 
 def test_put_then_get():

@@ -263,6 +263,25 @@ def test_checkpoint_replay_carries_the_requesting_name(tmp_path, monkeypatch):
     assert failed.key == spec_key(renamed[1])
 
 
+def test_fail_fast_aborts_on_a_replayed_failure(tmp_path, monkeypatch):
+    """A failure replayed from a checkpoint aborts a fail-fast run as an
+    executed failure does: a keep-going run fills the checkpoint, then
+    a fail-fast run over the same directory raises without executing."""
+    ckpt = tmp_path / "ckpt"
+    monkeypatch.setattr(executor_mod, "_execute_spec", fail_one_spec)
+    ExperimentExecutor(workers=1, keep_going=True,
+                       checkpoint_dir=ckpt).run_many(make_specs())
+
+    def boom(spec, with_obs):  # pragma: no cover - must not run
+        raise AssertionError("a fail-fast resume executed a point")
+
+    monkeypatch.setattr(executor_mod, "_execute_spec", boom)
+    fail_fast = ExperimentExecutor(workers=1, checkpoint_dir=ckpt)
+    with pytest.raises(ExecutionError, match="robust-2n.*synthetic"):
+        fail_fast.run_many(make_specs())
+    assert fail_fast.stats.executed == 0
+
+
 def fail_third_spec(spec, with_obs):
     if spec.n_nodes == 3:
         raise ValueError("synthetic deterministic failure")

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment
-from repro.des.channels import Store
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.matching import MessageQueue
+from tests.des.store import Store
 
 
 def _store_get(store, src, tag):

@@ -171,10 +171,12 @@ def test_keep_going_and_resume_reach_the_executor(tmp_path):
     assert _executor(fail_fast).checkpoint is None
 
 
-KEEP_GOING_CRASHES = [
-    "--workers", "1", "--sim-steps", "1", "--keep-going",
+#: Node crashes with no requeue budget: most grid points fail.
+CRASHES = [
+    "--workers", "1", "--sim-steps", "1",
     "--fault-plan", "seed=1,crash_rate=50,horizon=2,max_requeues=0",
 ]
+KEEP_GOING_CRASHES = [*CRASHES, "--keep-going"]
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2", "eval1", "eval2", "fig3"])
@@ -190,6 +192,43 @@ def test_keep_going_reports_failed_points_instead_of_crashing(
     assert "[FAIL] all_points_completed" in out
     assert "Failed grid points (kept by --keep-going):" in out
     assert "[FAILED] " in out
+
+
+def _run_cli(*argv):
+    """``repro-study argv`` in a fresh interpreter, as a user runs it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("resumed", [False, True])
+def test_fail_fast_failure_is_one_error_line(tmp_path, resumed):
+    """Fail-fast ends at the first failed point with exit 1 and one
+    ``error:`` line naming it, with no traceback, whether the failure
+    is executed or replayed from a keep-going run's checkpoint."""
+    resume = []
+    if resumed:
+        resume = ["--resume", str(tmp_path / "ck")]
+        assert main(["fig1", *KEEP_GOING_CRASHES, *resume]) == 1
+    proc = _run_cli("fig1", *CRASHES, "--fail-fast", *resume)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: grid point 'fig1-bare-metal-8x14'")
+    assert "RankFailure" in lines[0]
 
 
 def test_all_runs_each_spec_once(monkeypatch, capsys):

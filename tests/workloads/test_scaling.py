@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.metrics import ExperimentResult
+from repro.core.study import RUNTIMES
 from repro.core.study_ext import WorkloadScalingStudy
 from repro.faults import FaultPlan
 from repro.workloads import get_workload
 
 NODES = (1, 2)
-LABELS = ("bare-metal", "docker", "singularity", "shifter")
+LABELS = tuple(label for label, _, _ in RUNTIMES)
 
 
 def run_study(workload, mode, **kwargs):
