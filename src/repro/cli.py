@@ -35,6 +35,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
+from repro.containers.compat import CompatibilityError
 from repro.core.deployment import _RUNTIME_CLASSES
 from repro.core.figures import (
     archs_table,
@@ -251,10 +252,7 @@ def _trace(args) -> bool:
         write_chrome_trace,
     )
 
-    spec = figure_spec(
-        args.fig, "trace-{fig}-{tag}{runtime}", runtime=args.runtime,
-        nodes=args.nodes, sim_steps=_steps(args), workload=args.workload,
-    )
+    spec = args.trace_spec
     obs = Observability()
     result = ExperimentRunner().run(spec, obs=obs)
 
@@ -528,6 +526,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"registered: {', '.join(list_workloads())}",
                 file=sys.stderr,
             )
+            return 2
+    if args.artefact == "trace":
+        # Build the traced spec up front: a runtime the figure's cluster
+        # lacks, or more nodes than it has, is a usage error.
+        try:
+            args.trace_spec = figure_spec(
+                args.fig, "trace-{fig}-{tag}{runtime}", runtime=args.runtime,
+                nodes=args.nodes, sim_steps=_steps(args),
+                workload=args.workload,
+            )
+        except (ValueError, CompatibilityError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     # One executor per invocation, shared by every subcommand.
     args.executor = _executor(args)

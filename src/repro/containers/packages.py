@@ -132,12 +132,3 @@ def resolve_dependencies(
     for name in sorted(set(names)):
         visit(name)
     return resolved
-
-
-def installed_size(
-    names: Iterable[str],
-    arch: Architecture,
-    db: Mapping[str, Package] = PACKAGE_DB,
-) -> float:
-    """Total installed bytes of ``names`` plus dependencies on ``arch``."""
-    return sum(p.size_on(arch) for p in resolve_dependencies(names, db))

@@ -91,11 +91,6 @@ class ContainerRecipe:
         """Uncompressed content bytes on the target architecture."""
         return sum(p.size_on(self.arch) for p in self.resolved_packages())
 
-    @property
-    def binds_host_mpi(self) -> bool:
-        """System-specific images take MPI from the host at run time."""
-        return self.technique is BuildTechnique.SYSTEM_SPECIFIC
-
 
 def alya_recipe(
     technique: BuildTechnique,

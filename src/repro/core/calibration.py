@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware import catalog
 from repro.openmp.model import OpenMPModel
 
 #: Sustained fraction of DP peak for the Alya-like assembly+CG mix.
@@ -98,8 +97,3 @@ def portability_cfd_workmodel() -> AlyaWorkModel:
         cg_iters_per_step=25,
         nominal_timesteps=200,
     )
-
-
-def cluster_for(name: str) -> ClusterSpec:
-    """Convenience lookup used by studies and benchmarks."""
-    return catalog.get_cluster(name)

@@ -130,10 +130,6 @@ class ExperimentSpec:
     def total_ranks(self) -> int:
         return self.n_nodes * self.ranks_per_node
 
-    @property
-    def total_cores_used(self) -> int:
-        return self.total_ranks * self.threads_per_rank
-
     def effective_granularity(self) -> EndpointGranularity:
         """Resolve AUTO against the rank count."""
         if self.granularity is not EndpointGranularity.AUTO:

@@ -72,12 +72,6 @@ class ExperimentResult:
         """Deployment overhead (0 for bare-metal)."""
         return self.deployment.total_seconds if self.deployment else 0.0
 
-    def overhead_vs(self, baseline: "ExperimentResult") -> float:
-        """Fractional slowdown against ``baseline`` (0.0 = equal)."""
-        if baseline.avg_step_seconds <= 0:
-            raise ValueError("baseline has no step time")
-        return self.avg_step_seconds / baseline.avg_step_seconds - 1.0
-
     def to_json_dict(self) -> dict:
         """JSON-safe payload; inverse of :meth:`from_json_dict`.
 

@@ -131,11 +131,3 @@ def claims_table(claims: Sequence[PaperClaim] = CLAIMS) -> str:
         for c in claims
     ]
     return ascii_table(["id", "source", "claim", "regenerated by"], rows)
-
-
-def claim_by_id(claim_id: str) -> PaperClaim:
-    """Look up one claim."""
-    for c in CLAIMS:
-        if c.claim_id == claim_id:
-            return c
-    raise KeyError(f"no claim {claim_id!r}")

@@ -35,7 +35,7 @@ from repro.core.study import (
 )
 from repro.des.engine import Environment
 from repro.hardware import catalog
-from repro.hardware.cluster import Cluster, ClusterSpec
+from repro.hardware.cluster import Cluster
 from repro.oskernel.nodeos import NodeOS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,7 +66,6 @@ class WeakScalingStudy:
         cells_per_node: int = 400_000,
         nodes: tuple[int, ...] = (4, 16, 64),
         sim_steps: int = 2,
-        cluster: Optional[ClusterSpec] = None,
         executor: "Optional[ExperimentExecutor]" = None,
     ) -> None:
         if cells_per_node < 1:
@@ -74,14 +73,14 @@ class WeakScalingStudy:
         self.cells_per_node = cells_per_node
         self.nodes = tuple(sorted(set(nodes)))
         self.sim_steps = sim_steps
-        self.cluster = cluster or catalog.MARENOSTRUM4
         self.executor = executor or _default_executor()
 
     def run(self, obs: "Optional[Observability]" = None) -> WeakScalingOutcome:
         results = run_grid(self.executor, (
             (label, n, full_node_spec(
-                self.cluster, name=f"weak-{label}-{n}", runtime_name=rt,
-                technique=tech, n_nodes=n, sim_steps=self.sim_steps,
+                catalog.MARENOSTRUM4, name=f"weak-{label}-{n}",
+                runtime_name=rt, technique=tech, n_nodes=n,
+                sim_steps=self.sim_steps,
                 workmodel=AlyaWorkModel(
                     case=CaseKind.CFD,
                     n_cells=self.cells_per_node * n,
@@ -113,17 +112,13 @@ class DeploymentScalingStudy:
     """Deployment overhead vs node count, per runtime.
 
     Runs the runtimes directly (no compatibility gate) on a hypothetical
-    machine derived from ``cluster`` where all of them are installed —
-    this is an extrapolation study, not a reproduction of a measured run.
+    MareNostrum4 where all of them are installed — this is an
+    extrapolation study, not a reproduction of a measured run.
     """
 
-    def __init__(
-        self,
-        nodes: tuple[int, ...] = (4, 16, 64),
-        cluster: Optional[ClusterSpec] = None,
-    ) -> None:
+    def __init__(self, nodes: tuple[int, ...] = (4, 16, 64)) -> None:
         self.nodes = tuple(sorted(set(nodes)))
-        base = cluster or catalog.MARENOSTRUM4
+        base = catalog.MARENOSTRUM4
         self.cluster = dataclasses.replace(
             base,
             name=f"{base.name}*",

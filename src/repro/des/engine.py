@@ -194,7 +194,7 @@ class Environment:
         processes (before its callbacks run); ``None`` uninstalls.
 
         This is the event-loop attachment point of
-        :meth:`repro.obs.span.Observability.attach_engine`.  With no hook
+        :meth:`repro.obs.span.Observability.bind`.  With no hook
         installed, :meth:`run` drains through a loop that has no hook
         test at all, so the unobserved path pays nothing for it.
         """
@@ -490,9 +490,3 @@ class Environment:
                     )
         finally:
             self.events_executed += executed
-
-    def run_all(self, events: Iterable[Event]) -> list[Any]:
-        """Convenience: run until every event in ``events`` has fired."""
-        evs = list(events)
-        self.run(until=self.all_of(evs))
-        return [ev.value for ev in evs]

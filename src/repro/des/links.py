@@ -171,11 +171,6 @@ class FairShareLink:
         else:
             self._admit(wire_bytes, notify)
 
-    def instantaneous_rate(self) -> float:
-        """Per-flow rate right now (bytes/s); full bandwidth when idle."""
-        n = max(1, len(self._f_remaining))
-        return self.bandwidth / n
-
     def set_bandwidth_factor(self, factor: float) -> None:
         """Scale capacity to ``factor`` of nominal (fault injection).
 

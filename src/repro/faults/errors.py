@@ -25,6 +25,11 @@ class RankFailure(FaultError):
         #: Simulated second the crash struck (detection happens later).
         self.time = time
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not from ``args``
+        # (the message), so the error survives a pool worker's pickle.
+        return (type(self), (self.node, self.time))
+
 
 class PullError(FaultError):
     """An image pull attempt failed (timeout, transfer abort, bad digest)."""
@@ -36,3 +41,6 @@ class PullError(FaultError):
         self.image = image
         self.reason = reason
         self.attempt = attempt
+
+    def __reduce__(self):
+        return (type(self), (self.image, self.reason, self.attempt))

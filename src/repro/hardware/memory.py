@@ -45,12 +45,6 @@ class MemorySpec:
         if self.numa_penalty < 1.0:
             raise ValueError("numa_penalty must be >= 1")
 
-    def effective_copy_bandwidth(self, cross_numa: bool) -> float:
-        """Copy bandwidth, derated when the copy crosses NUMA domains."""
-        if cross_numa and self.numa_domains > 1:
-            return self.copy_bandwidth / self.numa_penalty
-        return self.copy_bandwidth
-
 
 GIB = float(2**30)
 

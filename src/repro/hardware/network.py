@@ -141,10 +141,6 @@ class FabricSpec:
             )
         raise ValueError(f"unknown path {path!r}")  # pragma: no cover
 
-    def supports_native_path(self, has_host_stack: bool) -> bool:
-        """Whether a process with/without host fabric libs gets native speed."""
-        return has_host_stack or not self.needs_host_stack
-
 
 # --------------------------------------------------------------------------
 # The fabrics of the paper's four clusters.

@@ -69,15 +69,3 @@ class RankMap:
     def same_node(self, a: int, b: int) -> bool:
         """Whether two ranks share a node (shared-memory path)."""
         return self.node_of(a) == self.node_of(b)
-
-    def internode_pairs_fraction(self) -> float:
-        """Fraction of distinct rank pairs that cross nodes (diagnostic)."""
-        n = self.n_ranks
-        if n < 2:
-            return 0.0
-        same = sum(
-            len(self.ranks_on(node)) * (len(self.ranks_on(node)) - 1)
-            for node in range(self.n_nodes)
-        )
-        total = n * (n - 1)
-        return 1.0 - same / total

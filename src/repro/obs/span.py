@@ -6,11 +6,9 @@ track at the time a child is opened (or added) becomes its parent, which
 is what turns the flat event stream into the pipeline's phase tree —
 ``pipeline → deploy → node-3/pull`` or ``ep-7 → step → halo``.
 
-The tracer is layered over :mod:`repro.des.trace`: completed spans can
-be lowered to paired begin/end :class:`~repro.des.trace.TraceRecord`\\ s,
-and the facade carries a plain record :class:`~repro.des.trace.Tracer`
-alongside for the point events (``mpi.send``, ``mpi.collective``...)
-components already emit.
+The facade carries a plain record :class:`~repro.des.trace.Tracer`
+alongside the span tracer for the point events (``mpi.send``,
+``mpi.collective``...) components already emit.
 
 Like the base tracer, the span tracer has a hard record limit with
 explicit drop accounting — overflow never silently skews a dump.
@@ -20,9 +18,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.des.trace import TraceRecord, Tracer
+from repro.des.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
@@ -165,10 +163,6 @@ class SpanTracer:
         """Spans offered to the tracer: stored + dropped."""
         return len(self.spans) + self.dropped
 
-    def open_count(self) -> int:
-        """Spans currently open (should be 0 after a balanced run)."""
-        return sum(len(stack) for stack in self._open.values())
-
     def tracks(self) -> list[str]:
         """Track names with at least one stored span, sorted."""
         return sorted({s.track for s in self.spans})
@@ -176,24 +170,7 @@ class SpanTracer:
     def by_category(self, category: str) -> list[Span]:
         return [s for s in self.spans if s.category == category]
 
-    def by_track(self, track: str) -> list[Span]:
-        return [s for s in self.spans if s.track == track]
-
-    def children_of(self, span_id: int) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
-    # -- layering & merging ---------------------------------------------------
-    def to_records(self) -> list[TraceRecord]:
-        """Lower spans to paired ``span.begin``/``span.end`` records,
-        time-ordered — the :mod:`repro.des.trace` view of the same data."""
-        records: list[TraceRecord] = []
-        for s in self.spans:
-            data = {"span_id": s.span_id, "track": s.track, **s.attrs}
-            records.append(TraceRecord(s.start, "span.begin", s.name, data))
-            records.append(TraceRecord(s.end, "span.end", s.name, data))
-        records.sort(key=lambda r: r.time)
-        return records
-
+    # -- merging ------------------------------------------------------------
     def merge(self, other: "SpanTracer") -> None:
         """Fold another tracer's completed spans in.
 
@@ -219,36 +196,21 @@ class Observability:
     env:
         The simulation environment (may be bound later via :meth:`bind` —
         the runner does this, since it creates the environment itself).
-    categories:
-        Category filter for the *record* tracer (spans are never
-        filtered).
-    span_limit / record_limit:
-        Hard caps with explicit drop accounting.
     """
 
-    def __init__(
-        self,
-        env: Optional["Environment"] = None,
-        categories: Optional[Iterable[str]] = None,
-        span_limit: int = 200_000,
-        record_limit: int = 1_000_000,
-    ) -> None:
+    def __init__(self, env: Optional["Environment"] = None) -> None:
         self.env = env
-        self.spans = SpanTracer(limit=span_limit)
-        self.records = Tracer(categories=categories, limit=record_limit)
+        self.spans = SpanTracer()
+        self.records = Tracer()
         from repro.obs.metrics import MetricsRegistry
 
         self.metrics: "MetricsRegistry" = MetricsRegistry()
 
-    def bind(self, env: "Environment", engine_metrics: bool = True) -> None:
-        """Attach to ``env``; optionally hook the event loop."""
+    def bind(self, env: "Environment") -> None:
+        """Attach to ``env`` and install an event-loop hook counting
+        processed events and sampling queue depth (see
+        ``Environment.set_step_hook``)."""
         self.env = env
-        if engine_metrics:
-            self.attach_engine(env)
-
-    def attach_engine(self, env: "Environment") -> None:
-        """Install an event-loop hook counting processed events and
-        sampling queue depth (see ``Environment.set_step_hook``)."""
         events = self.metrics.counter("des.events_processed")
         depth = self.metrics.gauge("des.queue_depth")
         # The hook runs once per processed event — the hottest callback in

@@ -8,11 +8,12 @@ host network and fabric visible.  This subpackage models those facilities
 directly so runtime behaviour emerges from mechanism:
 
 - :mod:`repro.oskernel.namespaces` — namespace kinds, sets, setup costs;
-- :mod:`repro.oskernel.cgroups` — hierarchy, cpuset/cpu/memory controllers;
-- :mod:`repro.oskernel.vfs` — an in-memory VFS with bind, tmpfs, overlay
-  and squashfs-loop mounts (image deployment is mount work);
-- :mod:`repro.oskernel.processes` — process table with PID-namespace
-  translation and SUID credential transitions.
+- :mod:`repro.oskernel.cgroups` — the cgroup tree and its pid membership;
+- :mod:`repro.oskernel.vfs` — an in-memory VFS; :mod:`repro.oskernel.mounts`
+  adds bind, overlay and squashfs-loop mounts (image deployment is mount
+  work);
+- :mod:`repro.oskernel.processes` — process table with namespace
+  unsharing and SUID credential transitions.
 """
 
 from repro.oskernel.namespaces import Namespace, NamespaceKind, NamespaceSet

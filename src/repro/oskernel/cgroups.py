@@ -1,126 +1,33 @@
 """Control groups (cgroups).
 
-Docker places every container in its own cgroup (cpu, cpuset, memory
-controllers); SLURM uses cpuset cgroups for core binding.  The model keeps
-the two invariants that matter and that real cgroups enforce:
-
-- a child's cpuset is always a subset of its parent's;
-- the effective memory limit is the minimum along the ancestor chain.
+Docker places every container in its own cgroup under ``/docker``.  The
+model keeps the tree and the pid membership; Docker creates each group
+with no controller settings, so no cpuset, memory or cpu-quota limits
+are modelled.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-
-class CgroupError(RuntimeError):
-    """Violation of a cgroup invariant."""
+from typing import Optional
 
 
 class Cgroup:
     """One node of the cgroup hierarchy."""
 
-    def __init__(
-        self,
-        name: str,
-        parent: Optional["Cgroup"],
-        cpuset: Optional[frozenset[int]] = None,
-        memory_limit: Optional[float] = None,
-        cpu_quota: Optional[float] = None,
-    ) -> None:
+    def __init__(self, name: str, parent: Optional["Cgroup"]) -> None:
         if "/" in name:
             raise ValueError(f"cgroup name may not contain '/': {name!r}")
         self.name = name
         self.parent = parent
         self.children: dict[str, Cgroup] = {}
         self.pids: set[int] = set()
-        self._cpuset: Optional[frozenset[int]] = None
-        self._memory_limit: Optional[float] = None
-        self._cpu_quota: Optional[float] = None
-        if cpuset is not None:
-            self.set_cpuset(cpuset)
-        if memory_limit is not None:
-            self.set_memory_limit(memory_limit)
-        if cpu_quota is not None:
-            self.set_cpu_quota(cpu_quota)
 
-    # -- configuration ---------------------------------------------------------
-    def set_cpuset(self, cpus: Iterable[int]) -> None:
-        """Restrict this group to ``cpus`` (must be within the parent's)."""
-        cpus = frozenset(int(c) for c in cpus)
-        if not cpus:
-            raise CgroupError("cpuset may not be empty")
-        parent_cpus = self.effective_cpuset_of_parent()
-        if parent_cpus is not None and not cpus <= parent_cpus:
-            raise CgroupError(
-                f"cpuset {sorted(cpus)} not a subset of parent's "
-                f"{sorted(parent_cpus)}"
-            )
-        for child in self.children.values():
-            child_set = child._cpuset
-            if child_set is not None and not child_set <= cpus:
-                raise CgroupError(
-                    f"shrinking cpuset would orphan child {child.name!r}"
-                )
-        self._cpuset = cpus
-
-    def set_memory_limit(self, limit: float) -> None:
-        """Set the memory limit in bytes."""
-        if limit <= 0:
-            raise CgroupError("memory limit must be positive")
-        self._memory_limit = float(limit)
-
-    def set_cpu_quota(self, quota: float) -> None:
-        """Fraction of total CPU time allowed (0 < quota <= 1 per core set)."""
-        if not 0 < quota <= 1:
-            raise CgroupError("cpu quota must be in (0, 1]")
-        self._cpu_quota = float(quota)
-
-    # -- effective values --------------------------------------------------------
-    def effective_cpuset_of_parent(self) -> Optional[frozenset[int]]:
-        return self.parent.effective_cpuset() if self.parent else None
-
-    def effective_cpuset(self) -> Optional[frozenset[int]]:
-        """Own cpuset, or the nearest ancestor's; None = unrestricted."""
-        if self._cpuset is not None:
-            return self._cpuset
-        if self.parent is not None:
-            return self.parent.effective_cpuset()
-        return None
-
-    def effective_memory_limit(self) -> Optional[float]:
-        """Minimum memory limit along the ancestor chain; None = none."""
-        limits = []
-        group: Optional[Cgroup] = self
-        while group is not None:
-            if group._memory_limit is not None:
-                limits.append(group._memory_limit)
-            group = group.parent
-        return min(limits) if limits else None
-
-    def effective_cpu_quota(self) -> float:
-        """Product of quotas along the chain (1.0 = unthrottled)."""
-        quota = 1.0
-        group: Optional[Cgroup] = self
-        while group is not None:
-            if group._cpu_quota is not None:
-                quota *= group._cpu_quota
-            group = group.parent
-        return quota
-
-    # -- introspection -----------------------------------------------------------
     def path(self) -> str:
         """Absolute path of this group, e.g. ``/docker/ctr1``."""
         if self.parent is None:
             return "/"
         parent_path = self.parent.path()
         return parent_path.rstrip("/") + "/" + self.name
-
-    def walk(self):
-        """Yield this group and all descendants, depth-first."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Cgroup {self.path()}>"
@@ -129,15 +36,12 @@ class Cgroup:
 class CgroupHierarchy:
     """A mounted cgroup tree plus the pid → group assignment."""
 
-    def __init__(self, machine_cpus: Iterable[int]) -> None:
-        cpus = frozenset(int(c) for c in machine_cpus)
-        if not cpus:
-            raise CgroupError("machine must have at least one CPU")
-        self.root = Cgroup("", parent=None, cpuset=cpus)
+    def __init__(self) -> None:
+        self.root = Cgroup("", parent=None)
         self._pid_to_group: dict[int, Cgroup] = {}
 
-    def create(self, path: str, **settings) -> Cgroup:
-        """Create (mkdir -p) the group at ``path`` and apply ``settings``."""
+    def create(self, path: str) -> Cgroup:
+        """Create (mkdir -p) the group at ``path``."""
         if not path.startswith("/"):
             raise ValueError(f"cgroup path must be absolute: {path!r}")
         group = self.root
@@ -148,24 +52,6 @@ class CgroupHierarchy:
             if part not in group.children:
                 group.children[part] = Cgroup(part, parent=group)
             group = group.children[part]
-        if "cpuset" in settings:
-            group.set_cpuset(settings.pop("cpuset"))
-        if "memory_limit" in settings:
-            group.set_memory_limit(settings.pop("memory_limit"))
-        if "cpu_quota" in settings:
-            group.set_cpu_quota(settings.pop("cpu_quota"))
-        if settings:
-            raise TypeError(f"unknown cgroup settings: {sorted(settings)}")
-        return group
-
-    def lookup(self, path: str) -> Cgroup:
-        """Return the group at ``path`` or raise ``KeyError``."""
-        group = self.root
-        for part in [p for p in path.split("/") if p]:
-            try:
-                group = group.children[part]
-            except KeyError:
-                raise KeyError(f"no cgroup at {path!r}") from None
         return group
 
     def attach(self, pid: int, group: Cgroup) -> None:
@@ -175,19 +61,3 @@ class CgroupHierarchy:
             old.pids.discard(pid)
         group.pids.add(pid)
         self._pid_to_group[pid] = group
-
-    def group_of(self, pid: int) -> Cgroup:
-        """The group ``pid`` currently belongs to (root if never attached)."""
-        return self._pid_to_group.get(pid, self.root)
-
-    def remove(self, path: str) -> None:
-        """Remove an empty leaf group."""
-        group = self.lookup(path)
-        if group is self.root:
-            raise CgroupError("cannot remove the root group")
-        if group.children:
-            raise CgroupError(f"{path} has child groups")
-        if group.pids:
-            raise CgroupError(f"{path} still has attached pids")
-        assert group.parent is not None
-        del group.parent.children[group.name]

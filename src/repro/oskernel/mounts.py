@@ -1,4 +1,4 @@
-"""Mounts: bind, tmpfs, squashfs-loop, and overlay.
+"""Mounts: bind, squashfs-loop, and overlay.
 
 A :class:`MountTable` belongs to one mount namespace.  Cloning the table
 (what ``unshare(CLONE_NEWNS)`` does with private propagation) lets a
@@ -54,10 +54,9 @@ class Mount:
 class OverlayFS(_vfs.FileSystem):
     """Union filesystem: ordered read-only lowers + one writable upper.
 
-    Lookup order is upper, then lowers top-to-bottom; deletions are
-    recorded as whiteouts.  Writes copy nothing eagerly; the
-    :attr:`bytes_copied_up` counter accumulates copy-up volume so callers
-    can charge the I/O cost.
+    Lookup order is upper, then lowers top-to-bottom.  Writes copy
+    nothing eagerly; the :attr:`bytes_copied_up` counter accumulates
+    copy-up volume so callers can charge the I/O cost.
     """
 
     def __init__(
@@ -71,14 +70,11 @@ class OverlayFS(_vfs.FileSystem):
             raise MountError("overlay needs at least one lower layer")
         self.lowers = list(lowers)
         self.upper = upper or _vfs.FileSystem(label + "-upper")
-        self.whiteouts: set[str] = set()
         self.bytes_copied_up = 0.0
 
     # -- resolution across layers ------------------------------------------------
     def _layer_with(self, path: str) -> Optional[_vfs.FileSystem]:
         norm = _vfs.normalize(path)
-        if norm in self.whiteouts:
-            return None
         if self.upper.exists(norm):
             return self.upper
         for lower in self.lowers:
@@ -95,29 +91,9 @@ class OverlayFS(_vfs.FileSystem):
     def exists(self, path: str) -> bool:
         return self._layer_with(path) is not None
 
-    def listdir(self, path: str) -> list[str]:
-        names: set[str] = set()
-        found = False
-        base = _vfs.normalize(path).rstrip("/")
-        for layer in [self.upper, *self.lowers]:
-            if layer.is_dir(path):
-                found = True
-                names.update(layer.listdir(path))
-        if not found:
-            raise _vfs.VfsError(f"{path!r}: not a directory")
-        visible = {
-            n for n in names if (base + "/" + n) not in self.whiteouts
-        }
-        return sorted(visible)
-
     # -- writes (all go to upper) -------------------------------------------------
-    def mkdir(self, path: str, parents: bool = False):
-        self.whiteouts.discard(_vfs.normalize(path))
-        return self.upper.mkdir(path, parents=True)
-
     def write_file(self, path: str, size: float, parents: bool = False):
         norm = _vfs.normalize(path)
-        self.whiteouts.discard(norm)
         layer = self._layer_with(norm)
         if layer is not None and layer is not self.upper:
             node = layer.lookup(norm)
@@ -125,20 +101,6 @@ class OverlayFS(_vfs.FileSystem):
                 # Copy-up: modifying a lower file materialises it above.
                 self.bytes_copied_up += node.size
         return self.upper.write_file(path, size, parents=True)
-
-    def remove(self, path: str) -> None:
-        norm = _vfs.normalize(path)
-        if self.upper.exists(norm):
-            self.upper.remove(norm)
-            # A lower copy may still shine through; white it out.
-            if any(lower.exists(norm) for lower in self.lowers):
-                self.whiteouts.add(norm)
-        elif any(lower.exists(norm) for lower in self.lowers):
-            if norm in self.whiteouts:
-                raise _vfs.VfsError(f"{path!r}: no such file or directory")
-            self.whiteouts.add(norm)
-        else:
-            raise _vfs.VfsError(f"{path!r}: no such file or directory")
 
     def du(self, path: str = "/") -> float:
         total = 0.0
@@ -149,7 +111,7 @@ class OverlayFS(_vfs.FileSystem):
             except _vfs.VfsError:
                 continue
             for abspath, f in files:
-                if abspath in seen or abspath in self.whiteouts:
+                if abspath in seen:
                     continue
                 seen.add(abspath)
                 total += f.size
@@ -185,12 +147,6 @@ class MountTable:
         self.mounts.append(m)
         return m
 
-    def mount_tmpfs(self, target: str) -> Mount:
-        """A fresh empty tmpfs at ``target``."""
-        m = Mount(target, _vfs.FileSystem("tmpfs"), "/", False, kind="tmpfs")
-        self.mounts.append(m)
-        return m
-
     def mount_squashfs(self, image_tree: _vfs.FileSystem, target: str) -> Mount:
         """Loop-mount a squashfs image (always read-only)."""
         m = Mount(target, image_tree, "/", True, kind="squashfs")
@@ -208,15 +164,6 @@ class MountTable:
         m = Mount(target, overlay, "/", False, kind="overlay")
         self.mounts.append(m)
         return m
-
-    def unmount(self, target: str) -> None:
-        """Remove the most recent mount at ``target``."""
-        norm = _vfs.normalize(target)
-        for i in range(len(self.mounts) - 1, -1, -1):
-            if self.mounts[i].target == norm:
-                del self.mounts[i]
-                return
-        raise MountError(f"nothing mounted at {target!r}")
 
     # -- resolution ---------------------------------------------------------------
     def resolve(self, path: str) -> tuple[_vfs.FileSystem, str, bool]:
@@ -243,32 +190,12 @@ class MountTable:
         fs, inner, _ = self.resolve(path)
         return fs.exists(inner)
 
-    def listdir(self, path: str) -> list[str]:
-        fs, inner, _ = self.resolve(path)
-        return fs.listdir(inner)
-
     def write_file(self, path: str, size: float) -> None:
         fs, inner, readonly = self.resolve(path)
         if readonly:
             raise MountError(f"{path!r}: read-only file system")
         fs.write_file(inner, size, parents=True)
 
-    def mkdir(self, path: str) -> None:
-        fs, inner, readonly = self.resolve(path)
-        if readonly:
-            raise MountError(f"{path!r}: read-only file system")
-        fs.mkdir(inner, parents=True)
-
     def size_of(self, path: str) -> float:
         fs, inner, _ = self.resolve(path)
         return fs.size_of(inner)
-
-    def mounts_at(self, prefix: str = "/") -> list[Mount]:
-        """Mounts whose target is at or below ``prefix``."""
-        norm = _vfs.normalize(prefix).rstrip("/") or "/"
-        return [
-            m
-            for m in self.mounts
-            if m.target == norm or m.target.startswith(norm.rstrip("/") + "/")
-            or norm == "/"
-        ]

@@ -89,10 +89,6 @@ class NamespaceSet:
             kind for kind in NamespaceKind if not self.shares(host, kind)
         )
 
-    def sees_host_network(self, host: "NamespaceSet") -> bool:
-        """Whether processes here see host network devices (fabric HCAs)."""
-        return self.shares(host, NamespaceKind.NET)
-
     @staticmethod
     def setup_cost(kinds: Iterable[NamespaceKind]) -> float:
         """Total kernel time (s) to unshare ``kinds``.

@@ -68,7 +68,7 @@ class NodeOS:
         self.namespaces = NamespaceSet.host()
         self.mounts = MountTable(self.rootfs)
         self.processes = ProcessTable(self.namespaces, self.mounts)
-        self.cgroups = CgroupHierarchy(machine_cpus=range(cluster.node.cores))
+        self.cgroups = CgroupHierarchy()
         #: Digests of container images already present in the node's local
         #: store (Docker layer cache); a warm cache skips pull + extract.
         self.image_cache: set[str] = set()

@@ -1,9 +1,9 @@
-"""Process table with PID namespaces and SUID credential transitions.
+"""Process table with namespace unsharing and SUID credential transitions.
 
 Two container-relevant mechanisms are modelled:
 
-- **PID namespaces**: a process forked into a fresh PID namespace becomes
-  pid 1 there; every process has one pid per namespace along its chain.
+- **Namespace unsharing**: a fork may unshare namespace kinds; a new
+  MOUNT namespace gets a private copy of the parent's mount table.
 - **SUID escalation** (§A): Singularity's and Shifter's starters are
   root-owned SUID binaries — an unprivileged user's process temporarily
   gains euid 0 to perform mounts, then drops privileges before running
@@ -13,7 +13,7 @@ Two container-relevant mechanisms are modelled:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.oskernel.cgroups import Cgroup
@@ -64,14 +64,6 @@ class SimProcess:
     namespaces: NamespaceSet
     mount_table: MountTable
     cgroup: Optional[Cgroup] = None
-    alive: bool = True
-    exit_code: Optional[int] = None
-    #: pid as seen in each PID namespace this process is visible in.
-    ns_pids: dict[int, int] = field(default_factory=dict)
-
-    def pid_in(self, ns_id: int) -> Optional[int]:
-        """This process's pid inside the PID namespace ``ns_id``."""
-        return self.ns_pids.get(ns_id)
 
 
 class ProcessTable:
@@ -79,8 +71,6 @@ class ProcessTable:
 
     def __init__(self, host_namespaces: NamespaceSet, root_mounts: MountTable) -> None:
         self._global_pids = itertools.count(1)
-        self._ns_counters: dict[int, itertools.count] = {}
-        self.host_namespaces = host_namespaces
         self.processes: dict[int, SimProcess] = {}
         init = self._make(
             parent=None,
@@ -92,11 +82,6 @@ class ProcessTable:
         self.init_pid = init.global_pid
 
     # -- internals ----------------------------------------------------------------
-    def _next_pid_in(self, ns_id: int) -> int:
-        if ns_id not in self._ns_counters:
-            self._ns_counters[ns_id] = itertools.count(1)
-        return next(self._ns_counters[ns_id])
-
     def _make(
         self,
         parent: Optional[int],
@@ -116,13 +101,6 @@ class ProcessTable:
             mount_table=mount_table,
             cgroup=cgroup,
         )
-        # Assign a pid in the process's own PID namespace and every
-        # ancestor PID namespace (outer namespaces see inner processes).
-        own_ns = namespaces.get(NamespaceKind.PID).ns_id
-        proc.ns_pids[own_ns] = self._next_pid_in(own_ns)
-        host_ns = self.host_namespaces.get(NamespaceKind.PID).ns_id
-        if own_ns != host_ns:
-            proc.ns_pids[host_ns] = gpid
         self.processes[gpid] = proc
         return proc
 
@@ -143,8 +121,7 @@ class ProcessTable:
         """Fork (+unshare) a child of ``parent_pid``.
 
         Unsharing MOUNT clones the parent's mount table (private
-        propagation); unsharing PID makes the child pid 1 in a new
-        namespace.  Unsharing any namespace other than USER requires
+        propagation).  Unsharing any namespace other than USER requires
         privilege — *unless* a USER namespace is unshared in the same
         call, which grants the child full capabilities over the new
         namespaces (the kernel rule rootless runtimes like Charliecloud
@@ -152,8 +129,6 @@ class ProcessTable:
         do not use user namespaces).
         """
         parent = self.get(parent_pid)
-        if not parent.alive:
-            raise ProcessError(f"parent {parent_pid} is dead")
         child_creds = creds if creds is not None else parent.creds
         privileged_kinds = unshare - {NamespaceKind.USER}
         userns_in_same_call = NamespaceKind.USER in unshare
@@ -179,28 +154,4 @@ class ProcessTable:
             namespaces=namespaces,
             mount_table=mount_table,
             cgroup=parent.cgroup,
-        )
-
-    def exit(self, global_pid: int, code: int = 0) -> None:
-        """Terminate a process."""
-        proc = self.get(global_pid)
-        if not proc.alive:
-            raise ProcessError(f"process {global_pid} already dead")
-        proc.alive = False
-        proc.exit_code = code
-
-    def alive_in_namespace(self, ns_id: int) -> list[SimProcess]:
-        """Processes alive and visible in PID namespace ``ns_id``."""
-        return [
-            p
-            for p in self.processes.values()
-            if p.alive and ns_id in p.ns_pids
-        ]
-
-    def visible_pids(self, viewer_pid: int) -> list[int]:
-        """The pids the viewer sees (its PID namespace's numbering)."""
-        viewer = self.get(viewer_pid)
-        ns_id = viewer.namespaces.get(NamespaceKind.PID).ns_id
-        return sorted(
-            p.ns_pids[ns_id] for p in self.alive_in_namespace(ns_id)
         )

@@ -146,41 +146,13 @@ class FileSystem:
         parent.children[parts[-1]] = f
         return f
 
-    def remove(self, path: str) -> None:
-        """Remove a file or empty directory."""
-        parts = split_path(path)
-        if not parts:
-            raise VfsError("cannot remove /")
-        parent = self.lookup("/" + "/".join(parts[:-1]))
-        if not isinstance(parent, Directory) or parts[-1] not in parent.children:
-            raise VfsError(f"{path!r}: no such file or directory")
-        victim = parent.children[parts[-1]]
-        if isinstance(victim, Directory) and victim.children:
-            raise VfsError(f"{path!r}: directory not empty")
-        del parent.children[parts[-1]]
-
     # -- measurement ------------------------------------------------------------
-    def listdir(self, path: str) -> list[str]:
-        """Sorted child names of a directory."""
-        node = self.lookup(path)
-        if not isinstance(node, Directory):
-            raise VfsError(f"{path!r}: not a directory")
-        return sorted(node.children)
-
     def size_of(self, path: str) -> float:
         """Size of a file in bytes."""
         node = self.lookup(path)
         if not isinstance(node, File):
             raise VfsError(f"{path!r}: not a file")
         return node.size
-
-    def du(self, path: str = "/") -> float:
-        """Total bytes under ``path`` (recursive)."""
-        return sum(f.size for _, f in self.walk_files(path))
-
-    def file_count(self, path: str = "/") -> int:
-        """Number of regular files under ``path``."""
-        return sum(1 for _ in self.walk_files(path))
 
     def walk_files(self, path: str = "/") -> Iterator[tuple[str, File]]:
         """Yield ``(abspath, File)`` pairs under ``path``."""
@@ -216,4 +188,4 @@ class FileSystem:
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<FileSystem {self.label!r} {self.file_count()} files>"
+        return f"<FileSystem {self.label!r}>"

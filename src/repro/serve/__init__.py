@@ -18,16 +18,15 @@ Where :mod:`repro.exec` distributes one caller's grid across processes,
   as the fallback.  The front end's single-flight spans every shard;
   each new :func:`~repro.exec.speckey.spec_key` is placed on the
   least-loaded healthy shard and stays there, with the
-  :class:`~repro.serve.router.ShardRouter` ring owner as the
+  :class:`~repro.serve.router.ShardRouter` hash owner as the
   tie-break.  Self-healing by default: a supervisor detects
   dead and wedged workers, respawns them, and replays their in-flight
   requests.
 - :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the
   deterministic per-shard closed → open → half-open state machine
   that routes traffic to the fallback lane while a shard flaps.
-- :mod:`repro.serve.router` — the consistent-hash ring (stable,
-  balanced, minimally disruptive on resize) naming each key's ring
-  owner, the tie-break of placement.
+- :mod:`repro.serve.router` — the stable, balanced key hash naming
+  each key's hash owner, the tie-break of placement.
 - :mod:`repro.serve.loadgen` — seeded zipfian traffic generation,
   the deterministic scoreboard, and seeded :class:`ChaosPlan` fault
   schedules ("millions of users" replay harness + chaos harness).

@@ -10,9 +10,10 @@ Three traffic modes (exactly one required):
   with throughput / dedupe ratio / tail latency / digest.
 
 Any mode can target a sharded cluster instead of the in-process
-service: ``--shards N`` spawns N worker processes behind the
-consistent-hash router (:mod:`repro.serve.cluster`), with per-shard L1
-memos and, with ``--cache``, the shared on-disk cache as L2.
+service: ``--shards N`` spawns N worker processes behind the one front
+end, which places each new key on the least-loaded shard
+(:mod:`repro.serve.cluster`), with per-shard L1 memos and, with
+``--cache``, the shared on-disk cache as L2.
 
 Examples
 --------
@@ -36,9 +37,11 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
+from repro.containers.compat import CompatibilityError
 from repro.core.figures import ascii_table
 from repro.exec import ExperimentExecutor
 from repro.serve.cluster import StudyCluster
@@ -303,11 +306,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     if args.zipf is not None and (
-        not args.zipf >= 0 or args.requests < 1 or args.universe < 1
-        or args.concurrency < 1
+        not 0 <= args.zipf < math.inf or args.requests < 1
+        or args.universe < 1 or args.concurrency < 1
     ):
         print(
-            "error: --zipf needs S >= 0, --requests/--universe/"
+            "error: --zipf needs a finite S >= 0, --requests/--universe/"
             "--concurrency >= 1",
             file=sys.stderr,
         )
@@ -321,9 +324,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             with open(args.script) as fh:
                 groups = parse_script(json.load(fh))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, CompatibilityError) as exc:
             # Missing file, directory, permission error, bad JSON, bad
-            # dialect: a usage problem, reported on one line — exit 2.
+            # dialect, a runtime the figure's cluster lacks: a usage
+            # problem, reported on one line — exit 2.
             print(
                 f"error: bad request script {args.script!r}: {exc}",
                 file=sys.stderr,
@@ -335,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.fig, args.runtime, args.nodes, args.sim_steps,
                 workload=args.workload,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, CompatibilityError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         groups = [RequestGroup(spec=spec, count=args.burst)]

@@ -9,13 +9,13 @@ memo (``l1=True``) and, optionally, the shared on-disk
 :class:`~repro.exec.cache.ResultCache` as L2.  The service's own
 in-process lane becomes the *fallback* lane.
 
-- **Placement.** A :class:`~repro.serve.router.ShardRouter`
-  consistent-hashes each request's :func:`~repro.exec.speckey.spec_key`
-  to its *ring owner*.  The first flight of a key whose ring owner is
-  healthy goes to the healthy shard with the fewest flights in the
-  building, the owner winning ties; the front end records that shard,
-  and every later flight of the key goes there.  A key whose ring owner
-  is unhealthy takes the owner's path (below) and is not recorded.
+- **Placement.** A :class:`~repro.serve.router.ShardRouter` hashes
+  each request's :func:`~repro.exec.speckey.spec_key` to its *hash
+  owner*.  The first flight of a key whose hash owner is healthy goes
+  to the healthy shard with the fewest flights in the building, the
+  owner winning ties; the front end records that shard, and every later
+  flight of the key goes there.  A key whose hash owner is unhealthy
+  takes the owner's path (below) and is not recorded.
 - **Exactly-once execution.** Single-flight belongs to the front end:
   concurrent duplicates join the in-flight request (no second message
   crosses the pipe).  Later repeats go to the shard the key was placed
@@ -369,7 +369,7 @@ class StudyCluster(StudyService):
     shards:
         Worker process count.  A
         :class:`~repro.serve.router.ShardRouter` over them names each
-        key's ring owner (the tie-break of placement).
+        key's hash owner (the tie-break of placement).
     workers_per_shard:
         Executor processes *inside* each worker (default 1: the worker
         itself is the parallelism unit).
@@ -658,10 +658,10 @@ class StudyCluster(StudyService):
         is down past the respawn budget or its breaker is open.
 
         A key's shard is the one it was placed on.  A key seen for the
-        first time whose ring owner is healthy is placed on the healthy
+        first time whose hash owner is healthy is placed on the healthy
         shard with the fewest flights in the building (the owner wins
         ties) and stays there, so its repeats hit that worker's L1.  A
-        key whose ring owner is unhealthy is left unplaced and takes the
+        key whose hash owner is unhealthy is left unplaced and takes the
         owner's path.  A key refused admission is left unplaced too, so
         its retry can go where there is room.
         """

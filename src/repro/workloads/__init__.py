@@ -30,7 +30,6 @@ from repro.workloads.base import (
 from repro.workloads.graph import GraphWorkload, GraphWorkModel
 from repro.workloads.registry import (
     get_workload,
-    iter_workloads,
     list_workloads,
     register,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "compute_seconds",
     "get_workload",
     "grid_neighbors",
-    "iter_workloads",
     "list_workloads",
     "register",
 ]

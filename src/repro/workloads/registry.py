@@ -14,8 +14,6 @@ immediately — never as a silently wrong simulation.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.workloads.base import Workload
 
 _REGISTRY: "dict[str, Workload]" = {}
@@ -53,7 +51,3 @@ def get_workload(name: str) -> Workload:
 def list_workloads() -> "list[str]":
     """Registered names, in registration order (built-ins first)."""
     return list(_REGISTRY)
-
-
-def iter_workloads() -> Iterator[Workload]:
-    return iter(_REGISTRY.values())

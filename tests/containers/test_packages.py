@@ -8,10 +8,18 @@ from repro.containers.packages import (
     MB,
     PACKAGE_DB,
     Package,
-    installed_size,
     resolve_dependencies,
 )
+from repro.containers.recipes import BuildTechnique, ContainerRecipe
 from repro.hardware.cpu import Architecture
+
+
+def installed_size(names, arch):
+    """Content bytes of an image holding ``names`` (first one the base)."""
+    base, *payload = names
+    return ContainerRecipe(
+        "t", base, tuple(payload), BuildTechnique.SYSTEM_SPECIFIC, arch
+    ).content_size()
 
 
 def test_db_contains_stack():

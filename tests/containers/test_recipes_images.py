@@ -24,14 +24,12 @@ def test_alya_recipe_self_contained_bundles_mpi():
     r = alya_recipe(BuildTechnique.SELF_CONTAINED)
     names = {p.name for p in r.resolved_packages()}
     assert "openmpi-generic" in names
-    assert not r.binds_host_mpi
 
 
 def test_alya_recipe_system_specific_omits_mpi():
     r = alya_recipe(BuildTechnique.SYSTEM_SPECIFIC)
     names = {p.name for p in r.resolved_packages()}
     assert not any(n.startswith("openmpi") for n in names)
-    assert r.binds_host_mpi
 
 
 def test_self_contained_is_bigger():

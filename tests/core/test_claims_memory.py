@@ -5,7 +5,7 @@ import pytest
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.compat import CompatibilityError
 from repro.core.experiment import ExperimentSpec
-from repro.core.paper_reference import CLAIMS, claim_by_id, claims_table
+from repro.core.paper_reference import CLAIMS, claims_table
 from repro.hardware import catalog
 
 
@@ -22,9 +22,6 @@ def test_claims_cover_every_artefact():
 def test_claim_ids_unique_and_lookup():
     ids = [c.claim_id for c in CLAIMS]
     assert len(ids) == len(set(ids))
-    assert claim_by_id("F3-self-contained-stops").source.startswith("Fig. 3")
-    with pytest.raises(KeyError):
-        claim_by_id("nonexistent")
 
 
 def test_claims_table_renders():

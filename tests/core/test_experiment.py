@@ -39,7 +39,6 @@ def make_spec(**overrides):
 def test_valid_spec():
     spec = make_spec()
     assert spec.total_ranks == 112
-    assert spec.total_cores_used == 112
 
 
 def test_oversubscription_rejected():
@@ -117,7 +116,6 @@ def test_calibration_canonical_cases():
     assert fsi.case is CaseKind.FSI
     assert fsi.solid_flops_per_step > 0
     assert calibration.ctepower_cfd_workmodel().n_cells > 0
-    assert calibration.cluster_for("lenox") is catalog.LENOX
 
 
 def test_sustained_fraction_ordering():

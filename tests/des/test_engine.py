@@ -243,17 +243,6 @@ def test_run_until_past_time_rejected():
         env.run(until=5.0)
 
 
-def test_run_all_returns_values_in_order():
-    env = Environment()
-
-    def proc(d, v):
-        yield env.timeout(d)
-        return v
-
-    procs = [env.process(proc(3, "a")), env.process(proc(1, "b"))]
-    assert env.run_all(procs) == ["a", "b"]
-
-
 def test_processes_interleave_deterministically():
     env = Environment()
     trace = []

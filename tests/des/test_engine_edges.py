@@ -71,11 +71,6 @@ def test_run_past_queue_sets_clock_to_until():
     assert env.now == 7.5
 
 
-def test_run_all_empty_list():
-    env = Environment()
-    assert env.run_all([]) == []
-
-
 def test_nested_processes():
     """A process can wait on a process that waits on a process."""
     env = Environment()

@@ -130,22 +130,6 @@ def test_validation_rejects_non_finite(kwargs, field):
     with pytest.raises(ValueError, match=f"{field} must be .*finite"):
         FairShareLink(Environment(), **kwargs)
 
-def test_instantaneous_rate_divides():
-    env = Environment()
-    link = FairShareLink(env, bandwidth=100.0)
-    rates = []
-
-    def sender():
-        ev = link.transfer(1000.0)
-        rates.append(link.instantaneous_rate())
-        yield ev
-
-    env.process(sender())
-    env.process(sender())
-    env.run()
-    assert rates == [pytest.approx(100.0), pytest.approx(50.0)]
-
-
 # --------------------------- property-based tests ---------------------------
 
 sizes_strategy = st.lists(

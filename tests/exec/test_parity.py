@@ -7,14 +7,18 @@ and a warm-cache rerun executes zero simulations while producing the
 same outputs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity
-from repro.core.study import ScalabilityStudy
+from repro.core.study import ScalabilityStudy, figure_spec
 from repro.core.sweep import Sweep
 from repro.exec import ExperimentExecutor
+from repro.exec.failures import FailedPoint
+from repro.faults import FaultPlan
 from repro.hardware import catalog
 from repro.obs import Observability, trace_digest
 
@@ -119,3 +123,28 @@ def test_scalability_study_parity_serial_vs_parallel():
     ).run()
     assert serial.results == parallel.results
     assert serial.speedups() == parallel.speedups()
+
+
+def test_crash_plan_fails_identically_at_any_worker_count():
+    """A deterministic fault failure inside a pool worker is the same
+    failed point as inline: the typed fault error crosses the process
+    boundary intact instead of breaking the pool, and the healthy point
+    beside it still completes."""
+    plan = FaultPlan.load("seed=1,crash_rate=50,horizon=2,max_requeues=0")
+    specs = [
+        dataclasses.replace(
+            figure_spec("fig1", f"crash-{rt}", runtime=rt, nodes=4),
+            fault_plan=plan,
+        )
+        for rt in ("bare-metal", "docker")
+    ]
+    serial = ExperimentExecutor(workers=1, keep_going=True).run_many(specs)
+    pooled = ExperimentExecutor(workers=2, keep_going=True).run_many(specs)
+    failed = serial[0]
+    assert isinstance(failed, FailedPoint)
+    assert (failed.error_type, failed.attempts) == ("RankFailure", 1)
+    assert [
+        (p.error_type, p.error, p.attempts) for p in pooled
+        if isinstance(p, FailedPoint)
+    ] == [(failed.error_type, failed.error, failed.attempts)]
+    assert pooled == serial

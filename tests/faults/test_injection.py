@@ -1,12 +1,14 @@
 """End-to-end fault injection through the full experiment pipeline."""
 
+import pickle
+
 import pytest
 
 from repro.alya.workmodel import AlyaWorkModel, CaseKind
 from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.core.runner import ExperimentRunner
-from repro.faults import FaultEvent, FaultKind, FaultPlan, RankFailure
+from repro.faults import FaultEvent, FaultKind, FaultPlan, PullError, RankFailure
 from repro.hardware import catalog
 from repro.obs import Observability
 
@@ -160,3 +162,16 @@ def test_result_round_trip_carries_fault_fields():
     assert clone.fault_timeline_digest == faulted.fault_timeline_digest
     assert clone.sim_span_seconds == faulted.sim_span_seconds
     assert clone == faulted
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RankFailure(2, 0.0027), PullError("alya:latest", "timeout", 3)],
+    ids=["RankFailure", "PullError"],
+)
+def test_fault_errors_survive_a_pickle_round_trip(exc):
+    """Pool workers send a failed point's exception back pickled."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)

@@ -94,17 +94,6 @@ def test_node_rejects_bad_disk_bandwidth(value):
         dataclasses.replace(catalog.MARENOSTRUM4.node, local_disk_bandwidth=value)
 
 
-def test_memory_numa_penalty():
-    mem = MemorySpec(capacity=gib(64), copy_bandwidth=40e9, numa_penalty=2.0)
-    assert mem.effective_copy_bandwidth(cross_numa=False) == pytest.approx(40e9)
-    assert mem.effective_copy_bandwidth(cross_numa=True) == pytest.approx(20e9)
-
-
-def test_memory_single_domain_no_penalty():
-    mem = MemorySpec(capacity=gib(64), copy_bandwidth=40e9, numa_domains=1)
-    assert mem.effective_copy_bandwidth(cross_numa=True) == pytest.approx(40e9)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

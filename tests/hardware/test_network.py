@@ -62,12 +62,6 @@ def test_bridge_does_not_cap_slow_nic():
     assert bridge.bandwidth == pytest.approx(GIGABIT_ETHERNET.bandwidth)
 
 
-def test_supports_native_path():
-    assert GIGABIT_ETHERNET.supports_native_path(has_host_stack=False)
-    assert not INFINIBAND_EDR.supports_native_path(has_host_stack=False)
-    assert INFINIBAND_EDR.supports_native_path(has_host_stack=True)
-
-
 def test_fast_fabric_requires_fallback_params():
     with pytest.raises(ValueError):
         FabricSpec(

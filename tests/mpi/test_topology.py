@@ -54,13 +54,6 @@ def test_validation():
         rm.ranks_on(2)
 
 
-def test_internode_fraction_extremes():
-    one_node = RankMap(n_ranks=8, n_nodes=1)
-    assert one_node.internode_pairs_fraction() == 0.0
-    spread = RankMap(n_ranks=4, n_nodes=4)
-    assert spread.internode_pairs_fraction() == 1.0
-
-
 @given(
     n_nodes=st.integers(min_value=1, max_value=16),
     per_node=st.integers(min_value=1, max_value=8),

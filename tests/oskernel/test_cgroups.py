@@ -1,154 +1,34 @@
-"""Tests for the cgroup hierarchy, including hypothesis invariants."""
+"""Tests for the cgroup hierarchy."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.oskernel.cgroups import CgroupError, CgroupHierarchy
+from repro.oskernel.cgroups import CgroupHierarchy
 
 
 @pytest.fixture
 def hier():
-    return CgroupHierarchy(machine_cpus=range(8))
-
-
-def test_root_owns_all_cpus(hier):
-    assert hier.root.effective_cpuset() == frozenset(range(8))
+    return CgroupHierarchy()
 
 
 def test_create_nested_path(hier):
     g = hier.create("/docker/ctr1")
     assert g.path() == "/docker/ctr1"
-    assert hier.lookup("/docker") is g.parent
-
-
-def test_child_cpuset_must_be_subset(hier):
-    hier.create("/slurm", cpuset={0, 1, 2, 3})
-    with pytest.raises(CgroupError):
-        hier.create("/slurm/job1", cpuset={4, 5})
-    job = hier.create("/slurm/job2", cpuset={0, 1})
-    assert job.effective_cpuset() == frozenset({0, 1})
-
-
-def test_unset_cpuset_inherits(hier):
-    hier.create("/slurm", cpuset={2, 3})
-    leaf = hier.create("/slurm/step0")
-    assert leaf.effective_cpuset() == frozenset({2, 3})
-
-
-def test_cannot_shrink_under_children(hier):
-    parent = hier.create("/a", cpuset={0, 1, 2, 3})
-    hier.create("/a/b", cpuset={2, 3})
-    with pytest.raises(CgroupError):
-        parent.set_cpuset({0, 1})
-
-
-def test_memory_limit_minimum_wins(hier):
-    hier.create("/docker", memory_limit=8e9)
-    leaf = hier.create("/docker/ctr", memory_limit=16e9)
-    assert leaf.effective_memory_limit() == pytest.approx(8e9)
-    leaf2 = hier.create("/docker/small", memory_limit=1e9)
-    assert leaf2.effective_memory_limit() == pytest.approx(1e9)
-
-
-def test_no_memory_limit_is_none(hier):
-    leaf = hier.create("/free")
-    assert leaf.effective_memory_limit() is None
-
-
-def test_cpu_quota_multiplies(hier):
-    hier.create("/docker", cpu_quota=0.5)
-    leaf = hier.create("/docker/ctr", cpu_quota=0.5)
-    assert leaf.effective_cpu_quota() == pytest.approx(0.25)
+    assert g.parent is hier.root.children["docker"]
+    assert hier.create("/docker/ctr1") is g  # mkdir -p is idempotent
 
 
 def test_attach_moves_pid(hier):
     a = hier.create("/a")
     b = hier.create("/b")
     hier.attach(100, a)
-    assert hier.group_of(100) is a
+    assert 100 in a.pids
     hier.attach(100, b)
-    assert hier.group_of(100) is b
+    assert 100 in b.pids
     assert 100 not in a.pids
 
 
-def test_remove_rules(hier):
-    hier.create("/x/y")
-    with pytest.raises(CgroupError):
-        hier.remove("/x")  # has children
-    g = hier.lookup("/x/y")
-    hier.attach(1, g)
-    with pytest.raises(CgroupError):
-        hier.remove("/x/y")  # has pids
-    hier.attach(1, hier.root)
-    hier.remove("/x/y")
-    hier.remove("/x")
-    with pytest.raises(KeyError):
-        hier.lookup("/x")
-
-
 def test_validation(hier):
-    with pytest.raises(CgroupError):
-        hier.create("/bad", cpuset=set())
-    with pytest.raises(CgroupError):
-        hier.create("/bad2", memory_limit=0)
-    with pytest.raises(CgroupError):
-        hier.create("/bad3", cpu_quota=1.5)
     with pytest.raises(ValueError):
         hier.create("relative/path")
-    with pytest.raises(TypeError):
-        hier.create("/bad4", bogus=1)
-    with pytest.raises(CgroupError):
-        CgroupHierarchy(machine_cpus=[])
-    with pytest.raises(CgroupError):
-        hier.remove("/")
-
-
-def test_walk_visits_all(hier):
-    hier.create("/a/b")
-    hier.create("/a/c")
-    paths = {g.path() for g in hier.root.walk()}
-    assert paths == {"/", "/a", "/a/b", "/a/c"}
-
-
-# --------------------------- property-based tests ---------------------------
-
-cpusets = st.sets(st.integers(min_value=0, max_value=15), min_size=1)
-
-
-@given(parent_cpus=cpusets, child_cpus=cpusets)
-@settings(max_examples=80, deadline=None)
-def test_property_cpuset_subset_invariant(parent_cpus, child_cpus):
-    """After any successful configuration, every group's effective cpuset is
-    a subset of its parent's."""
-    hier = CgroupHierarchy(machine_cpus=range(16))
-    hier.create("/p", cpuset=parent_cpus)
-    try:
-        hier.create("/p/c", cpuset=child_cpus)
-    except CgroupError:
-        assert not child_cpus <= parent_cpus
-        return
-    assert child_cpus <= parent_cpus
-    for g in hier.root.walk():
-        if g.parent is not None:
-            child_eff = g.effective_cpuset()
-            parent_eff = g.parent.effective_cpuset()
-            assert child_eff <= parent_eff or child_eff == parent_eff
-
-
-@given(
-    limits=st.lists(
-        st.floats(min_value=1e6, max_value=1e12, allow_nan=False),
-        min_size=1,
-        max_size=5,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_property_memory_limit_is_chain_minimum(limits):
-    hier = CgroupHierarchy(machine_cpus=range(4))
-    path = ""
-    for i, lim in enumerate(limits):
-        path += f"/g{i}"
-        hier.create(path, memory_limit=lim)
-    leaf = hier.lookup(path)
-    assert leaf.effective_memory_limit() == pytest.approx(min(limits))
+    with pytest.raises(ValueError):
+        hier.create("/")

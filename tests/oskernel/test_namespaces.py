@@ -37,8 +37,8 @@ def test_docker_loses_host_network_hpc_keeps_it():
     host = NamespaceSet.host()
     docker = host.unshare(DOCKER_KINDS)
     hpc = host.unshare(HPC_KINDS)
-    assert not docker.sees_host_network(host)
-    assert hpc.sees_host_network(host)
+    assert not docker.shares(host, NamespaceKind.NET)
+    assert hpc.shares(host, NamespaceKind.NET)
 
 
 def test_hpc_kinds_are_mount_and_pid_only():

@@ -1,4 +1,4 @@
-"""Tests for the process table: PID namespaces, SUID transitions."""
+"""Tests for the process table: namespace unsharing, SUID transitions."""
 
 import pytest
 
@@ -17,8 +17,7 @@ def table():
 def test_init_is_pid1_root(table):
     init = table.get(table.init_pid)
     assert init.creds.is_privileged
-    host_pid_ns = table.host_namespaces.get(NamespaceKind.PID).ns_id
-    assert init.pid_in(host_pid_ns) == 1
+    assert init.global_pid == 1
 
 
 def test_fork_inherits(table):
@@ -67,48 +66,16 @@ def test_user_namespace_unshare_is_unprivileged(table):
     assert not child.namespaces.shares(user.namespaces, NamespaceKind.USER)
 
 
-def test_pid_namespace_numbering(table):
-    container = table.fork(
-        table.init_pid, argv=("init-ctr",), unshare=frozenset({NamespaceKind.PID})
-    )
-    inner_ns = container.namespaces.get(NamespaceKind.PID).ns_id
-    assert container.pid_in(inner_ns) == 1  # pid 1 inside
-    host_ns = table.host_namespaces.get(NamespaceKind.PID).ns_id
-    assert container.pid_in(host_ns) == container.global_pid  # visible outside
-    sibling = table.fork(container.global_pid, argv=("worker",))
-    assert sibling.pid_in(inner_ns) == 2
-
-
-def test_visible_pids_isolated(table):
-    table.fork(table.init_pid, argv=("hostproc",))
-    container = table.fork(
-        table.init_pid, argv=("ctr",), unshare=frozenset({NamespaceKind.PID})
-    )
-    table.fork(container.global_pid, argv=("w1",))
-    # Inside the container: pid 1 (itself) and pid 2 (worker) only.
-    assert table.visible_pids(container.global_pid) == [1, 2]
-    # Host sees everything.
-    assert len(table.visible_pids(table.init_pid)) == 4
-
-
 def test_mount_unshare_clones_table(table):
     container = table.fork(
         table.init_pid, argv=("ctr",), unshare=frozenset({NamespaceKind.MOUNT})
     )
     assert container.mount_table is not table.get(table.init_pid).mount_table
-    container.mount_table.mount_tmpfs("/ctr")
-    assert not table.get(table.init_pid).mount_table.exists("/ctr/.")
-
-
-def test_exit_lifecycle(table):
-    p = table.fork(table.init_pid, argv=("job",))
-    table.exit(p.global_pid, code=3)
-    assert not p.alive
-    assert p.exit_code == 3
-    with pytest.raises(ProcessError):
-        table.exit(p.global_pid)
-    with pytest.raises(ProcessError):
-        table.fork(p.global_pid, argv=("orphan",))
+    image = FileSystem("sif")
+    image.write_file("/bin/app", 1, parents=True)
+    container.mount_table.mount_squashfs(image, "/ctr")
+    assert container.mount_table.exists("/ctr/bin/app")
+    assert not table.get(table.init_pid).mount_table.exists("/ctr/bin/app")
 
 
 def test_get_missing_pid(table):

@@ -13,7 +13,6 @@ from repro.workloads import (
     PhasedWorkload,
     StencilWorkModel,
     get_workload,
-    iter_workloads,
     list_workloads,
     register,
 )
@@ -36,11 +35,6 @@ def test_get_workload_is_stable_and_loud_on_unknown():
     assert get_workload("alya") is get_workload("alya")
     with pytest.raises(KeyError, match="alya"):
         get_workload("no-such-workload")
-
-
-def test_iter_workloads_matches_the_listing():
-    seen = [wl.name for wl in iter_workloads()]
-    assert seen == list_workloads()
 
 
 def test_duplicate_registration_is_rejected_unless_replaced():
