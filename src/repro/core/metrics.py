@@ -157,8 +157,3 @@ def speedup_series(
     return {
         n: t_base / r.elapsed_seconds for n, r in sorted(by_nodes.items())
     }
-
-
-def parallel_efficiency(speedups: dict[int, float], base_nodes: int) -> dict[int, float]:
-    """Efficiency = speedup / ideal for each point of a speedup series."""
-    return {n: s / (n / base_nodes) for n, s in speedups.items()}

@@ -26,7 +26,6 @@ from repro.hardware.cluster import ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.executor import ExperimentExecutor
-    from repro.exec.failures import FailedPoint
     from repro.faults.plan import FaultPlan
     from repro.obs.span import Observability
 
@@ -79,20 +78,6 @@ class SweepResult:
             if p.label not in seen:
                 seen.append(p.label)
         return seen
-
-    def ok_rows(self) -> "list[tuple[SweepPoint, ExperimentResult]]":
-        """Rows that produced a result."""
-        return [
-            (p, r) for p, r in self.rows if isinstance(r, ExperimentResult)
-        ]
-
-    def failed_rows(self) -> "list[tuple[SweepPoint, FailedPoint]]":
-        """Rows that failed (empty without a keep-going executor)."""
-        return [
-            (p, r)
-            for p, r in self.rows
-            if not isinstance(r, ExperimentResult)
-        ]
 
     def to_csv(self) -> str:
         """Flat CSV: one row per (variant, node count).

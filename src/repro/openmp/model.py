@@ -83,10 +83,3 @@ class OpenMPModel:
         ser = serial_seconds * (1.0 - f)
         overhead = self.regions_per_step * self.fork_join_cost * threads
         return ser + par + overhead
-
-    def parallel_efficiency(self, serial_seconds: float, threads: int) -> float:
-        """Speedup(threads) / threads for the whole step."""
-        t = self.threaded_time(serial_seconds, threads)
-        if t == 0:
-            return 1.0
-        return serial_seconds / t / threads

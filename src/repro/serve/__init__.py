@@ -21,10 +21,8 @@ Where :mod:`repro.exec` distributes one caller's grid across processes,
   :class:`~repro.serve.router.ShardRouter` hash owner as the
   tie-break.  Self-healing by default: a supervisor detects
   dead and wedged workers, respawns them, and replays their in-flight
-  requests.
-- :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the
-  deterministic per-shard closed → open → half-open state machine
-  that routes traffic to the fallback lane while a shard flaps.
+  requests; a shard past its respawn budget serves its keys through
+  the fallback lane.
 - :mod:`repro.serve.router` — the stable, balanced key hash naming
   each key's hash owner, the tie-break of placement.
 - :mod:`repro.serve.loadgen` — seeded zipfian traffic generation,
@@ -39,7 +37,6 @@ Semantics, metric names and the backpressure contract are documented in
 lives in ``benchmarks/bench_serve_throughput.py``.
 """
 
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.cluster import (
     ClusterStats,
     ShardConfig,
@@ -71,7 +68,6 @@ from repro.serve.service import (
 __all__ = [
     "ChaosOp",
     "ChaosPlan",
-    "CircuitBreaker",
     "ClusterStats",
     "DeadlineExceeded",
     "LoadReport",

@@ -28,8 +28,9 @@ Examples
 The ``--expect-*`` flags turn the run into a check (exit 1 on
 violation); ``--expect-dedupe`` counts every avoided execution —
 single-flight joins plus L1/L2 hits.  Bad inputs (missing/invalid
-script, unwritable ``--json`` path, a bound below 1) exit 2 with a
-one-line message, never a traceback.  See ``docs/serving.md``.
+script, unwritable ``--json`` path, a bound below 1, ``--runtime``
+outside ``--burst``) exit 2 with a one-line message, never a
+traceback.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ def _scoreboard(target, tally: Optional[dict]) -> str:
             ["  respawned", target.stats.respawns],
             ["  flights replayed", target.stats.replayed],
             ["  served via fallback", target.stats.fallbacks],
-            ["  breaker opens/closes",
-             f"{target.stats.breaker_opens}/"
-             f"{target.stats.breaker_closes}"],
         ]
     return ascii_table(["serve", "value"], rows)
 
@@ -317,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.max_retries is not None and args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
+        return 2
+    if args.runtime is not None and args.burst is None:
+        print("error: --runtime applies to --burst only", file=sys.stderr)
         return 2
 
     groups = mix = None

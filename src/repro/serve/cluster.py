@@ -11,11 +11,11 @@ in-process lane becomes the *fallback* lane.
 
 - **Placement.** A :class:`~repro.serve.router.ShardRouter` hashes
   each request's :func:`~repro.exec.speckey.spec_key` to its *hash
-  owner*.  The first flight of a key whose hash owner is healthy goes
-  to the healthy shard with the fewest flights in the building, the
-  owner winning ties; the front end records that shard, and every later
-  flight of the key goes there.  A key whose hash owner is unhealthy
-  takes the owner's path (below) and is not recorded.
+  owner*.  The first flight of a key whose hash owner is alive goes to
+  the live shard with the fewest flights in the building, the owner
+  winning ties; the front end records that shard, and every later
+  flight of the key goes there.  A key whose hash owner is dead takes
+  the owner's path (below) and is not recorded.
 - **Exactly-once execution.** Single-flight belongs to the front end:
   concurrent duplicates join the in-flight request (no second message
   crosses the pipe).  Later repeats go to the shard the key was placed
@@ -24,7 +24,7 @@ in-process lane becomes the *fallback* lane.
   which of millions of callers asks, how often, or when.
 - **Bounded admission** is per lane: at most ``max_pending`` unique
   specs in flight per shard (and on the fallback lane).  A new key is
-  refused only when every healthy shard is full; a placed key is
+  refused only when every live shard is full; a placed key is
   refused while its own shard is full.
 - **Self-healing.**  A supervisor task detects dead workers two ways —
   pipe EOF for a process that exited, and missed heartbeats (a
@@ -34,14 +34,12 @@ in-process lane becomes the *fallback* lane.
   original shard id), and the in-flight requests that died with the old
   worker are **replayed** transparently: responses stay byte-identical
   because replayed keys hit the shared L2 cache or re-execute
-  deterministically.  While a shard is down or flapping, its per-shard
-  circuit breaker (:mod:`repro.serve.breaker`: closed → open →
-  half-open with seeded decorrelated-jitter backoff) degrades
-  gracefully — new keys for that shard take the fallback lane, an
-  in-process executor backed by the same L2 — and traffic recovers to
-  the ring when the breaker half-opens.  A shard past its respawn
-  budget (``max_respawns``; ``0`` leaves a dead shard down at once)
-  serves its keys through the fallback lane.
+  deterministically.  While a shard is down, new flights for it queue
+  on it and flush when the next supervisor tick respawns it.  A shard
+  past its respawn budget (``max_respawns``; ``0`` leaves a dead shard
+  down at once), and a flight replayed more than
+  :data:`MAX_FLIGHT_REPLAYS` times, take the fallback lane — an
+  in-process executor backed by the same L2.
 - **Deadlines** work as in the service; in addition the remaining
   budget travels with the batch, so the worker cancels a spec whose
   budget lapsed while earlier batchmates executed (worker-side
@@ -59,10 +57,9 @@ deltas piggyback on every ``done`` message (so a worker killed later
 never takes already-reported counts with it), and the worker's
 ``serve.shard.*`` metrics registry is folded into the front end's
 :class:`~repro.obs.span.Observability` at drain.  Supervision adds
-``serve.shard.respawns`` / ``heartbeat_misses`` / ``replayed`` /
-``breaker_opens`` / ``breaker_closes`` counters, the
-``serve.shard.breaker_state`` gauge and ``serve.shard.respawn`` /
-``serve.shard.breaker`` spans.  See ``docs/serving.md``.
+``serve.shard.respawns`` / ``heartbeat_misses`` / ``replayed``
+counters and the ``serve.shard.respawn`` span.  See
+``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -88,8 +85,6 @@ from repro.exec.failures import FailedPoint
 from repro.exec.speckey import spec_key  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Observability
-from repro.serve import breaker as breaker_mod
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.router import ShardRouter
 from repro.serve.service import (
     DeadlineExceeded,
@@ -104,9 +99,6 @@ from repro.serve.service import (
 #: before it is routed to the fallback lane instead — the guard against a
 #: poison spec that kills every worker it meets.
 MAX_FLIGHT_REPLAYS = 2
-
-#: Seed of the per-shard circuit breakers' decorrelated-jitter backoff.
-BREAKER_SEED = 0
 
 
 @dataclass
@@ -145,8 +137,6 @@ class ClusterStats(ServeStats):
     replayed: int = 0
     #: Flights served by the front-end fallback lane.
     fallbacks: int = 0
-    breaker_opens: int = 0
-    breaker_closes: int = 0
     heartbeat_misses: int = 0
 
     def balance_ratio(self) -> float:
@@ -293,15 +283,15 @@ def _worker_main(conn, cfg: ShardConfig) -> None:
 class _Shard:
     """One worker process as a lane of the front end (see
     :class:`~repro.serve.service._LocalLane` for the lane contract),
-    plus its pipe, reader generation, heartbeat and breaker state."""
+    plus its pipe, reader generation and heartbeat state."""
 
     __slots__ = (
         "id", "proc", "conn", "queue", "batch", "inflight", "alive",
         "bye", "bye_payload", "gen", "awaiting_pong", "missed",
-        "respawns", "breaker",
+        "respawns",
     )
 
-    def __init__(self, shard_id: int, breaker: CircuitBreaker) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.id = shard_id
         self.queue: deque = deque()
         self.inflight = 0
@@ -311,7 +301,6 @@ class _Shard:
         #: guard against double-settling a replayed flight.
         self.gen = 0
         self.respawns = 0
-        self.breaker = breaker
 
     def reset(self, proc, conn) -> None:
         """Point this shard at a freshly (re)spawned worker process;
@@ -339,14 +328,10 @@ class _Shard:
             cluster._shard_died(self.id)
 
 
-def _healthy(shard: _Shard) -> bool:
-    """May new keys be placed on ``shard``: alive, breaker closed."""
-    return shard.alive and shard.breaker.state == breaker_mod.CLOSED
-
-
 class _FallbackLane(_LocalLane):
     """The front end's in-process lane, taken by keys whose shard is
-    down past its respawn budget or behind an open breaker."""
+    down past its respawn budget and by flights past their replay
+    budget."""
 
     def send(self, cluster: "StudyCluster", batch: list, now: float) -> None:
         cluster.stats.fallbacks += len(batch)
@@ -400,10 +385,6 @@ class StudyCluster(StudyService):
         its budget serves its keys through the fallback lane forever.
         A flight that dies with more than :data:`MAX_FLIGHT_REPLAYS`
         workers goes to the fallback lane too.
-    breaker_base_backoff / breaker_max_backoff:
-        Decorrelated-jitter backoff window of the per-shard circuit
-        breakers (:mod:`repro.serve.breaker`), seeded with
-        :data:`BREAKER_SEED`.
     """
 
     def __init__(
@@ -419,8 +400,6 @@ class StudyCluster(StudyService):
         heartbeat_interval: float = 0.5,
         heartbeat_misses: int = 6,
         max_respawns: Optional[int] = 8,
-        breaker_base_backoff: float = 0.05,
-        breaker_max_backoff: float = 2.0,
     ) -> None:
         # The service's executor backs the fallback lane: it shares the
         # workers' L2 (and key space), so the degraded path changes
@@ -444,8 +423,6 @@ class StudyCluster(StudyService):
             raise ValueError("max_respawns must be >= 0 (or None)")
         if workers_per_shard < 1:
             raise ValueError("workers_per_shard must be >= 1")
-        # Checked here, not first when start() builds the breakers.
-        CircuitBreaker.check_backoff(breaker_base_backoff, breaker_max_backoff)
         self.workers_per_shard = workers_per_shard
         self.cache = cache
         self.cache_dir = cache_dir
@@ -453,7 +430,6 @@ class StudyCluster(StudyService):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.max_respawns = max_respawns
-        self._breaker_cfg = (breaker_base_backoff, breaker_max_backoff)
         n = self.router.n_shards
         self.stats = ClusterStats(
             shards=n, requests_by_shard=[0] * n, flights_by_shard=[0] * n
@@ -489,15 +465,8 @@ class StudyCluster(StudyService):
         # the Linux default; fall back to spawn where fork is absent.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        base, cap = self._breaker_cfg
         for shard_id in range(self.n_shards):
-            shard = _Shard(
-                shard_id,
-                CircuitBreaker(
-                    shard_id, seed=BREAKER_SEED, base_backoff=base,
-                    max_backoff=cap,
-                ),
-            )
+            shard = _Shard(shard_id)
             shard.reset(*self._spawn_proc(shard_id))
             self._shards.append(shard)
         # Readers start only after every fork: forking a multi-threaded
@@ -653,25 +622,27 @@ class StudyCluster(StudyService):
             )
         return await super().submit(spec, deadline)
 
-    def _route(self, key: str, now: float):
+    def _route(self, key: str):
         """The key's shard lane — or the fallback lane while that shard
-        is down past the respawn budget or its breaker is open.
+        is down past the respawn budget.
 
         A key's shard is the one it was placed on.  A key seen for the
-        first time whose hash owner is healthy is placed on the healthy
-        shard with the fewest flights in the building (the owner wins
-        ties) and stays there, so its repeats hit that worker's L1.  A
-        key whose hash owner is unhealthy is left unplaced and takes the
-        owner's path.  A key refused admission is left unplaced too, so
-        its retry can go where there is room.
+        first time whose hash owner is alive is placed on the live shard
+        with the fewest flights in the building (the owner wins ties)
+        and stays there, so its repeats hit that worker's L1.  A key
+        whose hash owner is dead is left unplaced and takes the owner's
+        path.  A key refused admission is left unplaced too, so its
+        retry can go where there is room.  A flight for a dead shard
+        that can still be respawned queues on it and flushes when the
+        next supervisor tick respawns it.
         """
         shard_id = self._placement.get(key)
         if shard_id is None:
             owner = self._shards[self.router.shard_for(key)]
-            if _healthy(owner):
+            if owner.alive:
                 pick = owner
                 for shard in self._shards:
-                    if shard.inflight < pick.inflight and _healthy(shard):
+                    if shard.inflight < pick.inflight and shard.alive:
                         pick = shard
                 if pick.inflight < self.max_pending:
                     self._placement[key] = pick.id
@@ -679,11 +650,8 @@ class StudyCluster(StudyService):
             shard_id = owner.id
         shard = self._shards[shard_id]
         if not shard.alive and not self._respawn_budget_left(shard):
-            return self._lane, shard_id  # permanently down; breaker moot
-        # A HALF_OPEN probe may target a dead-but-respawnable shard: the
-        # flight queues and flushes after the respawn.
-        ring = self._breaker(shard, shard.breaker.route, now) == "ring"
-        return (shard if ring else self._lane), shard_id
+            return self._lane, shard_id  # permanently down
+        return shard, shard_id
 
     def _respawn_budget_left(self, shard: _Shard) -> bool:
         return self.max_respawns is None or shard.respawns < self.max_respawns
@@ -734,7 +702,7 @@ class StudyCluster(StudyService):
 
     def _kill_shard(self, shard: _Shard) -> None:
         """Forcibly terminate a wedged worker, then run the death path
-        (replay + breaker) exactly as if it had crashed."""
+        (replay) exactly as if it had crashed."""
         try:
             shard.proc.kill()
         except (OSError, ValueError, AttributeError):  # pragma: no cover
@@ -757,28 +725,6 @@ class StudyCluster(StudyService):
             track="serve", shard=shard.id, generation=shard.gen,
         )
         self._flush(shard)  # replay the orphans _shard_died requeued
-
-    def _breaker(self, shard: _Shard, call, *args):
-        """``call(*args)`` on ``shard``'s breaker; record the state
-        transition if it made one."""
-        brk = shard.breaker
-        prev = brk.state
-        out = call(*args)
-        if brk.state == prev:
-            return out
-        self.obs.metrics.gauge("serve.shard.breaker_state").set(brk.state)
-        t = time.monotonic() - self._t0
-        self.obs.add_span(
-            "serve.shard.breaker", "serve", t, t,
-            track="serve", shard=shard.id, state=brk.state_name,
-        )
-        if brk.state == breaker_mod.OPEN:
-            self.stats.breaker_opens += 1
-            self.obs.metrics.counter("serve.shard.breaker_opens").inc()
-        elif brk.state == breaker_mod.CLOSED:
-            self.stats.breaker_closes += 1
-            self.obs.metrics.counter("serve.shard.breaker_closes").inc()
-        return out
 
     # -- worker messages (loop thread; scheduled by the readers) -------------
     def _reader(self, shard_id: int, conn, gen: int) -> None:
@@ -806,8 +752,6 @@ class StudyCluster(StudyService):
         kind = msg[0]
         if kind == "done":
             shard.missed = 0
-            if shard.breaker.state != breaker_mod.CLOSED:
-                self._breaker(shard, shard.breaker.record_success)
             outcomes = []
             for i, reply, payload in msg[1]:
                 flight = shard.batch[i]
@@ -838,9 +782,8 @@ class StudyCluster(StudyService):
         self._shard_died(shard_id)  # the worker vanished without a bye
 
     def _shard_died(self, shard_id: int) -> None:
-        """One shard's worker is gone: open the breaker and queue its
-        orphaned flights for replay (or move them to the fallback
-        lane)."""
+        """One shard's worker is gone: queue its orphaned flights for
+        replay (or move them to the fallback lane)."""
         shard = self._shards[shard_id]
         if not shard.alive:
             return
@@ -858,7 +801,6 @@ class StudyCluster(StudyService):
         # Admission order: the replay keeps the original request order.
         orphans = [f for f in self._inflight.values() if f.lane is shard]
         shard.queue.clear()
-        self._breaker(shard, shard.breaker.record_failure, time.monotonic())
         respawnable = self._respawn_budget_left(shard)
         for flight in orphans:
             flight.replays += 1

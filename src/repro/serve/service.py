@@ -361,7 +361,7 @@ class StudyService:
             self.stats.dedup_hits += 1
             self.obs.metrics.counter("serve.dedup_hits").inc()
         else:
-            lane, shard = self._route(key, t_start)
+            lane, shard = self._route(key)
             if lane.inflight >= self.max_pending:
                 self.stats.rejected += 1
                 self.obs.metrics.counter("serve.rejected").inc()
@@ -407,7 +407,7 @@ class StudyService:
         )
         return outcome
 
-    def _route(self, key: str, now: float):
+    def _route(self, key: str):
         """``(lane, shard)`` for a new key's flight: the one local lane,
         no shard."""
         return self._lane, None

@@ -7,7 +7,6 @@ from repro.containers.recipes import BuildTechnique
 from repro.core.experiment import EndpointGranularity, ExperimentSpec
 from repro.core.metrics import (
     ExperimentResult,
-    parallel_efficiency,
     speedup_series,
 )
 from repro.core.runner import ExperimentRunner
@@ -131,9 +130,3 @@ def test_speedup_series_validation():
         speedup_series([])
     with pytest.raises(ValueError):
         speedup_series([fake_result(4, 1.0), fake_result(4, 2.0)])
-
-
-def test_parallel_efficiency():
-    eff = parallel_efficiency({4: 1.0, 8: 1.8}, base_nodes=4)
-    assert eff[4] == pytest.approx(1.0)
-    assert eff[8] == pytest.approx(0.9)

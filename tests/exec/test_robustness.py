@@ -175,8 +175,9 @@ def test_failed_points_surface_in_sweep_csv(monkeypatch):
         executor=ExperimentExecutor(workers=1, keep_going=True),
     )
     result = sweep.run()
-    assert len(result.ok_rows()) == 1
-    assert len(result.failed_rows()) == 1
+    outcomes = [r for _, r in result.rows]
+    assert sum(isinstance(r, ExperimentResult) for r in outcomes) == 1
+    assert sum(isinstance(r, FailedPoint) for r in outcomes) == 1
     csv_text = result.to_csv()
     assert "failed,ValueError: synthetic deterministic failure" in csv_text
 

@@ -99,12 +99,6 @@ def test_openmp_fork_join_overhead_grows_with_threads():
     assert t14 > 0.1  # overhead dominates at 14 threads
 
 
-def test_openmp_efficiency_below_one():
-    m = OpenMPModel()
-    eff = m.parallel_efficiency(10.0, 8)
-    assert 0 < eff < 1
-
-
 def test_openmp_validation():
     with pytest.raises(ValueError):
         OpenMPModel(parallel_fraction=1.5)

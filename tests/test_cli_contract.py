@@ -8,6 +8,8 @@ Each case must exit 1 or 2 with no ``Traceback`` on stderr; an exception
 escaping ``main`` is a traceback and fails the case.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _COMMANDS
@@ -15,6 +17,11 @@ from repro.cli import main as study_main
 from repro.serve.cli import main as serve_main
 
 CRASH = "seed=1,crash_rate=50,horizon=2,max_requeues=0"
+
+#: A valid replay script, so a ``--script`` case fails on its flags only.
+SMOKE_SCRIPT = str(
+    Path(__file__).resolve().parent.parent / "examples" / "serve_smoke.json"
+)
 
 #: Input errors every subcommand shares: rejected before any run.
 STUDY_BAD_VALUES = (
@@ -161,6 +168,14 @@ SERVE_CASES = [
         ("cluster-burst-fig3-docker",
          ["--burst", "2", "--shards", "2", "--fig", "fig3",
           "--runtime", "docker"], 2),
+        # --runtime picks the --burst spec's runtime; no other mode
+        # reads it, so it is refused rather than ignored.
+        ("zipf-runtime",
+         ["--zipf", "1", "--fig", "fig3", "--runtime", "docker"], 2),
+        ("cluster-zipf-runtime",
+         ["--zipf", "1", "--shards", "2", "--runtime", "singularity"], 2),
+        ("script-runtime",
+         ["--script", SMOKE_SCRIPT, "--runtime", "singularity"], 2),
     )
 ]
 
