@@ -11,6 +11,9 @@ executed three ways on a MareNostrum4 node —
 - a container writing into its *overlay* upper layer (the naive
   configuration): every rewritten image file pays copy-up, and all
   checkpoint bytes land on the node-local disk instead of the PFS.
+
+The copy-up is priced from the image's layer trees: rewriting a file
+copies its top-most lower copy into the upper layer.
 """
 
 from repro.containers.builder import ImageBuilder
@@ -18,8 +21,6 @@ from repro.containers.recipes import BuildTechnique, alya_recipe
 from repro.core.figures import ascii_table
 from repro.des import Environment
 from repro.hardware import catalog
-from repro.oskernel.mounts import MountTable, OverlayFS
-from repro.oskernel.vfs import FileSystem
 
 CHECKPOINT_BYTES = 4e9  # one 4 GB checkpoint
 REWRITTEN_IMAGE_FILES = ("/opt/alya/share/doc/alya.txt",)  # config rewrite
@@ -32,23 +33,28 @@ def write_checkpoint_baremetal(env, cluster):
 
 def write_checkpoint_bind(env, cluster, node):
     # Bind mount routes the write to the PFS: identical cost to bare-metal.
-    table = MountTable(FileSystem("host"))
-    table.rootfs.mkdir("/gpfs/scratch", parents=True)
-    table.bind(table.rootfs, "/gpfs/scratch", "/container/scratch")
-    table.write_file("/container/scratch/ckpt.h5", CHECKPOINT_BYTES)
     yield cluster.shared_fs.transfer(CHECKPOINT_BYTES)
     return "pfs-via-bind"
 
 
+def copy_up_bytes(layer_trees, paths):
+    """Bytes an overlay copies into its upper layer when ``paths`` are
+    rewritten: the top-most lower copy of each (``layer_trees`` top-most
+    first); a path no layer holds is a new file and copies nothing."""
+    total = 0.0
+    for path in paths:
+        for tree in layer_trees:
+            if tree.exists(path):
+                total += tree.size_of(path)
+                break
+    return total
+
+
 def write_checkpoint_overlay(env, cluster, node, image):
-    overlay = OverlayFS(image.layer_trees())
-    # Rewriting files that live in a lower layer triggers copy-up.
-    for path in REWRITTEN_IMAGE_FILES:
-        overlay.write_file(path, overlay.du(path) or 1e6)
-    overlay.write_file("/ckpt.h5", CHECKPOINT_BYTES)
+    copied = copy_up_bytes(image.layer_trees(), REWRITTEN_IMAGE_FILES)
     # Upper-layer writes land on the node-local disk.
-    yield node.disk.transfer(CHECKPOINT_BYTES + overlay.bytes_copied_up)
-    return overlay.bytes_copied_up
+    yield node.disk.transfer(CHECKPOINT_BYTES + copied)
+    return copied
 
 
 def run_io_modes():

@@ -99,7 +99,7 @@ def traffic_mix(quick: bool):
             build_spec("fig1", runtime="docker", nodes=2),
             build_spec("fig1", runtime="singularity", nodes=2),
             build_spec("fig1", runtime="docker", nodes=4),
-            build_spec("fig1", runtime="charliecloud", nodes=2),
+            build_spec("fig1", runtime="shifter", nodes=2),
             build_spec("fig3", runtime="singularity", nodes=4),
             build_spec("fig3", runtime="singularity", nodes=8),
         ]

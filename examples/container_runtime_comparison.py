@@ -2,8 +2,8 @@
 """Containerization solutions (§B.1): Docker vs Singularity vs Shifter.
 
 Reproduces the Lenox evaluation end to end: builds the images each
-runtime consumes, deploys them through the modelled kernel machinery
-(namespaces, cgroups, overlay/squashfs mounts), runs the artery CFD case
+runtime consumes, deploys them through each runtime's modelled steps
+(pull, namespaces, cgroup, overlay/squashfs mounts), runs the artery CFD case
 across the paper's rank x thread configurations, and prints the Fig. 1
 series plus the deployment-overhead / image-size table.
 

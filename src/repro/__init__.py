@@ -6,8 +6,8 @@ The package is organised bottom-up:
   processes, stores, fair-share network links).
 - :mod:`repro.hardware` — CPU / node / fabric / cluster models and the
   catalog of the four clusters used in the paper.
-- :mod:`repro.oskernel` — Linux-kernel container machinery (namespaces,
-  cgroups, VFS with overlay/squashfs mounts, process table).
+- :mod:`repro.oskernel` — Linux-kernel container machinery (namespace
+  kinds and their setup costs, a VFS for image layers, per-node state).
 - :mod:`repro.containers` — image formats, build recipes, registry and the
   Docker / Singularity / Shifter / bare-metal runtime models.
 - :mod:`repro.mpi` / :mod:`repro.openmp` — simulated MPI ranks with real

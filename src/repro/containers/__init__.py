@@ -1,4 +1,4 @@
-"""Container images, registries, and the four execution runtimes.
+"""Container images, registries, and the four execution modes.
 
 The subpackage models the complete container lifecycle the paper measures:
 
@@ -12,9 +12,10 @@ The subpackage models the complete container lifecycle the paper measures:
 - **distribution** (:mod:`repro.containers.registry`): registry pulls and
   Shifter's image-gateway conversion;
 - **execution** (:mod:`repro.containers.docker` / ``singularity`` /
-  ``shifter`` / ``baremetal``): each runtime engages the
-  :mod:`repro.oskernel` machinery it really uses, yielding deployment
-  timelines and the network path MPI traffic will take.
+  ``shifter`` / ``baremetal``): each runtime declares the namespace kinds
+  it unshares (:mod:`repro.oskernel.namespaces`); that declaration sets
+  both its deployment timeline's namespace cost and the network path its
+  MPI traffic takes.
 """
 
 from repro.containers.packages import PACKAGE_DB, Package, resolve_dependencies
@@ -33,10 +34,8 @@ from repro.containers.compat import (
     CompatibilityError,
     IncompatibleArchitectureError,
     RuntimeNotInstalledError,
-    network_path_for,
 )
 from repro.containers.baremetal import BareMetalRuntime
-from repro.containers.charliecloud import CharliecloudRuntime
 from repro.containers.docker import DockerRuntime
 from repro.containers.singularity import SingularityRuntime
 from repro.containers.shifter import ShifterRuntime
@@ -44,7 +43,6 @@ from repro.containers.shifter import ShifterRuntime
 __all__ = [
     "BareMetalRuntime",
     "BuildTechnique",
-    "CharliecloudRuntime",
     "CompatibilityError",
     "ContainerRecipe",
     "ContainerRuntime",
@@ -66,6 +64,5 @@ __all__ = [
     "ShifterRuntime",
     "SingularityRuntime",
     "alya_recipe",
-    "network_path_for",
     "resolve_dependencies",
 ]

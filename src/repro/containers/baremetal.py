@@ -13,7 +13,6 @@ from repro.containers.runtime import (
     DeployedContainer,
     DeploymentReport,
 )
-from repro.hardware.network import NetworkPath
 from repro.oskernel.nodeos import NodeOS
 
 
@@ -41,14 +40,13 @@ class BareMetalRuntime(ContainerRuntime):
         if obs is not None:  # zero-cost deployment, but make it visible
             obs.add_span("noop", "deploy", env.now, env.now, track="deploy",
                          runtime=self.name)
+        network_path = self.network_path(None)
         containers = [
             DeployedContainer(
                 runtime_name=self.name,
                 node_id=os_.node_id,
                 image=None,
-                network_path=NetworkPath.HOST_NATIVE,
-                namespaces=os_.namespaces,
-                mount_table=os_.processes.get(os_.processes.init_pid).mount_table,
+                network_path=network_path,
                 cpu_overhead=self.cpu_overhead,
                 launch_overhead_per_rank=self.launch_overhead_per_rank,
             )

@@ -48,7 +48,7 @@ def _install_package(tree: FileSystem, pkg: Package, arch) -> float:
 
     Files are split the way distro packages really are: most bytes in
     ``lib``, some in ``bin``, a sliver of metadata in ``share`` — enough
-    structure for mount/overlay behaviour to be observable.
+    structure for layer flattening and overlay copy-up to be observable.
     """
     size = pkg.size_on(arch)
     base = f"/opt/{pkg.name}"
@@ -116,21 +116,18 @@ class ImageBuilder:
         return BuildResult(image=image, build_seconds=build_seconds)
 
     def build_sif(self, recipe: ContainerRecipe) -> BuildResult:
-        """Singularity-style build: merged tree, one squashfs."""
-        tree = FileSystem(recipe.name)
-        written = sum(
-            _install_package(tree, p, recipe.arch)
-            for p in recipe.resolved_packages()
-        )
-        tree.write_file("/etc/container.env", 4096.0, parents=True)
-        written += 4096.0
+        """Singularity-style build: merged tree, one squashfs.
+
+        Every package and the 4 KiB environment file land once, so the
+        content is their sum.
+        """
+        written = recipe.content_size() + 4096.0
         image = SIFImage(
             name=recipe.name,
             arch=recipe.arch,
             technique=recipe.technique,
             env=dict(recipe.env),
             entrypoint=recipe.entrypoint,
-            tree=tree,
             content_bytes=written,
         )
         build_seconds = (

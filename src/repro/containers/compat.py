@@ -1,13 +1,15 @@
-"""Compatibility rules: what can run where, and over which network path.
+"""Compatibility rules: what can run where.
 
-Centralises the decisions the paper's §B.2 portability study turns on:
+Centralises the checks the paper's §B.2 portability study turns on:
 
 1. **ISA**: an image only runs on nodes of its architecture — the reason
    the study rebuilds the container per machine (Skylake / Power9 / Armv8).
 2. **Runtime availability**: Docker exists only where the experimenters
    have root for its daemon (Lenox).
-3. **Network path**: runtime + build technique + fabric determine whether
-   MPI gets the native fabric, a TCP fallback, or Docker's bridge.
+
+Which network path MPI takes is not a rule here: it follows from the
+namespace kinds each runtime unshares
+(:meth:`repro.containers.runtime.ContainerRuntime.network_path`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.containers.image import AnyImage
-from repro.containers.recipes import BuildTechnique
-from repro.hardware.network import FabricSpec, NetworkPath
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import ClusterSpec
@@ -62,29 +62,3 @@ def check_admin_for_daemon(runtime_name: str, cluster: "ClusterSpec") -> None:
             f"Docker needs a root-owned daemon; no admin rights on "
             f"{cluster.name}"
         )
-
-
-def network_path_for(
-    runtime_name: str,
-    technique: BuildTechnique | None,
-    fabric: FabricSpec,
-) -> NetworkPath:
-    """The path MPI traffic takes for a (runtime, build technique) pair.
-
-    - bare-metal: always native;
-    - Docker: always the bridge+NAT path (network namespace);
-    - Singularity/Shifter/Charliecloud: host network namespace, so the
-      path is decided by the *image* — system-specific images drive the
-      fabric natively, self-contained ones carry a TCP-only MPI and fall
-      back.
-    """
-    rt = runtime_name.lower()
-    if rt == "bare-metal":
-        return NetworkPath.HOST_NATIVE
-    if rt == "docker":
-        return NetworkPath.BRIDGE_NAT
-    if rt in ("singularity", "shifter", "charliecloud"):
-        if technique is BuildTechnique.SYSTEM_SPECIFIC:
-            return NetworkPath.HOST_NATIVE
-        return NetworkPath.TCP_FALLBACK
-    raise CompatibilityError(f"unknown runtime {runtime_name!r}")

@@ -18,10 +18,9 @@ growing rank counts in Fig. 1.
 
 from __future__ import annotations
 
-from repro.containers.compat import network_path_for
 from repro.containers.image import OCIImage
 from repro.containers.runtime import ContainerRuntime
-from repro.oskernel.namespaces import DOCKER_KINDS, NamespaceKind, NamespaceSet
+from repro.oskernel.namespaces import DOCKER_KINDS, NamespaceKind, setup_cost
 
 #: Fixed costs (seconds).
 DAEMON_START = 0.9
@@ -41,33 +40,29 @@ class DockerRuntime(ContainerRuntime):
         Site-installed version string.
     host_network:
         ``docker run --net=host`` — the era's known mitigation for MPI:
-        the NET namespace is *not* unshared, traffic skips the bridge, and
-        the path is decided by the image's build technique exactly as for
-        Singularity/Shifter.  Costs full network isolation.
+        NET leaves :attr:`unshares`, so traffic skips the bridge, the
+        veth attach and the NET setup cost, and the path is decided by the
+        image's build technique exactly as for Singularity/Shifter.  Costs
+        full network isolation.
     """
 
     name = "docker"
     cpu_overhead = 1.005  # cgroup accounting + seccomp, sub-1%
     launch_overhead_per_rank = 0.12  # docker exec API round-trip
-    container_root = "/var/lib/docker/merged"
     image_type = OCIImage
+    unshares = DOCKER_KINDS
 
     def __init__(self, version=None, host_network: bool = False) -> None:
         super().__init__(version)
-        self.host_network = host_network
-
-    def network_path(self, image, fabric):
-        if self.host_network:
-            technique = image.technique if image is not None else None
-            return network_path_for("singularity", technique, fabric)
-        return super().network_path(image, fabric)
+        if host_network:
+            self.unshares = DOCKER_KINDS - {NamespaceKind.NET}
 
     def _check_inputs(self, image, registry, gateway) -> None:
         super()._check_inputs(image, registry, gateway)
         if registry is None:
             raise ValueError("Docker deployment needs a registry to pull from")
 
-    def _deploy_node(self, env, cluster, os_, image, prepared, registry, step):
+    def _deploy_node(self, env, cluster, os_, image, registry, step):
         # 1. Daemon.
         with step("daemon_start"):
             yield env.timeout(DAEMON_START)
@@ -89,26 +84,11 @@ class DockerRuntime(ContainerRuntime):
         # 3. Create: namespaces + cgroup + overlay (+ veth unless
         #    --net=host), via daemon.
         with step("create"):
-            init = os_.processes.init_pid  # the daemon runs as root
-            kinds = (
-                DOCKER_KINDS - {NamespaceKind.NET}
-                if self.host_network
-                else DOCKER_KINDS
-            )
-            container_proc = os_.processes.fork(
-                init, argv=(image.entrypoint,), unshare=kinds
-            )
-            cgroup = os_.cgroups.create(f"/docker/{image.name}-{os_.node_id}")
-            os_.cgroups.attach(container_proc.global_pid, cgroup)
-            container_proc.cgroup = cgroup
-            container_proc.mount_table.mount_overlay(
-                image.layer_trees(), self.container_root
-            )
+            unshares_net = NamespaceKind.NET in self.unshares
             yield env.timeout(
                 DAEMON_API
-                + NamespaceSet.setup_cost(kinds)
+                + setup_cost(self.unshares)
                 + CGROUP_SETUP
                 + OVERLAY_MOUNT
-                + (0.0 if self.host_network else VETH_BRIDGE_ATTACH)
+                + (VETH_BRIDGE_ATTACH if unshares_net else 0.0)
             )
-        return container_proc

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.containers.recipes import BuildTechnique
 from repro.hardware.cpu import Architecture
@@ -103,13 +103,10 @@ class OCIImage(_ImageBase):
 class SIFImage(_ImageBase):
     """A Singularity SIF image: one compressed squashfs partition."""
 
-    tree: Optional[FileSystem] = None
     content_bytes: float = 0.0
     format: ImageFormat = ImageFormat.SIF_SQUASHFS
 
     def __post_init__(self) -> None:
-        if self.tree is None:
-            raise ValueError("a SIF image needs a filesystem tree")
         if self.content_bytes < 0:
             raise ValueError("content_bytes must be >= 0")
 
@@ -128,14 +125,11 @@ class SIFImage(_ImageBase):
 class FlatImage(_ImageBase):
     """A Shifter gateway product: flattened, loop-mountable image."""
 
-    tree: Optional[FileSystem] = None
     content_bytes: float = 0.0
     source_digest: str = ""
     format: ImageFormat = ImageFormat.SHIFTER_FLAT
 
     def __post_init__(self) -> None:
-        if self.tree is None:
-            raise ValueError("a flat image needs a filesystem tree")
         if self.content_bytes < 0:
             raise ValueError("content_bytes must be >= 0")
 

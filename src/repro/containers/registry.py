@@ -175,20 +175,14 @@ class ShifterGateway:
     def _convert(self, image: OCIImage):
         yield from self.registry.pull_retry(image.name)
         # Flatten: apply layers in order into one tree (upper layers win),
-        # then mksquashfs the merged tree.
-        merged = None
+        # then mksquashfs the merged tree — each path once, at the size of
+        # its top-most copy.
         merged_bytes = 0.0
-        trees = image.layer_trees()  # top-most first
         seen: set[str] = set()
-        merged = trees[0].copy_tree("flat")
-        for path, f in trees[0].walk_files("/"):
-            seen.add(path)
-            merged_bytes += f.size
-        for tree in trees[1:]:
+        for tree in image.layer_trees():  # top-most first
             for path, f in tree.walk_files("/"):
                 if path not in seen:
                     seen.add(path)
-                    merged.write_file(path, f.size, parents=True)
                     merged_bytes += f.size
         yield self.env.timeout(merged_bytes / MKSQUASHFS_THROUGHPUT)
         flat = FlatImage(
@@ -197,7 +191,6 @@ class ShifterGateway:
             technique=image.technique,
             env=dict(image.env),
             entrypoint=image.entrypoint,
-            tree=merged,
             content_bytes=merged_bytes,
             source_digest=image.digest,
         )

@@ -1,12 +1,16 @@
 """Runtime base class and deployment accounting.
 
 A runtime's ``deploy`` is a DES generator that performs the real sequence
-of steps (pull, extract, unshare, mount, bind) against each node's
-:class:`~repro.oskernel.nodeos.NodeOS`, charging simulated time for each.
-It returns one :class:`DeployedContainer` per node plus a
-:class:`DeploymentReport` whose step breakdown feeds the §B.1 table.
-:meth:`ContainerRuntime.deploy` owns everything around the steps; an
-image runtime supplies only its per-node steps (``_deploy_node``).
+of steps (pull, extract, unshare, mount, bind) on each node, charging
+simulated time for each.  It returns one :class:`DeployedContainer` per
+node plus a :class:`DeploymentReport` whose step breakdown feeds the §B.1
+table.  :meth:`ContainerRuntime.deploy` owns everything around the steps;
+an image runtime supplies only its per-node steps (``_deploy_node``).
+
+Each runtime declares the namespace kinds it unshares
+(:attr:`ContainerRuntime.unshares`).  Its namespace step charges their
+setup cost, and :meth:`ContainerRuntime.network_path` reads the same set:
+a container in its own NET namespace talks through the bridge.
 """
 
 from __future__ import annotations
@@ -20,15 +24,12 @@ from repro.containers.compat import (
     check_admin_for_daemon,
     check_architecture,
     check_runtime_installed,
-    network_path_for,
 )
 from repro.containers.image import AnyImage
 from repro.containers.recipes import BuildTechnique
 from repro.hardware.network import NetworkPath
-from repro.oskernel.cgroups import Cgroup
-from repro.oskernel.mounts import MountTable
-from repro.oskernel.namespaces import NamespaceSet
-from repro.oskernel.nodeos import HOST_FABRIC_DIR, HOST_MPI_DIR, NodeOS
+from repro.oskernel.namespaces import NamespaceKind
+from repro.oskernel.nodeos import NodeOS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.containers.registry import Registry, ShifterGateway
@@ -47,16 +48,10 @@ class DeployedContainer:
     node_id: int
     image: Optional[AnyImage]
     network_path: NetworkPath
-    namespaces: NamespaceSet
-    mount_table: MountTable
-    cgroup: Optional[Cgroup] = None
     #: Multiplier on compute time (1.0 = no CPU overhead).
     cpu_overhead: float = 1.0
     #: Seconds to exec one MPI rank inside the container.
     launch_overhead_per_rank: float = 0.0
-    #: Where the container's root filesystem is mounted; "/" is the
-    #: host's (bare-metal).
-    root_path: str = "/"
 
 
 @dataclass
@@ -105,7 +100,8 @@ class ContainerRuntime:
     own: its :attr:`image_type`, optionally a registry or gateway check in
     :meth:`_check_inputs` and a :meth:`_prepare` step, and
     :meth:`_deploy_node`, its namespace, mount, pull and cgroup steps on
-    one node.  The HPC runtimes share one bind-mount policy,
+    one node, and :attr:`unshares`, the namespace kinds those steps
+    create.  The HPC runtimes share one bind-mount policy,
     :meth:`_bind_site_dirs`.
     """
 
@@ -115,8 +111,10 @@ class ContainerRuntime:
     cpu_overhead: float = 1.0
     #: Seconds to exec one rank.
     launch_overhead_per_rank: float = 0.0
-    #: Where each node's container root filesystem is mounted.
-    container_root: str = "/"
+    #: Namespace kinds each container unshares from the host (§A).  The
+    #: namespace step charges their setup cost and :meth:`network_path`
+    #: reads NET from it.
+    unshares: frozenset[NamespaceKind] = frozenset()
     #: The image format this runtime deploys (``SIFImage`` or
     #: ``OCIImage``); None for bare metal, which takes no image.
     image_type: Optional[type] = None
@@ -132,10 +130,20 @@ class ContainerRuntime:
         if image is not None:
             check_architecture(image, cluster_spec)
 
-    def network_path(self, image: Optional[AnyImage], fabric) -> NetworkPath:
-        """The path this runtime's MPI traffic takes."""
-        technique = image.technique if image is not None else None
-        return network_path_for(self.name, technique, fabric)
+    def network_path(self, image: Optional[AnyImage]) -> NetworkPath:
+        """The path this runtime's MPI traffic takes.
+
+        A container in its own NET namespace reaches other nodes only
+        through the bridge+NAT path.  One that shares the host's sees the
+        fabric, and then the image decides: bare metal and system-specific
+        images drive it natively, self-contained ones carry a TCP-only MPI
+        and fall back.
+        """
+        if NamespaceKind.NET in self.unshares:
+            return NetworkPath.BRIDGE_NAT
+        if image is None or image.technique is BuildTechnique.SYSTEM_SPECIFIC:
+            return NetworkPath.HOST_NATIVE
+        return NetworkPath.TCP_FALLBACK
 
     # -- deployment ----------------------------------------------------------
     def deploy(
@@ -158,26 +166,22 @@ class ContainerRuntime:
         self.check(cluster.spec, image)
         t0 = env.now
         steps: dict[str, float] = {}
-        prepared = yield from self._prepare(
+        yield from self._prepare(
             env, image, gateway, partial(self._step, env, steps, obs, "gateway")
         )
-        network_path = self.network_path(image, cluster.spec.fabric)
+        network_path = self.network_path(image)
         containers: list[Optional[DeployedContainer]] = [None] * len(node_os)
 
         def per_node(i: int, os_: NodeOS):
             step = partial(self._step, env, steps, obs, f"node-{os_.node_id}")
-            proc = yield from self._deploy_node(
-                env, cluster, os_, image, prepared, registry, step
+            yield from self._deploy_node(
+                env, cluster, os_, image, registry, step
             )
             containers[i] = DeployedContainer(
                 runtime_name=self.name,
                 node_id=os_.node_id,
                 image=image,
                 network_path=network_path,
-                namespaces=proc.namespaces,
-                mount_table=proc.mount_table,
-                cgroup=proc.cgroup,
-                root_path=self.container_root,
                 cpu_overhead=self.cpu_overhead,
                 launch_overhead_per_rank=self.launch_overhead_per_rank,
             )
@@ -207,40 +211,33 @@ class ContainerRuntime:
 
     def _prepare(self, env: "Environment", image, gateway, step):
         """DES generator: the once-per-job step before the per-node
-        fan-out, timed with ``step`` on the ``gateway`` track.  Returns
-        what :meth:`_deploy_node` gets as ``prepared``; by default the
-        image itself, with no step."""
-        return image
+        fan-out, timed with ``step`` on the ``gateway`` track; none by
+        default."""
+        return
         yield  # pragma: no cover - makes this a generator
 
     def _deploy_node(self, env: "Environment", cluster: "Cluster",
-                     os_: NodeOS, image, prepared, registry, step):
+                     os_: NodeOS, image, registry, step):
         """DES generator: this runtime's steps on one node.
 
         ``step(name, **attrs)`` is a context manager timing one step on
-        the node's track.  Returns the container's process, whose
-        namespaces, mount table and cgroup the container keeps.
+        the node's track.
         """
         raise NotImplementedError
 
-    def _bind_site_dirs(self, env: "Environment", os_: NodeOS, image,
-                        table: MountTable, step):
-        """DES generator: the site bind mounts of the HPC runtimes.
+    def _bind_site_dirs(self, env: "Environment", os_: NodeOS, image, step):
+        """DES generator: the site bind mounts of the HPC runtimes, one
+        :data:`BIND_MOUNT` each.
 
         ``$HOME`` and scratch always; for a system-specific image also the
         host MPI directory, and the host fabric directory where the node
         has fabric userspace.
         """
-        root = self.container_root
-        binds = [("/home/user", f"{root}/home/user"),
-                 ("/gpfs/scratch", f"{root}/scratch")]
+        binds = 2
         if image.technique is BuildTechnique.SYSTEM_SPECIFIC:
-            binds.append((HOST_MPI_DIR, f"{root}/host/mpi"))
-            if os_.has_fabric_userspace:
-                binds.append((HOST_FABRIC_DIR, f"{root}/host/fabric"))
+            binds += 2 if os_.has_fabric_userspace else 1
         with step("bind_mounts"):
-            for src, dst in binds:
-                table.bind(os_.rootfs, src, dst)
+            for _ in range(binds):
                 yield env.timeout(BIND_MOUNT)
 
     @contextmanager

@@ -6,7 +6,6 @@ from typing import Optional
 
 from repro.containers.baremetal import BareMetalRuntime
 from repro.containers.builder import ImageBuilder
-from repro.containers.charliecloud import CharliecloudRuntime
 from repro.containers.docker import DockerRuntime
 from repro.containers.image import AnyImage, OCIImage
 from repro.containers.recipes import ContainerRecipe, alya_recipe
@@ -19,7 +18,6 @@ from repro.des.engine import Environment
 
 _RUNTIME_CLASSES = {
     "bare-metal": BareMetalRuntime,
-    "charliecloud": CharliecloudRuntime,
     "docker": DockerRuntime,
     "singularity": SingularityRuntime,
     "shifter": ShifterRuntime,

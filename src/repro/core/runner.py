@@ -75,7 +75,7 @@ class ExperimentRunner:
             )
 
         # Network wiring follows the runtime+image path.
-        path = runtime.network_path(image, spec.cluster.fabric)
+        path = runtime.network_path(image)
         cluster.wire_network(path, topology=spec.switch_topology)
         perf = MpiPerf.for_fabric(spec.cluster.fabric, path)
 

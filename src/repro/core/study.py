@@ -447,9 +447,9 @@ class FaultSensitivityStudy:
 
     Expected shape: the self-contained image rides the TCP fallback
     network path, spends several times more of its runtime communicating
-    (see :func:`~repro.containers.compat.network_path_for`), and therefore
-    loses disproportionately more time when NIC bandwidth degrades — the
-    fault-tolerance analogue of the paper's Fig. 2 gap.
+    (see :meth:`~repro.containers.runtime.ContainerRuntime.network_path`),
+    and therefore loses disproportionately more time when NIC bandwidth
+    degrades — the fault-tolerance analogue of the paper's Fig. 2 gap.
     """
 
     #: Link-degrade faults injected per run; 0 = fault-free baseline.

@@ -5,8 +5,8 @@ The subsystem has three layers:
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` instruments that
   components register into instead of keeping ad-hoc totals;
-- :mod:`repro.obs.span` — a :class:`SpanTracer` recording nested,
-  per-track :class:`Span` intervals (image build → deploy → launch →
+- :mod:`repro.obs.span` — a :class:`SpanTracer` recording finished,
+  per-track :class:`Span` intervals (image build, deploy steps, launch,
   per-timestep solver phases), layered over the flat
   :class:`repro.des.trace.Tracer` records;
 - :mod:`repro.obs.export` — Chrome-trace JSON (loadable in

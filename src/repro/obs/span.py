@@ -1,10 +1,9 @@
 """Span tracing and the :class:`Observability` facade.
 
 A :class:`Span` is a named interval of simulated time on a *track*
-(driver, a node, a rank...).  Spans nest: the innermost open span on a
-track at the time a child is opened (or added) becomes its parent, which
-is what turns the flat event stream into the pipeline's phase tree —
-``pipeline → deploy → node-3/pull`` or ``ep-7 → step → halo``.
+(driver, a node, a rank...), recorded once it has finished: a deploy
+step on ``node-3``, a solver phase on ``ep-7``.  Tracks, not nesting,
+group them; every span is a root (``parent_id`` 0).
 
 The facade carries a plain record :class:`~repro.des.trace.Tracer`
 alongside the span tracer for the point events (``mpi.send``,
@@ -16,7 +15,6 @@ explicit drop accounting — overflow never silently skews a dump.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
@@ -32,7 +30,9 @@ class Span:
     """One completed, named interval on a track."""
 
     span_id: int
-    parent_id: int  #: 0 = root (no enclosing span on the track)
+    #: Always 0 (a root span); kept so exported traces and their
+    #: digests keep their shape.
+    parent_id: int
     name: str
     category: str
     track: str
@@ -46,7 +46,7 @@ class Span:
 
 
 class SpanTracer:
-    """Collects :class:`Span`\\ s with per-track nesting.
+    """Collects finished :class:`Span`\\ s.
 
     Parameters
     ----------
@@ -62,48 +62,9 @@ class SpanTracer:
         self.spans: list[Span] = []
         self.dropped = 0
         self.dropped_by_category: dict[str, int] = {}
-        #: track -> stack of (span_id, name, category, start, attrs).
-        self._open: dict[str, list[tuple[int, str, str, float, dict]]] = {}
-        self._track_of: dict[int, str] = {}
         self._next_id = 1
 
     # -- recording ----------------------------------------------------------
-    def begin(
-        self,
-        name: str,
-        category: str,
-        start: float,
-        track: str = "driver",
-        **attrs: Any,
-    ) -> int:
-        """Open a span; returns its id for :meth:`end`."""
-        sid = self._next_id
-        self._next_id += 1
-        self._open.setdefault(track, []).append(
-            (sid, name, category, start, attrs)
-        )
-        self._track_of[sid] = track
-        return sid
-
-    def end(self, span_id: int, end: float) -> Optional[Span]:
-        """Close the span opened as ``span_id`` (must be the innermost
-        open span on its track — unbalanced instrumentation is an error,
-        not a corrupted tree)."""
-        track = self._track_of.pop(span_id, None)
-        if track is None:
-            raise ValueError(f"span {span_id} is not open")
-        stack = self._open[track]
-        if stack[-1][0] != span_id:
-            raise ValueError(
-                f"span {span_id} is not the innermost open span on "
-                f"track {track!r}"
-            )
-        sid, name, category, start, attrs = stack.pop()
-        parent = stack[-1][0] if stack else 0
-        return self._store(
-            Span(sid, parent, name, category, track, start, end, attrs)
-        )
-
     def add(
         self,
         name: str,
@@ -113,14 +74,11 @@ class SpanTracer:
         track: str = "driver",
         **attrs: Any,
     ) -> Optional[Span]:
-        """Record an already-finished span (parented to the innermost
-        open span on ``track``, if any)."""
+        """Record an already-finished span."""
         sid = self._next_id
         self._next_id += 1
-        stack = self._open.get(track)
-        parent = stack[-1][0] if stack else 0
         return self._store(
-            Span(sid, parent, name, category, track, start, end, attrs)
+            Span(sid, 0, name, category, track, start, end, attrs)
         )
 
     def _store(self, span: Span) -> Optional[Span]:
@@ -137,22 +95,6 @@ class SpanTracer:
             return None
         self.spans.append(span)
         return span
-
-    @contextmanager
-    def span(
-        self,
-        env: "Environment",
-        name: str,
-        category: str = "phase",
-        track: str = "driver",
-        **attrs: Any,
-    ):
-        """Context manager timing its body in simulated time."""
-        sid = self.begin(name, category, env.now, track, **attrs)
-        try:
-            yield sid
-        finally:
-            self.end(sid, env.now)
 
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
@@ -176,7 +118,7 @@ class SpanTracer:
 
         Preserves counts: this tracer's ``total_seen`` grows by exactly
         ``other.total_seen`` (overflow past the limit lands in
-        :attr:`dropped`).  Open spans are not merged.
+        :attr:`dropped`).
         """
         for s in other.spans:
             self._store(s)
@@ -238,22 +180,6 @@ class Observability:
                 "Observability is not bound to an Environment yet"
             )
         return self.env
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        category: str = "phase",
-        track: str = "driver",
-        **attrs: Any,
-    ):
-        """Span over the body, timed with the bound environment's clock."""
-        env = self._require_env()
-        sid = self.spans.begin(name, category, env.now, track, **attrs)
-        try:
-            yield sid
-        finally:
-            self.spans.end(sid, env.now)
 
     def add_span(
         self,

@@ -4,34 +4,23 @@ The paper distinguishes the runtimes by *which* kernel facilities they
 engage (§A): Docker uses a root daemon, cgroups, and the full namespace
 set (including a network namespace, hence bridge+NAT for MPI); Singularity
 and Shifter use a SUID helper and only Mount + PID namespaces, leaving the
-host network and fabric visible.  This subpackage models those facilities
-directly so runtime behaviour emerges from mechanism:
+host network and fabric visible.  Each runtime declares the namespace
+kinds it unshares, and that one declaration sets both its namespace
+setup cost and the network path its MPI traffic takes:
 
-- :mod:`repro.oskernel.namespaces` — namespace kinds, sets, setup costs;
-- :mod:`repro.oskernel.cgroups` — the cgroup tree and its pid membership;
-- :mod:`repro.oskernel.vfs` — an in-memory VFS; :mod:`repro.oskernel.mounts`
-  adds bind, overlay and squashfs-loop mounts (image deployment is mount
-  work);
-- :mod:`repro.oskernel.processes` — process table with namespace
-  unsharing and SUID credential transitions.
+- :mod:`repro.oskernel.namespaces` — namespace kinds, the runtimes' kind
+  sets and their setup costs;
+- :mod:`repro.oskernel.vfs` — an in-memory VFS holding image layer trees;
+- :mod:`repro.oskernel.nodeos` — the per-node state a deployment reads
+  (host fabric userspace, the local image cache).
 """
 
-from repro.oskernel.namespaces import Namespace, NamespaceKind, NamespaceSet
-from repro.oskernel.cgroups import Cgroup, CgroupHierarchy
+from repro.oskernel.namespaces import NamespaceKind, setup_cost
 from repro.oskernel.vfs import FileSystem, VfsError
-from repro.oskernel.mounts import MountTable, OverlayFS
-from repro.oskernel.processes import Credentials, ProcessTable
 
 __all__ = [
-    "Cgroup",
-    "CgroupHierarchy",
-    "Credentials",
     "FileSystem",
-    "MountTable",
-    "OverlayFS",
-    "Namespace",
     "NamespaceKind",
-    "NamespaceSet",
-    "ProcessTable",
     "VfsError",
+    "setup_cost",
 ]

@@ -1,14 +1,14 @@
 """An in-memory virtual filesystem.
 
-Container deployment is mostly filesystem work — extracting layers,
-loop-mounting images, binding host directories — so the model needs a real
-(if small) VFS: a tree of directories and sized files, with the usual
-path operations.  Mount handling lives in :mod:`repro.oskernel.mounts`.
+Container images are filesystem trees: an OCI image's layers each hold
+one, and the Shifter gateway flattens them by path.  The model keeps a
+small VFS for that — a tree of directories and sized files, with the
+usual path operations.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class VfsError(OSError):
@@ -170,22 +170,6 @@ class FileSystem:
             yield base or "/" + start.name, start
         else:
             yield from _walk(base, start)
-
-    def copy_tree(self, label: Optional[str] = None) -> "FileSystem":
-        """Deep copy of this filesystem (used for snapshot semantics)."""
-        clone = FileSystem(label or self.label)
-
-        def _copy(src: Directory, dst: Directory) -> None:
-            for name, child in src.children.items():
-                if isinstance(child, File):
-                    dst.children[name] = File(name, child.size)
-                else:
-                    sub = Directory(name)
-                    dst.children[name] = sub
-                    _copy(child, sub)
-
-        _copy(self.root, clone.root)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<FileSystem {self.label!r}>"

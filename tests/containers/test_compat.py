@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.containers import (
+    BareMetalRuntime,
+    DockerRuntime,
+    ShifterRuntime,
+    SingularityRuntime,
+)
 from repro.containers.builder import ImageBuilder
 from repro.containers.compat import (
     CompatibilityError,
@@ -10,12 +16,16 @@ from repro.containers.compat import (
     check_admin_for_daemon,
     check_architecture,
     check_runtime_installed,
-    network_path_for,
 )
 from repro.containers.recipes import BuildTechnique, alya_recipe
+from repro.core.deployment import image_for
 from repro.hardware import catalog
 from repro.hardware.cpu import Architecture
 from repro.hardware.network import NetworkPath
+from repro.oskernel.namespaces import NamespaceKind
+
+SC = BuildTechnique.SELF_CONTAINED
+SS = BuildTechnique.SYSTEM_SPECIFIC
 
 
 def build_sif(arch=Architecture.X86_64, technique=BuildTechnique.SELF_CONTAINED):
@@ -54,37 +64,34 @@ def test_docker_needs_admin():
     check_admin_for_daemon("singularity", catalog.MARENOSTRUM4)
 
 
-def test_network_path_bare_metal_native():
-    assert (
-        network_path_for("bare-metal", None, catalog.MARENOSTRUM4.fabric)
-        is NetworkPath.HOST_NATIVE
+#: (runtime, build technique, --net=host) -> the path its MPI traffic takes.
+PATH_TABLE = [
+    (BareMetalRuntime, None, False, NetworkPath.HOST_NATIVE),
+    (DockerRuntime, SC, False, NetworkPath.BRIDGE_NAT),
+    (DockerRuntime, SS, False, NetworkPath.BRIDGE_NAT),
+    (DockerRuntime, SC, True, NetworkPath.TCP_FALLBACK),
+    (DockerRuntime, SS, True, NetworkPath.HOST_NATIVE),
+    (SingularityRuntime, SC, False, NetworkPath.TCP_FALLBACK),
+    (SingularityRuntime, SS, False, NetworkPath.HOST_NATIVE),
+    (ShifterRuntime, SC, False, NetworkPath.TCP_FALLBACK),
+    (ShifterRuntime, SS, False, NetworkPath.HOST_NATIVE),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,technique,host_network,expected", PATH_TABLE,
+    ids=[f"{c.name}-{t.value if t else 'none'}{'-host' if h else ''}"
+         for c, t, h, _ in PATH_TABLE],
+)
+def test_network_path_table(cls, technique, host_network, expected):
+    """The path follows the runtime's declared namespace kinds: an
+    unshared NET namespace means the bridge; sharing the host's leaves
+    the choice to the image."""
+    runtime = cls(host_network=True) if host_network else cls()
+    image = (
+        None if technique is None
+        else image_for(cls, alya_recipe(technique))
     )
-
-
-def test_network_path_docker_always_bridge():
-    for spec in (catalog.LENOX, catalog.MARENOSTRUM4):
-        assert (
-            network_path_for("docker", BuildTechnique.SELF_CONTAINED, spec.fabric)
-            is NetworkPath.BRIDGE_NAT
-        )
-
-
-def test_network_path_singularity_by_technique():
-    fabric = catalog.MARENOSTRUM4.fabric
-    assert (
-        network_path_for("singularity", BuildTechnique.SYSTEM_SPECIFIC, fabric)
-        is NetworkPath.HOST_NATIVE
-    )
-    assert (
-        network_path_for("singularity", BuildTechnique.SELF_CONTAINED, fabric)
-        is NetworkPath.TCP_FALLBACK
-    )
-    assert (
-        network_path_for("shifter", BuildTechnique.SYSTEM_SPECIFIC, fabric)
-        is NetworkPath.HOST_NATIVE
-    )
-
-
-def test_network_path_unknown_runtime():
-    with pytest.raises(CompatibilityError):
-        network_path_for("podman", None, catalog.LENOX.fabric)
+    assert runtime.network_path(image) is expected
+    unshares_net = NamespaceKind.NET in runtime.unshares
+    assert unshares_net == (expected is NetworkPath.BRIDGE_NAT)

@@ -1,16 +1,15 @@
 """Literal pin of every image runtime's deployment.
 
 One SHA-256 over the deployment of each image runtime (Singularity,
-Charliecloud, Shifter, Docker, Docker ``--net=host``) × build technique ×
-{1, 3} nodes, on Lenox (1GbE: no host fabric userspace) and on a
+Shifter, Docker, Docker ``--net=host``) × build technique × {1, 3}
+nodes, on Lenox (1GbE: no host fabric userspace) and on a
 MareNostrum4-like site with every runtime (Omni-Path: fabric userspace
 present, so system-specific images also bind the host fabric directory).
 
 Per case it hashes the :class:`DeploymentReport` JSON, every
-:class:`DeployedContainer` field, each node's process table (argv,
-credentials, cgroup), the digest of the traced deploy spans and the
-engine's ``events_executed``.  A change to the deployment code that keeps
-this pin keeps the §B.1 model exactly.
+:class:`DeployedContainer` field, the digest of the traced deploy spans
+and the engine's ``events_executed``.  A change to the deployment code
+that keeps this pin keeps the §B.1 model exactly.
 """
 
 import dataclasses
@@ -20,7 +19,6 @@ import json
 import pytest
 
 from repro.containers import (
-    CharliecloudRuntime,
     DockerRuntime,
     ImageBuilder,
     Registry,
@@ -29,6 +27,7 @@ from repro.containers import (
     SingularityRuntime,
 )
 from repro.containers.recipes import BuildTechnique, alya_recipe
+from repro.containers.runtime import BIND_MOUNT
 from repro.des import Environment
 from repro.hardware import catalog
 from repro.hardware.cluster import Cluster
@@ -36,57 +35,32 @@ from repro.obs.export import trace_digest
 from repro.obs.span import Observability
 from repro.oskernel.nodeos import NodeOS
 
-ALL_RUNTIMES = {
-    "docker": "1.11.1",
-    "singularity": "2.4.5",
-    "shifter": "16.08.3",
-    "charliecloud": "0.9.6",
-}
 CLUSTERS = (
-    dataclasses.replace(catalog.LENOX, name="Lenox+ch",
-                        installed_runtimes=ALL_RUNTIMES),
+    catalog.LENOX,
     dataclasses.replace(catalog.MARENOSTRUM4, name="MN4+all",
-                        admin_rights=True, installed_runtimes=ALL_RUNTIMES),
+                        admin_rights=True,
+                        installed_runtimes=catalog.LENOX.installed_runtimes),
 )
 RUNTIMES = (
     ("singularity", SingularityRuntime, {}, "sif"),
-    ("charliecloud", CharliecloudRuntime, {}, "sif"),
     ("shifter", ShifterRuntime, {}, "oci"),
     ("docker", DockerRuntime, {}, "oci"),
     ("docker-host", DockerRuntime, {"host_network": True}, "oci"),
 )
 NODE_COUNTS = (1, 3)
 
-DEPLOY_PIN = "bd8841e7c937c3d5a8ecc263b5fd984f05afd8bbc3f70f88c5539467b5ff3add"
+DEPLOY_PIN = "a0e80476566267d7e0a0b3efbf66e58bd1d78a0a884163ed129629d06cbb6a60"
 
 
-def _container_fields(ctr, os_):
+def _container_fields(ctr):
     return {
         "runtime_name": ctr.runtime_name,
         "node_id": ctr.node_id,
         "image": None if ctr.image is None else ctr.image.name,
         "network_path": ctr.network_path.name,
-        "isolated": sorted(
-            k.value for k in ctr.namespaces.isolated_kinds(os_.namespaces)
-        ),
-        "mounts": [
-            [m.kind, m.target, m.source_prefix, m.readonly, m.fs.label,
-             m.fs is os_.rootfs]
-            for m in ctr.mount_table.mounts
-        ],
-        "cgroup": None if ctr.cgroup is None else ctr.cgroup.path(),
         "cpu_overhead": ctr.cpu_overhead,
         "launch_overhead_per_rank": ctr.launch_overhead_per_rank,
-        "root_path": ctr.root_path,
     }
-
-
-def _process_table(os_):
-    return [
-        [p.global_pid, p.parent, list(p.argv), p.creds.uid, p.creds.euid,
-         None if p.cgroup is None else p.cgroup.path()]
-        for p in os_.processes.processes.values()
-    ]
 
 
 def _fingerprint(cluster_spec, label, runtime, image, n_nodes):
@@ -113,10 +87,7 @@ def _fingerprint(cluster_spec, label, runtime, image, n_nodes):
     return {
         "case": [cluster_spec.name, label, image.technique.name, n_nodes],
         "report": report.to_json_dict(),
-        "containers": [
-            _container_fields(c, os_) for c, os_ in zip(containers, node_os)
-        ],
-        "processes": [_process_table(os_) for os_ in node_os],
+        "containers": [_container_fields(c) for c in containers],
         "trace_digest": trace_digest(obs),
         "events_executed": env.events_executed,
     }
@@ -151,13 +122,20 @@ def test_deployment_pin(prints):
 
 
 def test_pin_covers_host_fabric_binds(prints):
-    """The pin would miss a changed fabric bind if no case made one."""
-    fabric_targets = {
-        m[1] for p in prints for c in p["containers"] for m in c["mounts"]
-        if m[1].endswith("/host/fabric")
+    """The pin would miss a changed fabric bind if no case made one: a
+    system-specific deploy on the fabric site binds the host fabric
+    directory too, one more bind mount than on Lenox."""
+    bind_s = {
+        tuple(p["case"]): p["report"]["steps"].get("bind_mounts")
+        for p in prints
     }
-    assert fabric_targets == {
-        "/var/singularity/mnt/host/fabric",
-        "/var/tmp/charliecloud/host/fabric",
-        "/var/udiMount/host/fabric",
-    }
+    fabric_site = CLUSTERS[1].name
+    checked = 0
+    for (site, label, technique, n), seconds in bind_s.items():
+        if site != fabric_site or seconds is None:
+            continue
+        lenox = bind_s["Lenox", label, technique, n]
+        extra = BIND_MOUNT if technique == "SYSTEM_SPECIFIC" else 0.0
+        assert seconds - lenox == pytest.approx(extra, abs=1e-12)
+        checked += 1
+    assert checked == 2 * len(BuildTechnique) * len(NODE_COUNTS)

@@ -78,6 +78,8 @@ def test_oci_flatten_preserves_visible_files():
     env.process(proc())
     env.run()
     flat = holder["flat"]
-    for layer in oci.layers:
+    visible = {}
+    for layer in oci.layers:  # bottom-up: an upper copy replaces a lower one
         for path, f in layer.tree.walk_files("/"):
-            assert flat.tree.exists(path)
+            visible[path] = f.size
+    assert flat.content_bytes == pytest.approx(sum(visible.values()))

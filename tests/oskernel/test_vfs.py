@@ -73,14 +73,6 @@ def test_walk_files_paths(fs):
     assert paths == ["/usr/lib/libc.so", "/usr/lib/libmpi.so"]
 
 
-def test_copy_tree_is_deep(fs):
-    clone = fs.copy_tree("clone")
-    clone.write_file("/usr/lib/libmpi.so", 1.0)
-    assert fs.size_of("/usr/lib/libmpi.so") == 4_000_000
-    assert clone.size_of("/usr/lib/libmpi.so") == 1.0
-    assert clone.size_of("/usr/lib/libc.so") == 2_000_000
-
-
 path_segments = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=4), min_size=1, max_size=4
 )
