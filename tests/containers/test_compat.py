@@ -18,7 +18,7 @@ from repro.containers.compat import (
     check_runtime_installed,
 )
 from repro.containers.recipes import BuildTechnique, alya_recipe
-from repro.core.deployment import image_for
+from repro.core.deployment import _RUNTIME_CLASSES, image_for, runtime_class
 from repro.hardware import catalog
 from repro.hardware.cpu import Architecture
 from repro.hardware.network import NetworkPath
@@ -55,6 +55,25 @@ def test_runtime_installed_checks():
         check_runtime_installed("docker", catalog.MARENOSTRUM4)
     with pytest.raises(RuntimeNotInstalledError):
         check_runtime_installed("shifter", catalog.CTE_POWER)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ALL_CLUSTERS))
+def test_every_installed_runtime_has_a_class(name):
+    """Each runtime a catalog site installs resolves to a runtime class
+    registered under the same name."""
+    spec = catalog.ALL_CLUSTERS[name]
+    for runtime_name in spec.installed_runtimes:
+        assert runtime_class(runtime_name).name == runtime_name
+        check_runtime_installed(runtime_name, spec)
+
+
+def test_unregistered_runtime_is_refused():
+    assert "charliecloud" not in _RUNTIME_CLASSES
+    with pytest.raises(ValueError, match="unknown runtime"):
+        runtime_class("charliecloud")
+    for spec in catalog.ALL_CLUSTERS.values():
+        with pytest.raises(RuntimeNotInstalledError):
+            check_runtime_installed("charliecloud", spec)
 
 
 def test_docker_needs_admin():

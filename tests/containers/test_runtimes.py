@@ -11,9 +11,10 @@ from repro.containers import (
     ShifterRuntime,
     SingularityRuntime,
 )
-from repro.containers import docker, singularity
+from repro.containers import docker, shifter, singularity
 from repro.containers.recipes import BuildTechnique, alya_recipe
 from repro.containers.runtime import BIND_MOUNT
+from repro.core.deployment import image_for
 from repro.des import Environment
 from repro.hardware import catalog
 from repro.hardware.cluster import Cluster
@@ -127,6 +128,31 @@ def test_singularity_self_contained_no_host_mpi(images):
 def test_singularity_rejects_oci(images):
     with pytest.raises(TypeError):
         deploy(SingularityRuntime(), catalog.LENOX, images["oci_sc"], 1)
+
+
+#: (runtime, site) pairs the catalog installs, for the bind-mount matrix.
+BIND_SITES = [
+    (SingularityRuntime, spec.name)
+    for spec in catalog.ALL_CLUSTERS.values()
+    if "singularity" in spec.installed_runtimes
+] + [(ShifterRuntime, "Lenox")]
+
+
+@pytest.mark.parametrize("technique", list(BuildTechnique),
+                         ids=lambda t: t.value)
+@pytest.mark.parametrize("cls,site", BIND_SITES,
+                         ids=[f"{c.name}-{s}" for c, s in BIND_SITES])
+def test_bind_mounts_per_site(cls, site, technique):
+    """$HOME and scratch always; a system-specific image adds the host
+    MPI directory, and the host fabric directory where the site's
+    interconnect needs host userspace."""
+    spec = catalog.ALL_CLUSTERS[site]
+    image = image_for(cls, alya_recipe(technique, arch=spec.node.arch))
+    _, report, _ = deploy(cls(), spec, image, 2)
+    binds = 2
+    if technique is BuildTechnique.SYSTEM_SPECIFIC:
+        binds += 2 if spec.fabric.needs_host_stack else 1
+    assert report.step("bind_mounts") == pytest.approx(binds * BIND_MOUNT)
 
 
 # -------------------------------- docker -------------------------------------
@@ -247,6 +273,16 @@ def test_shifter_needs_gateway(images):
         env.run()
 
 
+def test_shifter_namespace_shape(images):
+    """Shifter's udiRoot unshares Mount+PID only, like Singularity."""
+    rt = ShifterRuntime()
+    _, report, _ = deploy(rt, catalog.LENOX, images["oci_sc"], 1)
+    assert rt.unshares == HPC_KINDS
+    assert report.step("namespaces") == pytest.approx(
+        shifter.UDIROOT_SETUP + setup_cost(HPC_KINDS)
+    )
+
+
 # ------------------------- cross-runtime ordering -----------------------------
 
 
@@ -260,3 +296,41 @@ def test_deployment_overhead_ordering(images):
     _, rep_dock, _ = deploy(DockerRuntime(), catalog.LENOX, images["oci_sc"], 4)
     assert rep_bare.total_seconds == 0
     assert rep_bare.total_seconds < rep_sing.total_seconds < rep_dock.total_seconds
+
+
+#: (runtime, build technique, --net=host) cases deployable on Lenox.
+DEPLOY_CASES = [
+    (BareMetalRuntime, None, False),
+    (DockerRuntime, BuildTechnique.SELF_CONTAINED, False),
+    (DockerRuntime, BuildTechnique.SYSTEM_SPECIFIC, False),
+    (DockerRuntime, BuildTechnique.SELF_CONTAINED, True),
+    (DockerRuntime, BuildTechnique.SYSTEM_SPECIFIC, True),
+    (SingularityRuntime, BuildTechnique.SELF_CONTAINED, False),
+    (SingularityRuntime, BuildTechnique.SYSTEM_SPECIFIC, False),
+    (ShifterRuntime, BuildTechnique.SELF_CONTAINED, False),
+    (ShifterRuntime, BuildTechnique.SYSTEM_SPECIFIC, False),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,technique,host_network", DEPLOY_CASES,
+    ids=[f"{c.name}-{t.value if t else 'none'}{'-host' if h else ''}"
+         for c, t, h in DEPLOY_CASES],
+)
+def test_deployed_containers_follow_runtime(cls, technique, host_network):
+    """One container per node, in node order, each carrying the
+    runtime's declared path and overheads."""
+    rt = cls(host_network=True) if host_network else cls()
+    image = (
+        None if technique is None
+        else image_for(cls, alya_recipe(technique))
+    )
+    containers, report, _ = deploy(rt, catalog.LENOX, image, 3)
+    assert report.node_count == 3
+    assert [c.node_id for c in containers] == [0, 1, 2]
+    for c in containers:
+        assert c.runtime_name == rt.name
+        assert c.image is image
+        assert c.network_path is rt.network_path(image)
+        assert c.cpu_overhead == rt.cpu_overhead
+        assert c.launch_overhead_per_rank == rt.launch_overhead_per_rank

@@ -72,6 +72,23 @@ def test_observability_requires_binding_for_clocked_apis():
         obs.event("c", "l")
 
 
+def test_event_records_at_current_time():
+    env = Environment()
+    obs = Observability()
+    obs.bind(env)
+
+    def prog():
+        yield env.timeout(2.5)
+        obs.event("fault", "inject", node=1)
+
+    env.process(prog())
+    env.run()
+    (rec,) = [r for r in obs.records.records if r.category == "fault"]
+    assert rec.time == 2.5
+    assert (rec.label, dict(rec.data)) == ("inject", {"node": 1})
+    assert len(obs.spans) == 0
+
+
 def test_attach_engine_counts_events():
     env = Environment()
     obs = Observability()

@@ -1,5 +1,15 @@
-"""Tests for namespace kinds and their setup costs."""
+"""Tests for namespace kinds, their setup costs and each runtime's set."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.containers import (
+    BareMetalRuntime,
+    DockerRuntime,
+    ShifterRuntime,
+    SingularityRuntime,
+)
 from repro.oskernel.namespaces import (
     DOCKER_KINDS,
     HPC_KINDS,
@@ -35,3 +45,37 @@ def test_setup_cost_sums_in_sorted_kind_order():
     assert setup_cost(DOCKER_KINDS) == expected
     assert setup_cost(list(reversed(kinds))) == expected
     assert setup_cost(()) == 0
+
+
+@given(kinds=st.permutations(list(NamespaceKind)), n=st.integers(0, 7))
+@settings(max_examples=50, deadline=None)
+def test_setup_cost_is_order_free_for_any_subset(kinds, n):
+    subset = kinds[:n]
+    cost = setup_cost(subset)
+    assert cost == setup_cost(sorted(subset, key=lambda k: k.value))
+    assert cost == setup_cost(frozenset(subset))
+
+
+def test_every_kind_has_a_setup_cost():
+    assert set(SETUP_COST) == set(NamespaceKind)
+    assert all(cost > 0 for cost in SETUP_COST.values())
+
+
+#: Runtime -> the namespace kinds it declares (§A).
+DECLARED = {
+    "bare-metal": (BareMetalRuntime(), frozenset()),
+    "singularity": (SingularityRuntime(), HPC_KINDS),
+    "shifter": (ShifterRuntime(), HPC_KINDS),
+    "docker": (DockerRuntime(), DOCKER_KINDS),
+    "docker-host": (
+        DockerRuntime(host_network=True),
+        DOCKER_KINDS - {NamespaceKind.NET},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECLARED))
+def test_runtime_declares_its_kinds(case):
+    runtime, expected = DECLARED[case]
+    assert runtime.unshares == expected
+    assert isinstance(runtime.unshares, frozenset)
